@@ -4,6 +4,7 @@ from .fincat import (
     FinCat,
     Functor,
     NatTrans,
+    NotInvertibleError,
     SizeGuardError,
     ValidationError,
     check_equivalence,
@@ -64,6 +65,7 @@ __all__ = [
     "FinCat",
     "Functor",
     "NatTrans",
+    "NotInvertibleError",
     "Premorphism",
     "SigmaClass",
     "SizeGuardError",

@@ -247,8 +247,7 @@ def pseudolimit_cocycle(pf: CatPseudoFunctor, max_families: int = 100_000) -> Ps
                 da = pf.on1[d].obj_map[objs[i]]
                 if d == tc.unit[i]:
                     u = pf.unit_c[i].components[objs[i]]
-                    u_inv = fj.inverse(u)
-                    assert u_inv is not None
+                    u_inv = fj.must_inverse(u)
                     choices = [u_inv]
                 else:
                     choices = [m for m in fj.hom(da, objs[j]) if fj.is_iso(m)]

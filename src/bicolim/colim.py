@@ -148,8 +148,7 @@ def elements_category(pf: CatPseudoFunctor) -> ElementsCat:
     units: dict[str, str] = {}
     for (i, a) in objs:
         u = pf.unit_c[i].components[a]
-        u_inv = pf.on0[i].inverse(u)
-        assert u_inv is not None
+        u_inv = pf.on0[i].must_inverse(u)
         units[_el_obj(i, a)] = one_name[(i, a, base.unit[i], u_inv)]
     for (i, a) in objs:
         for (j, b) in objs:
@@ -160,8 +159,7 @@ def elements_category(pf: CatPseudoFunctor) -> ElementsCat:
                         g, psi = cell1_of[n2]
                         gf = base.hcomp1[(g, f)]
                         fk = pf.on0[k]
-                        comp_inv = fk.inverse(pf.comp[(g, f)].components[a])
-                        assert comp_inv is not None
+                        comp_inv = fk.must_inverse(pf.comp[(g, f)].components[a])
                         cell = fk.table[(psi, fk.table[(pf.on1[g].mor_map[phi], comp_inv)])]
                         hcomp1[(n2, n1)] = one_name[(i, a, gf, cell)]
 
@@ -251,8 +249,7 @@ class ColimitCat:
         unit = self.index.unit[i]
         u_a = self.diagram.unit_c[i].components[a]
         u_b = self.diagram.unit_c[i].components[b]
-        u_a_inv = fib.inverse(u_a)
-        assert u_a_inv is not None
+        u_a_inv = fib.must_inverse(u_a)
         cell = fib.table[(u_b, fib.table[(f, u_a_inv)])]
         return Premorphism((i, a), (i, b), i, unit, unit, cell)
 
@@ -305,8 +302,7 @@ def _transport(pf: CatPseudoFunctor, p: Premorphism, t: str) -> Premorphism:
     fk = pf.on0[k]
     ts = base.hcomp1[(t, p.left)]
     td = base.hcomp1[(t, p.right)]
-    c_left_inv = fk.inverse(pf.comp[(t, p.left)].components[p.src[1]])
-    assert c_left_inv is not None
+    c_left_inv = fk.must_inverse(pf.comp[(t, p.left)].components[p.src[1]])
     c_right = pf.comp[(t, p.right)].components[p.dst[1]]
     cell = fk.table[(c_right, fk.table[(pf.on1[t].mor_map[p.cell], c_left_inv)])]
     return Premorphism(p.src, p.dst, k, ts, td, cell)
@@ -429,13 +425,11 @@ class _Amalgamator:
         fn = pf.on0[n]
         a1, a2, a3 = p.src[1], p.dst[1], q.dst[1]
 
-        c1_inv = fn.inverse(pf.comp[(wu, p.left)].components[a1])
-        assert c1_inv is not None
+        c1_inv = fn.must_inverse(pf.comp[(wu, p.left)].components[a1])
         step = fn.table[(pf.on1[wu].mor_map[p.cell], c1_inv)]
         step = fn.table[(pf.comp[(wu, p.right)].components[a2], step)]
         step = fn.table[(pf.on2[gamma].components[a2], step)]
-        c2_inv = fn.inverse(pf.comp[(wu2, q.left)].components[a2])
-        assert c2_inv is not None
+        c2_inv = fn.must_inverse(pf.comp[(wu2, q.left)].components[a2])
         step = fn.table[(c2_inv, step)]
         step = fn.table[(pf.on1[wu2].mor_map[q.cell], step)]
         step = fn.table[(pf.comp[(wu2, q.right)].components[a3], step)]
@@ -526,8 +520,7 @@ def bifiltered_bicolimit(pf: CatPseudoFunctor, precheck: bool = True) -> Colimit
         for a in pf.on0[i].objects:
             da = pf.on1[d].obj_map[a]
             u = pf.unit_c[j].components[da]
-            u_inv = fj.inverse(u)
-            assert u_inv is not None
+            u_inv = fj.must_inverse(u)
             comps[a] = classes[
                 Premorphism((j, da), (i, a), j, base.unit[j], d, u_inv)
             ]
@@ -586,8 +579,7 @@ def sigma_bicolimit(pf: CatPseudoFunctor, sigma: SigmaClass) -> ColimitCat:
         for a in pf.on0[i].objects:
             da = pf.on1[d].obj_map[a]
             start = core.transitions[tri.right].components[da]
-            back = core.result.inverse(start)
-            assert back is not None
+            back = core.result.must_inverse(start)
             fj = pf.on0[j]
             mid_fiber = fj.table[
                 (pf.on2[tri.cell].components[a], pf.comp[(tri.right, d)].components[a])

@@ -86,8 +86,7 @@ def _pasting_components(
     out = {}
     for k in cell.components:
         start = colim.transitions[d].components[lift1.functor.obj_map[k]]
-        back = res.inverse(start)
-        assert back is not None
+        back = res.must_inverse(start)
         j = colim.diagram.source.one_home[d][1]
         mid = colim.cocone[j].mor_map[cell.components[k]]
         finish = colim.transitions[d2].components[lift2.functor.obj_map[k]]
@@ -109,8 +108,7 @@ def refine_lifts(
     want = {}
     for k in probe.objects:
         b1k = lift1.comparison.components[k]
-        back = res.inverse(b1k)
-        assert back is not None
+        back = res.must_inverse(b1k)
         want[k] = res.table[(lift2.comparison.components[k], back)]
     for j in sorted(base.cells0):
         for d in base.cells1(lift1.stage, j):
@@ -143,8 +141,7 @@ def lift_two_cell(
         lift1, lift2 = lifts
     want = {}
     for k in probe.objects:
-        back = res.inverse(lift1.comparison.components[k])
-        assert back is not None
+        back = res.must_inverse(lift1.comparison.components[k])
         moved = res.table[(phi.components[k], back)]
         want[k] = res.table[(lift2.comparison.components[k], moved)]
     pf = colim.diagram
@@ -171,8 +168,7 @@ def lift_parallel_pair(
     res = colim.result
     want = {}
     for k in probe.objects:
-        back = res.inverse(lift1.comparison.components[k])
-        assert back is not None
+        back = res.must_inverse(lift1.comparison.components[k])
         moved = res.table[(psi.components[k], back)]
         want[k] = res.table[(lift2.comparison.components[k], moved)]
     pf = colim.diagram
@@ -188,8 +184,7 @@ def lift_parallel_pair(
 def revalidate_two_cell_lift(colim: ColimitCat, phi: NatTrans, lift: TwoCellLift) -> bool:
     res = colim.result
     for k in phi.components:
-        back = res.inverse(lift.source.comparison.components[k])
-        assert back is not None
+        back = res.must_inverse(lift.source.comparison.components[k])
         want = res.table[(lift.target.comparison.components[k], res.table[(phi.components[k], back)])]
         got = _pasting_components(
             colim, lift.source, lift.target, lift.left, lift.right, lift.cell
@@ -317,8 +312,7 @@ def check_bicompact_against(
         comps = {}
         for k in probe.objects:
             start = colim.transitions[rep.left].components[fcs[i1].functors[g1].obj_map[k]]
-            back = colim.result.inverse(start)
-            assert back is not None
+            back = colim.result.must_inverse(start)
             mid = colim.cocone[j].mor_map[chi.components[k]]
             finish = colim.transitions[rep.right].components[fcs[i2].functors[g2].obj_map[k]]
             comps[k] = colim.result.table[(finish, colim.result.table[(mid, back)])]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .verdict import Verdict, negative, positive
 
@@ -36,6 +36,10 @@ class ValidationError(Exception):
 
 class SizeGuardError(Exception):
     """An exponential construction would exceed its configured bound."""
+
+
+class NotInvertibleError(Exception):
+    """A morphism that a construction needs to invert has no inverse."""
 
 
 @dataclass(eq=False)
@@ -80,6 +84,13 @@ class FinCat:
                     break
             self._iso_cache[m] = found
         return self._iso_cache[m]
+
+    def must_inverse(self, m: str) -> str:
+        """Inverse of ``m``; raises NotInvertibleError when it has none."""
+        inv = self.inverse(m)
+        if inv is None:
+            raise NotInvertibleError(f"{m!r} has no inverse in {self.name}")
+        return inv
 
     def is_iso(self, m: str) -> bool:
         return self.inverse(m) is not None
@@ -135,7 +146,12 @@ def build_fincat(
 
 
 def fincat_violations(cat: FinCat) -> list[str]:
-    """Exhaustively check the category axioms; returns all violations."""
+    """Exhaustively check the category axioms; returns all violations.
+
+    Associativity is decided by :func:`associative_over_generators`.  When a
+    unit law fails, or that test finds a failure, the full triple scan runs
+    so that every violated triple is listed.
+    """
     out: list[str] = []
     objset = set(cat.objects)
     for m in cat.dom:
@@ -174,7 +190,17 @@ def fincat_violations(cat: FinCat) -> list[str]:
             out.append(f"left identity law fails at {m!r}")
         if cat.table[(m, cat.identity[cat.dom[m]])] != m:
             out.append(f"right identity law fails at {m!r}")
-    # Associativity over every composable triple.
+    if out or not associative_over_generators(
+        cat.dom, cat.cod, cat.identity.values(), cat.table
+    ):
+        _associativity_scan(cat, composable, out)
+    return out
+
+
+def _associativity_scan(
+    cat: FinCat, composable: set[tuple[str, str]], out: list[str]
+) -> None:
+    """Associativity over every composable triple, appended to ``out``."""
     by_dom: dict[str, list[str]] = {x: [] for x in cat.objects}
     for m in cat.dom:
         by_dom[cat.dom[m]].append(m)
@@ -184,8 +210,90 @@ def fincat_violations(cat: FinCat) -> list[str]:
             if cat.table[(h, gf)] != cat.table[(cat.table[(h, g)], f)]:
                 out.append(f"associativity fails on ({h!r}, {g!r}, {f!r})")
                 if len(out) > 20:
-                    return out
-    return out
+                    return
+
+
+def associative_over_generators(
+    dom: Mapping[str, str],
+    cod: Mapping[str, str],
+    identities: Collection[str],
+    table: Mapping[tuple[str, str], str],
+) -> bool:
+    """Light's associativity test: check h∘(a∘f) = (h∘a)∘f for middles ``a``
+    in a generating set only.
+
+    ``identities`` holds the identity of each object.  The table must be well
+    typed and total on composable pairs, and the unit laws must hold.  Then
+    the test is exact (Clifford & Preston, The Algebraic Theory of Semigroups
+    I, 1961, §1.2): the law holds at identities by the unit laws, and if it
+    holds at a1 and a2 it holds at a1∘a2, since
+    h∘((a1∘a2)∘f) = h∘(a1∘(a2∘f)) = (h∘a1)∘(a2∘f) = ((h∘a1)∘a2)∘f
+    = (h∘(a1∘a2))∘f uses only the law at a1 and a2.
+    """
+    if len(identities) == len(dom):  # nothing but identities: the empty set generates
+        return True
+    ids = set(identities)
+    out_of: dict[str, list[str]] = {}
+    into: dict[str, list[str]] = {}
+    for m in dom:
+        out_of.setdefault(dom[m], []).append(m)
+        into.setdefault(cod[m], []).append(m)
+    for a in _generating_set(dom, cod, ids, table, out_of):
+        after = [(h, table[(h, a)]) for h in out_of.get(cod[a], ())]
+        for f in into.get(dom[a], ()):
+            af = table[(a, f)]
+            for h, ha in after:
+                if table[(h, af)] != table[(ha, f)]:
+                    return False
+    return True
+
+
+def _generating_set(
+    dom: Mapping[str, str],
+    cod: Mapping[str, str],
+    ids: set[str],
+    table: Mapping[tuple[str, str], str],
+    out_of: Mapping[str, list[str]],
+) -> list[str]:
+    """Non-identities whose closure under composition is every morphism.
+
+    First every non-identity that is no composite of two non-identities
+    (each generating set contains these), then, while some morphism is
+    unreached, the least such one in name order.
+    """
+    composites = {
+        table[(g, f)]
+        for f in dom
+        if f not in ids
+        for g in out_of.get(cod[f], ())
+        if g not in ids
+    }
+    reached = set(ids)
+    reached_out: dict[str, list[str]] = {}
+    reached_in: dict[str, list[str]] = {}
+
+    def close(start: str) -> None:
+        reached.add(start)
+        work = [start]
+        while work:
+            m = work.pop()
+            reached_out.setdefault(dom[m], []).append(m)
+            reached_in.setdefault(cod[m], []).append(m)
+            found = [table[(g, m)] for g in reached_out.get(cod[m], ())]
+            found += [table[(m, f)] for f in reached_in.get(dom[m], ())]
+            for n in found:
+                if n not in reached:
+                    reached.add(n)
+                    work.append(n)
+
+    gens = [m for m in sorted(dom) if m not in ids and m not in composites]
+    for m in gens:
+        close(m)
+    for m in sorted(dom):
+        if m not in reached:
+            gens.append(m)
+            close(m)
+    return gens
 
 
 def validate_fincat(data: Mapping, name: str | None = None) -> FinCat:
@@ -408,10 +516,6 @@ def invert_nattrans(nt: NatTrans) -> NatTrans:
     return NatTrans(f"{nt.name}~", nt.target, nt.source, comps)
 
 
-def nattrans_equal(a: NatTrans, b: NatTrans) -> bool:
-    return a.components == b.components
-
-
 # ---------------------------------------------------------------------------
 # Skeletons and equivalence
 
@@ -476,8 +580,7 @@ def skeleton(cat: FinCat) -> Skeleton:
     mor_map = {}
     for m in cat.morphisms:
         x, y = cat.dom[m], cat.cod[m]
-        back = cat.inverse(to_rep[x])
-        assert back is not None
+        back = cat.must_inverse(to_rep[x])
         mor_map[m] = cat.table[(cat.table[(to_rep[y], m)], back)]
     retraction = build_functor(
         f"retr({cat.name})", cat, skel, dict(reps), mor_map
@@ -625,13 +728,13 @@ def check_equivalence(c: FinCat, d: FinCat) -> Verdict:
         "unit",
         compose_functors(bwd, fwd),
         identity_functor(c),
-        {x: _must_inverse(c, sk_c.to_rep[x]) for x in c.objects},
+        {x: c.must_inverse(sk_c.to_rep[x]) for x in c.objects},
     )
     counit = build_nattrans(
         "counit",
         compose_functors(fwd, bwd),
         identity_functor(d),
-        {y: _must_inverse(d, sk_d.to_rep[y]) for y in d.objects},
+        {y: d.must_inverse(sk_d.to_rep[y]) for y in d.objects},
     )
     return positive(
         "equivalence",
@@ -644,12 +747,6 @@ def check_equivalence(c: FinCat, d: FinCat) -> Verdict:
             }
         ],
     )
-
-
-def _must_inverse(cat: FinCat, m: str) -> str:
-    inv = cat.inverse(m)
-    assert inv is not None
-    return inv
 
 
 # ---------------------------------------------------------------------------

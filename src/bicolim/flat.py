@@ -170,13 +170,11 @@ def _stage_comparison(
         f_d, phi_d = el.cell1_of[rep.right]
         napex = rep.apex
         x_apex = el.obj_of[napex][1]
-        phi_s_inv = fib_of(pf, rep.left, el).inverse(phi_s)
-        assert phi_s_inv is not None
+        phi_s_inv = fib_of(pf, rep.left, el).must_inverse(phi_s)
         chain = pf.on1[g1].mor_map[phi_s_inv]
         chain = fib.table[(pf.comp[(g1, f_s)].components[x_apex], chain)]
         chain = fib.table[(pf.on2[rep.cell].components[x_apex], chain)]
-        back = fib.inverse(pf.comp[(g2, f_d)].components[x_apex])
-        assert back is not None
+        back = fib.must_inverse(pf.comp[(g2, f_d)].components[x_apex])
         chain = fib.table[(back, chain)]
         chain = fib.table[(pf.on1[g2].mor_map[phi_d], chain)]
         mor_map[cname] = chain
@@ -405,8 +403,7 @@ def check_flat_preserves_bilimits(pf: CatPseudoFunctor, instance: BilimitInstanc
         mor_map = {}
         for x in fibw.objects:
             theta = fib_b.table[(pf.on2[xi].components[x], pf.comp[(f, u)].components[x])]
-            back = fib_b.inverse(pf.comp[(g, u)].components[x])
-            assert back is not None
+            back = fib_b.must_inverse(pf.comp[(g, u)].components[x])
             theta = fib_b.table[(back, theta)]
             ux = pf.on1[u].obj_map[x]
             obj_map[x] = f"({ux}|{theta})"

@@ -349,8 +349,7 @@ def verify_lex_bicolimit(pf: CatPseudoFunctor) -> LexColimitReport:
         for o in probe.objects:
             img = lift.functor.obj_map[o]
             down = colim.cocone[lift.stage].mor_map[legs[img]]
-            back = colim.result.inverse(lift.comparison.components[o])
-            assert back is not None
+            back = colim.result.must_inverse(lift.comparison.components[o])
             pushed_legs[o] = colim.result.table[(back, down)]
         if not _is_limit_cone(colim.result, pushed_apex, pushed_legs, list(probe.objects), list(probe.dom)):
             failures.append({"diagram": key, "stage": lift.stage, "reason": "pushed cone not limiting"})

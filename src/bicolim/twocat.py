@@ -20,13 +20,13 @@ from .fincat import (
     Functor,
     NatTrans,
     ValidationError,
+    associative_over_generators,
     build_fincat,
     compose_functors,
     functor_violations,
     hcompose_nattrans,
     identity_functor,
     identity_nattrans,
-    invert_nattrans,
     nattrans_violations,
     vcompose_nattrans,
     whisker_functor,
@@ -167,51 +167,57 @@ def twocat_violations(tc: TwoCat) -> list[str]:
     if out:
         return out
 
+    one_cells, two_cells = tc.one_cells, tc.two_cells
+    # cells of each level grouped by their source 0-cell, in name order
+    ones_from: dict[str, list[str]] = {i: [] for i in tc.cells0}
+    for f in one_cells:
+        ones_from[tc.one_home[f][0]].append(f)
+    twos_from: dict[str, list[str]] = {i: [] for i in tc.cells0}
+    for a in two_cells:
+        twos_from[tc.two_home[a][0]].append(a)
+
     # totality and typing of 1-cell composition
-    for f in tc.one_cells:
+    for f in one_cells:
         fi, fj = tc.one_home[f]
-        for g in tc.one_cells:
-            gi, gj = tc.one_home[g]
-            if gi != fj:
-                continue
+        for g in ones_from[fj]:
             gf = tc.hcomp1.get((g, f))
             if gf is None:
                 out.append(f"1-cell composite of ({g!r}, {f!r}) missing")
-            elif tc.one_home.get(gf) != (fi, gj):
+            elif tc.one_home.get(gf) != (fi, tc.one_home[g][1]):
                 out.append(f"1-cell composite of ({g!r}, {f!r}) has wrong type")
     for (g, f) in tc.hcomp1:
         if g not in tc.one_home or f not in tc.one_home or tc.src(g) != tc.dst(f):
             out.append(f"1-cell composite listed for non-composable ({g!r}, {f!r})")
     if out:
         return out
-    for f in tc.one_cells:
+    for f in one_cells:
         i, j = tc.one_home[f]
         if tc.hcomp1[(tc.unit[j], f)] != f or tc.hcomp1[(f, tc.unit[i])] != f:
             out.append(f"1-cell unit law fails at {f!r}")
-    for f in tc.one_cells:
-        for g in tc.one_cells:
-            if tc.src(g) != tc.dst(f):
-                continue
-            for h in tc.one_cells:
-                if tc.src(h) != tc.dst(g):
-                    continue
-                if tc.hcomp1[(h, tc.hcomp1[(g, f)])] != tc.hcomp1[(tc.hcomp1[(h, g)], f)]:
-                    out.append(f"1-cell associativity fails on ({h!r}, {g!r}, {f!r})")
+    # 1-cell associativity: that of the category of 0-cells and 1-cells
+    if out or not associative_over_generators(
+        {f: home[0] for f, home in tc.one_home.items()},
+        {f: home[1] for f, home in tc.one_home.items()},
+        tc.unit.values(),
+        tc.hcomp1,
+    ):
+        for f in one_cells:
+            for g in ones_from[tc.dst(f)]:
+                for h in ones_from[tc.dst(g)]:
+                    if tc.hcomp1[(h, tc.hcomp1[(g, f)])] != tc.hcomp1[(tc.hcomp1[(h, g)], f)]:
+                        out.append(f"1-cell associativity fails on ({h!r}, {g!r}, {f!r})")
     if out:
         return out
 
     # totality, typing, functoriality and strictness of 2-cell composition
-    for a in tc.two_cells:
+    for a in two_cells:
         ai, aj = tc.two_home[a]
-        for b in tc.two_cells:
-            bi, bj = tc.two_home[b]
-            if bi != aj:
-                continue
+        for b in twos_from[aj]:
             ba = tc.hcomp2.get((b, a))
             if ba is None:
                 out.append(f"2-cell composite of ({b!r}, {a!r}) missing")
                 continue
-            if tc.two_home.get(ba) != (ai, bj):
+            if tc.two_home.get(ba) != (ai, tc.two_home[b][1]):
                 out.append(f"2-cell composite of ({b!r}, {a!r}) in wrong hom")
                 continue
             want_dom = tc.hcomp1[(tc.dom2(b), tc.dom2(a))]
@@ -220,26 +226,21 @@ def twocat_violations(tc: TwoCat) -> list[str]:
                 out.append(f"2-cell composite of ({b!r}, {a!r}) has wrong boundary")
     if out:
         return out
-    for f in tc.one_cells:
-        for g in tc.one_cells:
-            if tc.src(g) != tc.dst(f):
-                continue
+    for f in one_cells:
+        for g in ones_from[tc.dst(f)]:
             if tc.hcomp2[(tc.id2(g), tc.id2(f))] != tc.id2(tc.hcomp1[(g, f)]):
                 out.append(f"horizontal composition of identities fails on ({g!r}, {f!r})")
-    # interchange: sampled over all vertically composable squares
-    for a in tc.two_cells:
+    # interchange, over every pair of vertically composable pairs
+    starting: dict[str, list[str]] = {}  # 2-cells by vertical domain, in name order
+    for a in two_cells:
+        starting.setdefault(tc.dom2(a), []).append(a)
+    for a in two_cells:
         ai, aj = tc.two_home[a]
         cat_a = tc.hom[(ai, aj)]
-        for a2 in cat_a.morphisms:
-            if cat_a.dom[a2] != tc.cod2(a):
-                continue
-            for b in tc.two_cells:
-                if tc.two_home[b][0] != aj:
-                    continue
+        for a2 in starting.get(cat_a.cod[a], ()):
+            for b in twos_from[aj]:
                 cat_b = tc.hom_of2(b)
-                for b2 in cat_b.morphisms:
-                    if cat_b.dom[b2] != tc.cod2(b):
-                        continue
+                for b2 in starting.get(cat_b.cod[b], ()):
                     lhs = tc.hcomp2[(cat_b.table[(b2, b)], cat_a.table[(a2, a)])]
                     rhs = tc.hom[(ai, tc.two_home[b][1])].table[
                         (tc.hcomp2[(b2, a2)], tc.hcomp2[(b, a)])
@@ -248,21 +249,24 @@ def twocat_violations(tc: TwoCat) -> list[str]:
                         out.append(f"interchange fails on ({b2!r},{b!r};{a2!r},{a!r})")
                         if len(out) > 10:
                             return out
-    for a in tc.two_cells:
+    for a in two_cells:
         i, j = tc.two_home[a]
         if tc.hcomp2[(tc.id2(tc.unit[j]), a)] != a or tc.hcomp2[(a, tc.id2(tc.unit[i]))] != a:
             out.append(f"2-cell unit law fails at {a!r}")
-    for a in tc.two_cells:
-        for b in tc.two_cells:
-            if tc.two_home[b][0] != tc.two_home[a][1]:
-                continue
-            for c in tc.two_cells:
-                if tc.two_home[c][0] != tc.two_home[b][1]:
-                    continue
-                if tc.hcomp2[(c, tc.hcomp2[(b, a)])] != tc.hcomp2[(tc.hcomp2[(c, b)], a)]:
-                    out.append(f"2-cell associativity fails on ({c!r}, {b!r}, {a!r})")
-                    if len(out) > 10:
-                        return out
+    # horizontal 2-cell associativity: that of the category of 0-cells and 2-cells
+    if out or not associative_over_generators(
+        {a: home[0] for a, home in tc.two_home.items()},
+        {a: home[1] for a, home in tc.two_home.items()},
+        [tc.id2(tc.unit[i]) for i in tc.cells0],
+        tc.hcomp2,
+    ):
+        for a in two_cells:
+            for b in twos_from[tc.two_home[a][1]]:
+                for c in twos_from[tc.two_home[b][1]]:
+                    if tc.hcomp2[(c, tc.hcomp2[(b, a)])] != tc.hcomp2[(tc.hcomp2[(c, b)], a)]:
+                        out.append(f"2-cell associativity fails on ({c!r}, {b!r}, {a!r})")
+                        if len(out) > 10:
+                            return out
     return out
 
 
@@ -864,10 +868,3 @@ def precompose_pseudofunctor(pf: CatPseudoFunctor, fn: TwoFunctor, name: str | N
         {i: pf.unit_c[fn.on0[i]] for i in tc.cells0},
     )
 
-
-def inverse_comp(pf: CatPseudoFunctor, g: str, f: str) -> NatTrans:
-    return invert_nattrans(pf.comp[(g, f)])
-
-
-def inverse_unit(pf: CatPseudoFunctor, i: str) -> NatTrans:
-    return invert_nattrans(pf.unit_c[i])

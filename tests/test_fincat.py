@@ -1,11 +1,18 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import bicolim
 from bicolim import zoo
 from bicolim.fincat import (
+    NotInvertibleError,
     SizeGuardError,
     ValidationError,
     build_fincat,
@@ -290,3 +297,49 @@ def test_vertical_composition_of_transformations():
     for (g, f), gf in cat.table.items():
         comp = vcompose_nattrans(fc.transformations[g], fc.transformations[f])
         assert comp.components == fc.transformations[gf].components
+
+
+def test_must_inverse_returns_inverse_or_raises():
+    iso = zoo.walking_iso()
+    assert iso.must_inverse("u") == "u_inv"
+    with pytest.raises(NotInvertibleError, match="'f'"):
+        zoo.walking_arrow().must_inverse("f")
+
+
+def test_invariant_checks_survive_python_O():
+    # Validation and must_inverse use explicit raises, not asserts, so they
+    # must still fire when the interpreter strips assert statements.
+    code = textwrap.dedent(
+        """
+        import sys
+        from bicolim import zoo
+        from bicolim.fincat import NotInvertibleError, ValidationError, build_fincat
+
+        assert False, "asserts must be stripped under -O"
+        table = {
+            ("id", "id"): "id", ("id", "e"): "e", ("e", "id"): "e",
+            ("id", "w"): "w", ("w", "id"): "w", ("e", "e"): "w",
+            ("e", "w"): "w", ("w", "e"): "e", ("w", "w"): "w",
+        }
+        mors = [("id", "x", "x"), ("e", "x", "x"), ("w", "x", "x")]
+        try:
+            build_fincat("nonassoc", ["x"], mors, {"x": "id"}, table)
+            sys.exit("twisted table accepted")
+        except ValidationError as err:
+            if not any("associativity" in v for v in err.violations):
+                sys.exit(f"wrong violations: {err.violations}")
+        try:
+            zoo.walking_arrow().must_inverse("f")
+            sys.exit("non-invertible morphism inverted")
+        except NotInvertibleError:
+            pass
+        print("ok")
+        """
+    )
+    src = str(Path(bicolim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert proc.stdout.strip() == "ok"
