@@ -594,7 +594,9 @@ class Suite:
                 checked += 1
                 if not check_flat_preserves_bilimits(pf, fx.instance):
                     ok = False
-            if checked:
+            # a paired diagram that is not flat fails the instance even when
+            # none was left to check
+            if checked or not ok:
                 self.record("flat-preserves-bilimits", name, ok, f"bicolim flat check {name}")
 
         return run

@@ -20,7 +20,7 @@ violation rather than silently corrupt downstream answers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .fincat import (
     FinCat,
@@ -198,8 +198,13 @@ def elements_category(pf: CatPseudoFunctor) -> ElementsCat:
 # Premorphisms and the colimit quotient
 
 
-@dataclass(frozen=True)
-class Premorphism:
+class Premorphism(NamedTuple):
+    """A span: legs ``left``/``right`` from the src/dst stages into ``apex``,
+    and a fiber morphism ``cell`` between the transported objects.
+
+    A named tuple, so union-find and class lookups hash it natively.
+    """
+
     src: tuple[str, str]
     dst: tuple[str, str]
     apex: str
@@ -332,37 +337,30 @@ def _quotient(pf: CatPseudoFunctor, universe: list[Premorphism]) -> dict[Premorp
     dsu = _DSU()
     for p in universe:
         dsu.add(p)
-    by_left: dict[tuple[str, str, tuple], list[Premorphism]] = {}
-    by_right: dict[tuple[str, str, tuple], list[Premorphism]] = {}
+    # premorphisms by (apex, leg); a leg i -> j fixes the stages of its end
+    by_left: dict[tuple[str, str], list[Premorphism]] = {}
+    by_right: dict[tuple[str, str], list[Premorphism]] = {}
     for p in universe:
-        by_left.setdefault((p.apex, p.left, p.src), []).append(p)
-        by_right.setdefault((p.apex, p.right, p.dst), []).append(p)
+        by_left.setdefault((p.apex, p.left), []).append(p)
+        by_right.setdefault((p.apex, p.right), []).append(p)
+    out_of: dict[str, list[str]] = {j: [] for j in base.cells0}
+    for t in base.one_cells:
+        out_of[base.one_home[t][0]].append(t)
     for p in universe:
-        j = p.apex
-        for t in base.one_cells:
-            if base.one_home[t][0] == j:
-                dsu.union(p, _transport(pf, p, t))
+        for t in out_of[p.apex]:
+            dsu.union(p, _transport(pf, p, t))
     for a in base.two_cells:
         lo, hi = base.dom2(a), base.cod2(a)
-        i, j = base.two_home[a]
+        j = base.two_home[a][1]
+        fj, comps = pf.on0[j], pf.on2[a].components
         # R2: beta : lo ⇒ hi between left legs; trade hi for lo
-        for key, plist in by_left.items():
-            if key[0] != j or key[1] != hi or key[2][0] != i:
-                continue
-            for p in plist:
-                fj = pf.on0[j]
-                comp = pf.on2[a].components[p.src[1]]
-                cell = fj.table[(p.cell, comp)]
-                dsu.union(p, Premorphism(p.src, p.dst, j, lo, p.right, cell))
+        for p in by_left.get((j, hi), ()):
+            cell = fj.table[(p.cell, comps[p.src[1]])]
+            dsu.union(p, Premorphism(p.src, p.dst, j, lo, p.right, cell))
         # R3: beta : lo ⇒ hi between right legs; trade lo for hi
-        for key, plist in by_right.items():
-            if key[0] != j or key[1] != lo or key[2][0] != i:
-                continue
-            for p in plist:
-                fj = pf.on0[j]
-                comp = pf.on2[a].components[p.dst[1]]
-                cell = fj.table[(comp, p.cell)]
-                dsu.union(p, Premorphism(p.src, p.dst, j, p.left, hi, cell))
+        for p in by_right.get((j, lo), ()):
+            cell = fj.table[(comps[p.dst[1]], p.cell)]
+            dsu.union(p, Premorphism(p.src, p.dst, j, p.left, hi, cell))
     return {p: dsu.find(p) for p in universe}
 
 
@@ -486,13 +484,15 @@ def bifiltered_bicolimit(pf: CatPseudoFunctor, precheck: bool = True) -> Colimit
         ua = pf.on1[unit].obj_map[a]
         ident_prem = Premorphism((i, a), (i, a), i, unit, unit, fib.identity[ua])
         identities[oname] = classes[ident_prem]
+    # class representatives by target object: g∘f is defined exactly when
+    # f ends where g starts
+    ending_at: dict[tuple[str, str], list[tuple[str, Premorphism]]] = {}
+    for fname, frep in class_rep.items():
+        ending_at.setdefault(frep.dst, []).append((fname, frep))
     table: dict[tuple[str, str], str] = {}
     for gname, grep in class_rep.items():
-        for fname, frep in class_rep.items():
-            if frep.dst != grep.src:
-                continue
-            composite = amal.compose(grep, frep)
-            table[(gname, fname)] = classes[composite]
+        for fname, frep in ending_at.get(grep.src, ()):
+            table[(gname, fname)] = classes[amal.compose(grep, frep)]
     result = build_fincat(
         f"colim({pf.name})",
         list(obj_name.values()),

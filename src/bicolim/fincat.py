@@ -51,10 +51,15 @@ class FinCat:
     identity: dict[str, str]
     table: dict[tuple[str, str], str]
     _iso_cache: dict[str, str | None] = field(default_factory=dict, repr=False)
+    # built on first use; values are immutable once validated
+    _morphisms: tuple[str, ...] | None = field(default=None, repr=False)
+    _hom_index: dict[tuple[str, str], tuple[str, ...]] | None = field(default=None, repr=False)
 
     @property
     def morphisms(self) -> tuple[str, ...]:
-        return tuple(sorted(self.dom))
+        if self._morphisms is None:
+            self._morphisms = tuple(sorted(self.dom))
+        return self._morphisms
 
     def compose(self, g: str, f: str) -> str:
         """Composite ``g after f``; raises KeyError off composable pairs."""
@@ -64,9 +69,13 @@ class FinCat:
         return self.identity[x]
 
     def hom(self, a: str, b: str) -> tuple[str, ...]:
-        return tuple(
-            m for m in self.morphisms if self.dom[m] == a and self.cod[m] == b
-        )
+        """Morphisms a -> b in name order; ``()`` for an empty hom."""
+        if self._hom_index is None:
+            index: dict[tuple[str, str], list[str]] = {}
+            for m in self.morphisms:
+                index.setdefault((self.dom[m], self.cod[m]), []).append(m)
+            self._hom_index = {k: tuple(ms) for k, ms in index.items()}
+        return self._hom_index.get((a, b), ())
 
     def is_identity(self, m: str) -> bool:
         return self.identity.get(self.dom[m]) == m
@@ -339,8 +348,9 @@ class Functor:
 def functor_violations(fun: Functor) -> list[str]:
     out: list[str] = []
     src, tgt = fun.source, fun.target
+    tgt_objects = set(tgt.objects)
     for x in src.objects:
-        if fun.obj_map.get(x) not in set(tgt.objects):
+        if fun.obj_map.get(x) not in tgt_objects:
             out.append(f"object {x!r} not mapped into target")
     for m in src.dom:
         im = fun.mor_map.get(m)
@@ -556,6 +566,7 @@ def skeleton(cat: FinCat) -> Skeleton:
     kept_mors = [
         m for m in cat.morphisms if cat.dom[m] in keptset and cat.cod[m] in keptset
     ]
+    kept_morset = set(kept_mors)
     skel = build_fincat(
         f"sk({cat.name})",
         kept,
@@ -564,7 +575,7 @@ def skeleton(cat: FinCat) -> Skeleton:
         {
             (g, f): gf
             for (g, f), gf in cat.table.items()
-            if g in set(kept_mors) and f in set(kept_mors)
+            if g in kept_morset and f in kept_morset
         },
     )
     inclusion = build_functor(
@@ -852,7 +863,8 @@ def functor_category(c: FinCat, d: FinCat, max_morphisms: int = 100_000) -> Func
 
     transformations: dict[str, NatTrans] = {}
     mor_rows: list[tuple[str, str, str]] = []
-    comp_key: dict[tuple[str, tuple[tuple[str, str], ...]], str] = {}
+    # (source functor, target functor, components in object order) -> name
+    comp_key: dict[tuple[str, str, tuple[tuple[str, str], ...]], str] = {}
     count = 0
     for fn, fun in functors.items():
         for gn, gun in functors.items():
@@ -872,13 +884,18 @@ def functor_category(c: FinCat, d: FinCat, max_morphisms: int = 100_000) -> Func
     for fn, fun in functors.items():
         ident = identity_nattrans(fun)
         identities[fn] = comp_key[(fn, fn, tuple(sorted(ident.components.items())))]
+    # transformations grouped by target functor, in name order: beta∘alpha
+    # is defined exactly when alpha ends where beta starts
+    ending_at: dict[str, list[tuple[str, str, dict[str, str]]]] = {fn: [] for fn in functors}
+    for name, fn, gn in mor_rows:
+        ending_at[gn].append((name, fn, transformations[name].components))
     table: dict[tuple[str, str], str] = {}
     for beta_name, bf, bg in mor_rows:
-        for alpha_name, af, ag in mor_rows:
-            if ag != bf:
-                continue
-            comp = vcompose_nattrans(transformations[beta_name], transformations[alpha_name])
-            table[(beta_name, alpha_name)] = comp_key[(af, bg, tuple(sorted(comp.components.items())))]
+        beta = transformations[beta_name].components
+        for alpha_name, af, alpha in ending_at[bf]:
+            # c.objects is sorted, so this is the sorted component tuple
+            key = tuple((x, d.table[(beta[x], alpha[x])]) for x in c.objects)
+            table[(beta_name, alpha_name)] = comp_key[(af, bg, key)]
     cat = build_fincat(
         f"[{c.name},{d.name}]",
         functors,

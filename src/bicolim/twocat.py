@@ -44,6 +44,8 @@ class TwoCat:
     unit: dict[str, str]
     one_home: dict[str, tuple[str, str]] = field(default_factory=dict, repr=False)
     two_home: dict[str, tuple[str, str]] = field(default_factory=dict, repr=False)
+    _one_cells: tuple[str, ...] | None = field(default=None, repr=False)
+    _two_cells: tuple[str, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not self.one_home:
@@ -57,7 +59,9 @@ class TwoCat:
 
     @property
     def one_cells(self) -> tuple[str, ...]:
-        return tuple(sorted(self.one_home))
+        if self._one_cells is None:
+            self._one_cells = tuple(sorted(self.one_home))
+        return self._one_cells
 
     def src(self, f: str) -> str:
         return self.one_home[f][0]
@@ -80,7 +84,9 @@ class TwoCat:
 
     @property
     def two_cells(self) -> tuple[str, ...]:
-        return tuple(sorted(self.two_home))
+        if self._two_cells is None:
+            self._two_cells = tuple(sorted(self.two_home))
+        return self._two_cells
 
     def hom_of(self, f: str) -> FinCat:
         return self.hom[self.one_home[f]]
@@ -438,30 +444,32 @@ def all_one_cells(tc: TwoCat, name: str = "all") -> SigmaClass:
 
 
 def sigma_closure(s: SigmaClass) -> SigmaClass:
-    """Least fixed point of: composition, identities, invertible-2-cell mates."""
+    """Least fixed point of: composition, identities, invertible-2-cell mates.
+
+    A worklist: each 1-cell that joins is composed on both sides with the
+    members that meet it, and tested against its parallel 1-cells for mates.
+    """
     tc = s.owner
-    closure = set(s.members) | {tc.unit[i] for i in tc.cells0}
-    changed = True
-    while changed:
-        changed = False
-        for f in sorted(closure):
-            for g in sorted(closure):
-                if tc.one_home[g][0] == tc.one_home[f][1]:
-                    gf = tc.hcomp1[(g, f)]
-                    if gf not in closure:
-                        closure.add(gf)
-                        changed = True
-        for d in tc.one_cells:
-            if d in closure:
-                continue
-            i, j = tc.one_home[d]
-            for t in tc.cells1(i, j):
-                if t in closure and (
-                    tc.invertible_between(d, t) or tc.invertible_between(t, d)
-                ):
-                    closure.add(d)
-                    changed = True
-                    break
+    closure: set[str] = set()
+    out_of: dict[str, list[str]] = {i: [] for i in tc.cells0}  # members by source
+    into: dict[str, list[str]] = {i: [] for i in tc.cells0}  # members by target
+    work = list(s.members) + [tc.unit[i] for i in tc.cells0]
+    while work:
+        f = work.pop()
+        if f in closure:
+            continue
+        closure.add(f)
+        i, j = tc.one_home[f]
+        out_of[i].append(f)
+        into[j].append(f)
+        work.extend(tc.hcomp1[(g, f)] for g in out_of[j])
+        work.extend(tc.hcomp1[(f, e)] for e in into[i])
+        work.extend(
+            d
+            for d in tc.cells1(i, j)
+            if d not in closure
+            and (tc.invertible_between(d, f) or tc.invertible_between(f, d))
+        )
     return SigmaClass(tc, frozenset(closure), f"{s.name}~")
 
 

@@ -3,8 +3,11 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+from bicolim import cli
 from bicolim.cli import default_corpus, main, verify_suite
+from bicolim.verdict import negative
 
 CORPUS = default_corpus()
 
@@ -239,3 +242,26 @@ def test_console_entrypoint_runs():
         text=True,
     )
     assert proc.returncode == 0
+
+
+BUNDLED = Path(cli.__file__).parent / "corpus"
+GOLDEN = Path(__file__).parent / "golden" / "verify_machine.json"
+
+
+def test_verify_machine_report_matches_golden(capsys):
+    # the report is pinned across commits; a change that alters it on purpose
+    # regenerates the golden file with `bicolim verify --format machine`
+    code, out, _ = run_cli("verify", str(BUNDLED), "--format", "machine", capsys=capsys)
+    assert code == 0
+    assert out.encode() == GOLDEN.read_bytes()
+
+
+def test_verify_records_non_flat_pairing_as_failure(monkeypatch, capsys):
+    # every paired diagram non-flat: nothing is left to check, and each
+    # instance must still reach the report as a failure
+    monkeypatch.setattr(cli, "check_flat", lambda pf: negative("flat", {"reason": "forced"}))
+    code, out, _ = run_cli("verify", str(BUNDLED), "--format", "machine", capsys=capsys)
+    assert code == 1
+    slot = json.loads(out)["lemmas"]["flat-preserves-bilimits"]
+    assert slot["fail"] == 4
+    assert slot["pass"] == 0

@@ -1,0 +1,303 @@
+"""Differential tests: indexes built once against the scans they replaced.
+
+Each oracle below is the rescanning implementation that the index-based code
+replaced, kept verbatim in spirit: a linear ``hom`` scan, the all-pairs
+functor-category table, the all-pairs colimit table with the key-scanning
+quotient, and the re-scan fixpoint for ``sigma_closure``.
+"""
+
+from __future__ import annotations
+
+import itertools
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bicolim import cli, corpus, zoo
+from bicolim.colim import (
+    Premorphism,
+    _Amalgamator,
+    _DSU,
+    _premorphism_universe,
+    _quotient,
+    _transport,
+    bifiltered_bicolimit,
+)
+from bicolim.fincat import FinCat, functor_category, vcompose_nattrans
+from bicolim.fixtures import TwoCatFixture, load_fixture
+from bicolim.twocat import (
+    SigmaClass,
+    TwoCat,
+    all_one_cells,
+    constant_pseudofunctor,
+    locally_discrete,
+    sigma_closure,
+)
+
+BUNDLED = Path(cli.__file__).parent / "corpus"
+
+
+# ---------------------------------------------------------------------------
+# FinCat.hom
+
+
+def scan_hom(cat: FinCat, a: str, b: str) -> tuple[str, ...]:
+    return tuple(m for m in sorted(cat.dom) if cat.dom[m] == a and cat.cod[m] == b)
+
+
+def assert_hom_matches_scan(cat: FinCat) -> None:
+    probes = list(cat.objects) + ["not-an-object"]
+    for a, b in itertools.product(probes, repeat=2):
+        assert cat.hom(a, b) == scan_hom(cat, a, b), (a, b)
+    assert cat.morphisms == tuple(sorted(cat.dom))
+    assert cat.morphisms is cat.morphisms
+
+
+@st.composite
+def posets(draw) -> FinCat:
+    names = draw(st.permutations([f"p{i}" for i in range(draw(st.integers(1, 5)))]))
+    relation = [pair for pair in itertools.combinations(names, 2) if draw(st.booleans())]
+    return zoo.poset("P", relation + [(x, x) for x in names])
+
+
+@st.composite
+def typed_morphisms(draw) -> FinCat:
+    """Morphism names drawn in any order with random endpoints; ``hom``
+    reads only ``dom`` and ``cod``, so no composition table is needed."""
+    objs = tuple(f"o{i}" for i in range(draw(st.integers(1, 4))))
+    names = draw(st.lists(st.text("abcxyz", min_size=1, max_size=3), unique=True, max_size=12))
+    ends = {m: (draw(st.sampled_from(objs)), draw(st.sampled_from(objs))) for m in names}
+    dom = {m: d for m, (d, _) in ends.items()}
+    cod = {m: c for m, (_, c) in ends.items()}
+    return FinCat("typed", objs, dom, cod, {}, {})
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets())
+def test_hom_index_matches_scan_on_posets(cat):
+    assert_hom_matches_scan(cat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(typed_morphisms())
+def test_hom_index_matches_scan_on_random_typings(cat):
+    assert_hom_matches_scan(cat)
+
+
+def test_hom_index_matches_scan_on_zoo():
+    for cat in (
+        zoo.terminal(),
+        zoo.walking_arrow(),
+        zoo.walking_iso(),
+        zoo.parallel_pair(),
+        zoo.chain(4),
+        zoo.bz2(),
+    ):
+        assert_hom_matches_scan(cat)
+    for tc in (zoo.iso_hom_twocat(), zoo.lax_triangle_twocat(), zoo.equifier_twocat()):
+        for cat in tc.hom.values():
+            assert_hom_matches_scan(cat)
+
+
+# ---------------------------------------------------------------------------
+# functor_category
+
+
+def all_pairs_table(fc) -> dict[tuple[str, str], str]:
+    """The composition table by vertical composition over every pair."""
+    name_of = {
+        (nt.source.name, nt.target.name, tuple(sorted(nt.components.items()))): name
+        for name, nt in fc.transformations.items()
+    }
+    table = {}
+    for beta_name, beta in fc.transformations.items():
+        for alpha_name, alpha in fc.transformations.items():
+            if alpha.target.name != beta.source.name:
+                continue
+            comp = vcompose_nattrans(beta, alpha)
+            key = (alpha.source.name, beta.target.name, tuple(sorted(comp.components.items())))
+            table[(beta_name, alpha_name)] = name_of[key]
+    return table
+
+
+SMALL = {
+    "terminal": zoo.terminal,
+    "arrow": zoo.walking_arrow,
+    "iso": zoo.walking_iso,
+    "parallel": zoo.parallel_pair,
+    "chain3": lambda: zoo.chain(3),
+    "bz2": zoo.bz2,
+}
+
+
+@pytest.mark.parametrize("cname", sorted(SMALL))
+@pytest.mark.parametrize("dname", sorted(SMALL))
+def test_functor_category_table_matches_all_pairs(cname, dname):
+    fc = functor_category(SMALL[cname](), SMALL[dname]())
+    oracle = all_pairs_table(fc)
+    # same entries, inserted in the same order
+    assert list(fc.category.table.items()) == list(oracle.items())
+
+
+# ---------------------------------------------------------------------------
+# Colimit kernel
+
+
+def scan_quotient(pf, universe) -> dict[Premorphism, Premorphism]:
+    """The quotient with R1 over every 1-cell and R2/R3 over every key."""
+    base = pf.source
+    dsu = _DSU()
+    for p in universe:
+        dsu.add(p)
+    by_left: dict[tuple, list[Premorphism]] = {}
+    by_right: dict[tuple, list[Premorphism]] = {}
+    for p in universe:
+        by_left.setdefault((p.apex, p.left, p.src), []).append(p)
+        by_right.setdefault((p.apex, p.right, p.dst), []).append(p)
+    for p in universe:
+        for t in base.one_cells:
+            if base.one_home[t][0] == p.apex:
+                dsu.union(p, _transport(pf, p, t))
+    for a in base.two_cells:
+        lo, hi = base.dom2(a), base.cod2(a)
+        i, j = base.two_home[a]
+        fj = pf.on0[j]
+        for key, plist in by_left.items():
+            if key[0] != j or key[1] != hi or key[2][0] != i:
+                continue
+            for p in plist:
+                cell = fj.table[(p.cell, pf.on2[a].components[p.src[1]])]
+                dsu.union(p, Premorphism(p.src, p.dst, j, lo, p.right, cell))
+        for key, plist in by_right.items():
+            if key[0] != j or key[1] != lo or key[2][0] != i:
+                continue
+            for p in plist:
+                cell = fj.table[(pf.on2[a].components[p.dst[1]], p.cell)]
+                dsu.union(p, Premorphism(p.src, p.dst, j, p.left, hi, cell))
+    return {p: dsu.find(p) for p in universe}
+
+
+def partition(reps: dict[Premorphism, Premorphism]) -> set[frozenset[Premorphism]]:
+    groups: dict[Premorphism, set[Premorphism]] = {}
+    for p, r in reps.items():
+        groups.setdefault(r, set()).add(p)
+    return {frozenset(g) for g in groups.values()}
+
+
+def all_pairs_colimit_table(colim) -> dict[tuple[str, str], str]:
+    amal = _Amalgamator(colim.diagram)
+    return {
+        (gname, fname): colim.classes[amal.compose(grep, frep)]
+        for gname, grep in colim.class_rep.items()
+        for fname, frep in colim.class_rep.items()
+        if frep.dst == grep.src
+    }
+
+
+def ladder(n: int, m: int):
+    index = locally_discrete(zoo.chain(n))
+    return constant_pseudofunctor(index, zoo.chain(m))
+
+
+COLIMIT_DIAGRAMS = {
+    **{f"ladder{n}x{m}": (lambda n=n, m=m: ladder(n, m)) for n, m in ((2, 2), (3, 2), (3, 3), (4, 3))},
+    **{name: corpus.DIAGRAM_BUILDERS[name] for name in corpus.BIFILTERED_DIAGRAMS},
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLIMIT_DIAGRAMS))
+def test_colimit_kernel_matches_scans(name):
+    pf = COLIMIT_DIAGRAMS[name]()
+    universe = _premorphism_universe(pf)
+    assert partition(_quotient(pf, universe)) == partition(scan_quotient(pf, universe))
+    colim = bifiltered_bicolimit(pf)
+    assert list(colim.result.table.items()) == list(all_pairs_colimit_table(colim).items())
+
+
+def test_premorphism_keeps_its_interface():
+    p = Premorphism(("i", "a"), ("j", "b"), "k", "s", "d", "c")
+    assert p.key() == (("i", "a"), ("j", "b"), "k", "s", "d", "c")
+    assert p.to_dict() == {
+        "src": ["i", "a"], "dst": ["j", "b"], "apex": "k", "left": "s", "right": "d", "cell": "c",
+    }
+    assert p == Premorphism(*p.key()) and hash(p) == hash(Premorphism(*p.key()))
+
+
+# ---------------------------------------------------------------------------
+# sigma_closure
+
+
+def scan_closure(s: SigmaClass) -> frozenset[str]:
+    """Re-scan every pair of members and every 1-cell until nothing changes."""
+    tc = s.owner
+    closure = set(s.members) | {tc.unit[i] for i in tc.cells0}
+    changed = True
+    while changed:
+        changed = False
+        for f in sorted(closure):
+            for g in sorted(closure):
+                if tc.one_home[g][0] == tc.one_home[f][1]:
+                    gf = tc.hcomp1[(g, f)]
+                    if gf not in closure:
+                        closure.add(gf)
+                        changed = True
+        for d in tc.one_cells:
+            if d in closure:
+                continue
+            i, j = tc.one_home[d]
+            for t in tc.cells1(i, j):
+                if t in closure and (tc.invertible_between(d, t) or tc.invertible_between(t, d)):
+                    closure.add(d)
+                    changed = True
+                    break
+    return frozenset(closure)
+
+
+def assert_closure_matches_scan(s: SigmaClass) -> None:
+    assert sigma_closure(s).members == scan_closure(s)
+
+
+@st.composite
+def ld_posets_with_classes(draw) -> SigmaClass:
+    names = [f"p{i}" for i in range(draw(st.integers(1, 6)))]
+    relation = [pair for pair in itertools.combinations(names, 2) if draw(st.booleans())]
+    tc = locally_discrete(zoo.poset("P", relation + [(x, x) for x in names]))
+    members = draw(st.sets(st.sampled_from(tc.one_cells)))
+    return SigmaClass(tc, frozenset(members))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ld_posets_with_classes())
+def test_sigma_closure_matches_scan_on_locally_discrete_posets(s):
+    assert_closure_matches_scan(s)
+
+
+ZOO_TWOCATS = {
+    "isohom": zoo.iso_hom_twocat,
+    "laxtriangle": zoo.lax_triangle_twocat,
+    "equifier": zoo.equifier_twocat,
+    "endoabsorb": zoo.endo_absorb_twocat,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZOO_TWOCATS))
+def test_sigma_closure_matches_scan_on_every_subset(name):
+    # these indexes have non-identity 2-cells, so the mate rule is exercised
+    tc: TwoCat = ZOO_TWOCATS[name]()
+    cells = tc.one_cells
+    for size in range(len(cells) + 1):
+        for members in itertools.islice(itertools.combinations(cells, size), 200):
+            assert_closure_matches_scan(SigmaClass(tc, frozenset(members)))
+
+
+def test_sigma_closure_matches_scan_on_corpus_classes():
+    seen = 0
+    cache: dict = {}
+    for path in sorted(BUNDLED.glob("*.twocat.json")):
+        fx = load_fixture(path, cache)
+        assert isinstance(fx, TwoCatFixture)
+        for s in [all_one_cells(fx.twocat), *fx.sigma.values()]:
+            assert_closure_matches_scan(s)
+            seen += 1
+    assert seen > len(list(BUNDLED.glob("*.twocat.json")))
