@@ -232,6 +232,18 @@ def cmd_lex(args) -> int:
 # The verify suite
 
 
+def _bicompact_outcome(probes: list, pf, replay: str) -> tuple[bool, str]:
+    """Whether ``pf`` is bicompact against every probe, with its replay line.
+
+    An instance the size guard stopped went unchecked, so it is a failure
+    whose replay line carries the guard's message.
+    """
+    try:
+        return all(check_bicompact_against(p, pf).outcome for p in probes), replay
+    except SizeGuardError as exc:
+        return False, f"{replay}  # size guard: {exc}"
+
+
 class Suite:
     def __init__(self, corpus: Path):
         self.corpus = corpus
@@ -435,17 +447,10 @@ class Suite:
 
     def _task_bicompact(self, pname: str, probe, dname: str, fx: DiagramFixture):
         def run() -> None:
-            try:
-                verdict = check_bicompact_against(probe, fx.functor)
-                ok = verdict.outcome
-            except SizeGuardError:
-                return
-            self.record(
-                "bicompact",
-                f"{pname}:{dname}",
-                ok,
-                f"bicolim compact check {pname} {dname}",
+            ok, replay = _bicompact_outcome(
+                [probe], fx.functor, f"bicolim compact check {pname} {dname}"
             )
+            self.record("bicompact", f"{pname}:{dname}", ok, replay)
 
         return run
 
@@ -459,15 +464,12 @@ class Suite:
             for dname in ("two_cellular.diagram.json", "endo_proj.diagram.json"):
                 if dname not in diagrams:
                     continue
-                fx = diagrams[dname]
-                ok1 = check_bicompact_against(prod_probe, fx.functor).outcome
-                ok2 = check_bicompact_against(eq_probe, fx.functor).outcome
-                self.record(
-                    "bicompact-closure",
-                    dname,
-                    ok1 and ok2,
+                ok, replay = _bicompact_outcome(
+                    [prod_probe, eq_probe],
+                    diagrams[dname].functor,
                     f"bicolim compact check <derived> {dname}",
                 )
+                self.record("bicompact-closure", dname, ok, replay)
 
         return run
 

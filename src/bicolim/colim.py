@@ -11,15 +11,28 @@ computed by union-find:
   R2  absorb an index 2-cell into the left leg by precomposing the cell;
   R3  absorb an index 2-cell into the right leg by postcomposing the cell.
 
+R1 is applied along a generating set of the index's 1-cells only
+(``fincat.generating_set`` on the category of 0-cells and 1-cells).  For a
+coherent pseudofunctor this loses nothing: pushing along an identity returns
+the same span (unit coherence and naturality of the unit comparison), and
+pushing along t2∘t1 equals pushing along t1 and then along t2 (associativity
+coherence and naturality of the composition comparison), where both spans lie
+in the universe.  ``build_pseudofunctor`` checks that coherence, and
+restriction and precomposition preserve it.
+
 Composition amalgamates two spans over a common stage found via the
-filteredness conditions; the result category is re-validated from scratch, so
-any incompleteness of the move set would fail loudly as a category-axiom
-violation rather than silently corrupt downstream answers.
+filteredness conditions.  Everything but the two cells depends only on the
+legs of the two spans, so the composition table reads each entry off a plan
+cached per pair of leg signatures (``_Amalgamator.plan``); the unplanned
+``_Amalgamator.compose`` is the reference the tests compare it with.  The
+result category is re-validated from scratch, so any incompleteness of the
+move set would fail loudly as a category-axiom violation rather than silently
+corrupt downstream answers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 from .fincat import (
@@ -30,6 +43,7 @@ from .fincat import (
     build_fincat,
     build_functor,
     compose_functors,
+    generating_set,
     identity_nattrans,
     natural_iso_search,
     nattrans_violations,
@@ -315,13 +329,12 @@ def _transport(pf: CatPseudoFunctor, p: Premorphism, t: str) -> Premorphism:
 
 def _premorphism_universe(pf: CatPseudoFunctor) -> list[Premorphism]:
     base = pf.source
-    objs = [
-        (i, a) for i in sorted(base.cells0) for a in pf.on0[i].objects
-    ]
+    stages = sorted(base.cells0)
+    objs = [(i, a) for i in stages for a in pf.on0[i].objects]
     out: list[Premorphism] = []
     for (i1, a1) in objs:
         for (i2, a2) in objs:
-            for j in sorted(base.cells0):
+            for j in stages:
                 fj = pf.on0[j]
                 for s in base.cells1(i1, j):
                     sa = pf.on1[s].obj_map[a1]
@@ -343,11 +356,17 @@ def _quotient(pf: CatPseudoFunctor, universe: list[Premorphism]) -> dict[Premorp
     for p in universe:
         by_left.setdefault((p.apex, p.left), []).append(p)
         by_right.setdefault((p.apex, p.right), []).append(p)
+    # R1 along generating 1-cells only; exact for a coherent diagram (module doc)
+    dom = {t: i for t, (i, _) in base.one_home.items()}
+    cod = {t: j for t, (_, j) in base.one_home.items()}
     out_of: dict[str, list[str]] = {j: [] for j in base.cells0}
     for t in base.one_cells:
-        out_of[base.one_home[t][0]].append(t)
+        out_of[dom[t]].append(t)
+    along: dict[str, list[str]] = {j: [] for j in base.cells0}
+    for t in generating_set(dom, cod, set(base.unit.values()), base.hcomp1, out_of):
+        along[dom[t]].append(t)
     for p in universe:
-        for t in out_of[p.apex]:
+        for t in along[p.apex]:
             dsu.union(p, _transport(pf, p, t))
     for a in base.two_cells:
         lo, hi = base.dom2(a), base.cod2(a)
@@ -364,6 +383,50 @@ def _quotient(pf: CatPseudoFunctor, universe: list[Premorphism]) -> dict[Premorp
     return {p: dsu.find(p) for p in universe}
 
 
+@dataclass(eq=False)
+class _Plan:
+    """What ``_Amalgamator.compose(q, p)`` computes from the legs of p and q.
+
+    The composite cell is ``q_comp[a3] ∘ (q_map[q.cell] ∘ head(a1, a2, p.cell))``,
+    nested exactly as in ``compose``: ``head`` pushes p's cell through c1⁻¹,
+    F(w∘u), comp(w∘u, p.right), γ and c2⁻¹, and is memoised per plan.
+    """
+
+    n: str                            # the amalgamated stage
+    left: str                         # composite legs
+    right: str
+    fiber: FinCat                     # F(n)
+    q_map: dict[str, str]             # F(w∘u2) on morphisms
+    q_comp: dict[str, str]            # comp(w∘u2, q.right)
+    p_map: dict[str, str]             # F(w∘u) on morphisms
+    c1: dict[str, str]                # comp(w∘u, p.left), inverted on use
+    p_comp: dict[str, str]            # comp(w∘u, p.right)
+    gamma: dict[str, str]             # F(γ)
+    c2: dict[str, str]                # comp(w∘u2, q.left), inverted on use
+    heads: dict[tuple[str, str, str], str] = field(default_factory=dict)
+
+    def head(self, a1: str, a2: str, cell: str) -> str:
+        """p's cell pushed to just before q's, for p = (.., a1), (.., a2), cell."""
+        key = (a1, a2, cell)
+        step = self.heads.get(key)
+        if step is None:
+            fn = self.fiber
+            table = fn.table
+            step = table[(self.p_map[cell], fn.must_inverse(self.c1[a1]))]
+            step = table[(self.p_comp[a2], step)]
+            step = table[(self.gamma[a2], step)]
+            step = table[(fn.must_inverse(self.c2[a2]), step)]
+            self.heads[key] = step
+        return step
+
+    def composite(self, p: Premorphism, q: Premorphism) -> tuple:
+        """``compose(q, p)`` as a plain tuple, for p and q with this plan's legs."""
+        table = self.fiber.table
+        step = self.head(p.src[1], p.dst[1], p.cell)
+        step = table[(self.q_comp[q.dst[1]], table[(self.q_map[q.cell], step)])]
+        return (p.src, q.dst, self.n, self.left, self.right, step)
+
+
 class _Amalgamator:
     """Deterministic span/insertion choices for composing premorphism classes."""
 
@@ -372,6 +435,7 @@ class _Amalgamator:
         self.base = pf.source
         self._spans: dict[tuple[str, str], tuple[str, str, str]] = {}
         self._insertions: dict[tuple[str, str], tuple[str, str]] = {}
+        self._plans: dict[tuple[str, ...], _Plan] = {}
 
     def span(self, j: str, k: str) -> tuple[str, str, str]:
         if (j, k) not in self._spans:
@@ -433,6 +497,33 @@ class _Amalgamator:
         step = fn.table[(pf.comp[(wu2, q.right)].components[a3], step)]
         return Premorphism(p.src, q.dst, n, left, right, step)
 
+    def plan(self, p: Premorphism, q: Premorphism) -> _Plan:
+        """The choices of ``compose(q, p)``, cached by the legs of p and q."""
+        sig = (p.apex, p.left, p.right, q.apex, q.left, q.right)
+        found = self._plans.get(sig)
+        if found is not None:
+            return found
+        pf, base = self.pf, self.base
+        m, u, u2 = self.span(p.apex, q.apex)
+        w, gamma = self.insertion(base.hcomp1[(u, p.right)], base.hcomp1[(u2, q.left)])
+        wu = base.hcomp1[(w, u)]
+        wu2 = base.hcomp1[(w, u2)]
+        n = base.one_home[w][1]
+        plan = self._plans[sig] = _Plan(
+            n,
+            base.hcomp1[(wu, p.left)],
+            base.hcomp1[(wu2, q.right)],
+            pf.on0[n],
+            pf.on1[wu2].mor_map,
+            pf.comp[(wu2, q.right)].components,
+            pf.on1[wu].mor_map,
+            pf.comp[(wu, p.left)].components,
+            pf.comp[(wu, p.right)].components,
+            pf.on2[gamma].components,
+            pf.comp[(wu2, q.left)].components,
+        )
+        return plan
+
     def _all_spans(self, j: str, k: str) -> list[tuple[str, str, str]]:
         base = self.base
         return [
@@ -485,14 +576,24 @@ def bifiltered_bicolimit(pf: CatPseudoFunctor, precheck: bool = True) -> Colimit
         ident_prem = Premorphism((i, a), (i, a), i, unit, unit, fib.identity[ua])
         identities[oname] = classes[ident_prem]
     # class representatives by target object: g∘f is defined exactly when
-    # f ends where g starts
-    ending_at: dict[tuple[str, str], list[tuple[str, Premorphism]]] = {}
+    # f ends where g starts; each rep's leg signature gets a small id, and
+    # g∘f is read off the plan of the two signatures
+    sig_id: dict[tuple[str, str, str], int] = {}
+    for rep in class_rep.values():
+        sig_id.setdefault((rep.apex, rep.left, rep.right), len(sig_id))
+    ending_at: dict[tuple[str, str], list[tuple[str, int, Premorphism]]] = {}
     for fname, frep in class_rep.items():
-        ending_at.setdefault(frep.dst, []).append((fname, frep))
+        fid = sig_id[(frep.apex, frep.left, frep.right)]
+        ending_at.setdefault(frep.dst, []).append((fname, fid, frep))
+    plans: dict[int, dict[int, _Plan]] = {}
     table: dict[tuple[str, str], str] = {}
     for gname, grep in class_rep.items():
-        for fname, frep in ending_at.get(grep.src, ()):
-            table[(gname, fname)] = classes[amal.compose(grep, frep)]
+        row = plans.setdefault(sig_id[(grep.apex, grep.left, grep.right)], {})
+        for fname, fid, frep in ending_at.get(grep.src, ()):
+            plan = row.get(fid)
+            if plan is None:
+                plan = row[fid] = amal.plan(frep, grep)
+            table[(gname, fname)] = classes[plan.composite(frep, grep)]
     result = build_fincat(
         f"colim({pf.name})",
         list(obj_name.values()),

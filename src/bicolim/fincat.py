@@ -247,7 +247,7 @@ def associative_over_generators(
     for m in dom:
         out_of.setdefault(dom[m], []).append(m)
         into.setdefault(cod[m], []).append(m)
-    for a in _generating_set(dom, cod, ids, table, out_of):
+    for a in generating_set(dom, cod, ids, table, out_of):
         after = [(h, table[(h, a)]) for h in out_of.get(cod[a], ())]
         for f in into.get(dom[a], ()):
             af = table[(a, f)]
@@ -257,7 +257,7 @@ def associative_over_generators(
     return True
 
 
-def _generating_set(
+def generating_set(
     dom: Mapping[str, str],
     cod: Mapping[str, str],
     ids: set[str],
@@ -266,9 +266,10 @@ def _generating_set(
 ) -> list[str]:
     """Non-identities whose closure under composition is every morphism.
 
-    First every non-identity that is no composite of two non-identities
-    (each generating set contains these), then, while some morphism is
-    unreached, the least such one in name order.
+    ``out_of`` lists the morphisms out of each object, and ``table`` must be
+    total on composable pairs.  First every non-identity that is no composite
+    of two non-identities (each generating set contains these), then, while
+    some morphism is unreached, the least such one in name order.
     """
     composites = {
         table[(g, f)]

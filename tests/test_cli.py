@@ -265,3 +265,26 @@ def test_verify_records_non_flat_pairing_as_failure(monkeypatch, capsys):
     slot = json.loads(out)["lemmas"]["flat-preserves-bilimits"]
     assert slot["fail"] == 4
     assert slot["pass"] == 0
+
+
+def test_verify_records_size_guard_trip_as_failure(monkeypatch, capsys):
+    # an instance the size guard stopped went unchecked: it must reach the
+    # report as a failure that carries the guard's message
+    from bicolim.fincat import SizeGuardError
+
+    def trip(probe, pf):
+        raise SizeGuardError("functor category bound exceeded (forced)")
+
+    monkeypatch.setattr(cli, "check_bicompact_against", trip)
+    code, out, _ = run_cli("verify", str(BUNDLED), "--format", "machine", capsys=capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert report["ok"] is False
+    slot = report["lemmas"]["bicompact"]
+    assert slot["fail"] == 26
+    assert slot["pass"] == 0
+    closure = report["lemmas"]["bicompact-closure"]
+    assert closure["fail"] == 2
+    for failure in slot["failures"] + closure["failures"]:
+        assert failure["replay"].startswith("bicolim compact check ")
+        assert failure["replay"].endswith("# size guard: functor category bound exceeded (forced)")

@@ -2,8 +2,9 @@
 
 Each oracle below is the rescanning implementation that the index-based code
 replaced, kept verbatim in spirit: a linear ``hom`` scan, the all-pairs
-functor-category table, the all-pairs colimit table with the key-scanning
-quotient, and the re-scan fixpoint for ``sigma_closure``.
+functor-category table, the all-pairs colimit table of unplanned
+``_Amalgamator.compose`` calls with the key-scanning quotient that runs R1
+along every 1-cell, and the re-scan fixpoint for ``sigma_closure``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from bicolim.colim import (
     _transport,
     bifiltered_bicolimit,
 )
-from bicolim.fincat import FinCat, functor_category, vcompose_nattrans
+from bicolim.filtered import class_subcategory
+from bicolim.fincat import FinCat, functor_category, generating_set, vcompose_nattrans
 from bicolim.fixtures import TwoCatFixture, load_fixture
 from bicolim.twocat import (
     SigmaClass,
@@ -32,6 +34,7 @@ from bicolim.twocat import (
     all_one_cells,
     constant_pseudofunctor,
     locally_discrete,
+    restrict_pseudofunctor,
     sigma_closure,
 )
 
@@ -200,19 +203,113 @@ def ladder(n: int, m: int):
     return constant_pseudofunctor(index, zoo.chain(m))
 
 
+def class_restricted(pf, sigma: SigmaClass):
+    """The diagram that ``sigma_bicolimit`` hands to ``bifiltered_bicolimit``."""
+    return restrict_pseudofunctor(pf, class_subcategory(pf.source, sigma_closure(sigma)))
+
+
+def corpus_class_restricted(dname: str, cname: str):
+    pf = corpus.DIAGRAM_BUILDERS[dname]()
+    return class_restricted(pf, corpus.diagram_sigma(dname, cname, pf))
+
+
+def ladder_star(n: int, m: int):
+    """A ladder restricted to the star class {i <= top}."""
+    pf = ladder(n, m)
+    top = str(n - 1)
+    return class_restricted(pf, SigmaClass(pf.source, frozenset(f"le_{i}_{top}" for i in range(n))))
+
+
 COLIMIT_DIAGRAMS = {
-    **{f"ladder{n}x{m}": (lambda n=n, m=m: ladder(n, m)) for n, m in ((2, 2), (3, 2), (3, 3), (4, 3))},
+    **{
+        f"ladder{n}x{m}": (lambda n=n, m=m: ladder(n, m))
+        for n, m in ((2, 2), (3, 2), (3, 3), (4, 3), (5, 4))
+    },
+    "ladder4x3|star": lambda: ladder_star(4, 3),
     **{name: corpus.DIAGRAM_BUILDERS[name] for name in corpus.BIFILTERED_DIAGRAMS},
+    **{
+        f"{dname}|{cname}": (lambda d=dname, c=cname: corpus_class_restricted(d, c))
+        for dname, cname in corpus.SIGMA_DIAGRAMS
+    },
 }
 
 
-@pytest.mark.parametrize("name", sorted(COLIMIT_DIAGRAMS))
-def test_colimit_kernel_matches_scans(name):
-    pf = COLIMIT_DIAGRAMS[name]()
+def assert_colimit_kernel_matches_scans(pf) -> None:
     universe = _premorphism_universe(pf)
     assert partition(_quotient(pf, universe)) == partition(scan_quotient(pf, universe))
     colim = bifiltered_bicolimit(pf)
     assert list(colim.result.table.items()) == list(all_pairs_colimit_table(colim).items())
+
+
+@pytest.mark.parametrize("name", sorted(COLIMIT_DIAGRAMS))
+def test_colimit_kernel_matches_scans(name):
+    assert_colimit_kernel_matches_scans(COLIMIT_DIAGRAMS[name]())
+
+
+@pytest.mark.parametrize("name", sorted(COLIMIT_DIAGRAMS))
+def test_plans_match_compose_on_every_span(name):
+    # class reps use few legs; arbitrary spans reach the non-identity
+    # insertion cells and comparison components too
+    pf = COLIMIT_DIAGRAMS[name]()
+    universe = _premorphism_universe(pf)
+    starting_at: dict[tuple, list[Premorphism]] = {}
+    for q in universe:
+        starting_at.setdefault(q.src, []).append(q)
+    planned, unplanned = _Amalgamator(pf), _Amalgamator(pf)
+    pairs = ((p, q) for p in universe for q in starting_at.get(p.dst, ()))
+    for p, q in itertools.islice(pairs, 20_000):
+        assert planned.plan(p, q).composite(p, q) == unplanned.compose(q, p), (p, q)
+
+
+@pytest.mark.parametrize("name", ["twisted_iso", "collapse_pair"])
+def test_colimit_oracles_cover_pseudo_diagrams(name):
+    # R1 along generators leans on the coherence of the comparison cells,
+    # so the oracles must see diagrams whose comparisons are not identities
+    assert name in COLIMIT_DIAGRAMS
+    assert not COLIMIT_DIAGRAMS[name]().is_strict()
+
+
+@st.composite
+def constant_diagrams_over_posets_with_top(draw):
+    names = [f"p{i}" for i in range(draw(st.integers(1, 4)))]
+    top = names[-1]
+    relation = [pair for pair in itertools.combinations(names, 2) if draw(st.booleans())]
+    relation += [(x, top) for x in names[:-1]] + [(x, x) for x in names]
+    fiber = draw(st.sampled_from([zoo.walking_arrow(), zoo.chain(3), zoo.parallel_pair(), zoo.walking_iso()]))
+    return constant_pseudofunctor(locally_discrete(zoo.poset("P", relation)), fiber)
+
+
+@settings(max_examples=25, deadline=None)
+@given(constant_diagrams_over_posets_with_top())
+def test_colimit_kernel_matches_scans_on_constant_diagrams(pf):
+    assert_colimit_kernel_matches_scans(pf)
+
+
+def closure_under_hcomp1(tc: TwoCat, gens: list[str]) -> set[str]:
+    reached = set(gens) | set(tc.unit.values())
+    changed = True
+    while changed:
+        changed = False
+        for (g, f), gf in tc.hcomp1.items():
+            if g in reached and f in reached and gf not in reached:
+                reached.add(gf)
+                changed = True
+    return reached
+
+
+def test_generating_one_cells_reach_every_one_cell_of_the_corpus():
+    cache: dict = {}
+    for path in sorted(BUNDLED.glob("*.twocat.json")):
+        tc = load_fixture(path, cache).twocat
+        dom = {f: home[0] for f, home in tc.one_home.items()}
+        cod = {f: home[1] for f, home in tc.one_home.items()}
+        out_of: dict[str, list[str]] = {}
+        for f in tc.one_cells:
+            out_of.setdefault(dom[f], []).append(f)
+        ids = set(tc.unit.values())
+        gens = generating_set(dom, cod, ids, tc.hcomp1, out_of)
+        assert ids.isdisjoint(gens), path.name
+        assert closure_under_hcomp1(tc, gens) == set(tc.one_cells), path.name
 
 
 def test_premorphism_keeps_its_interface():
