@@ -30,7 +30,7 @@ from .fincat import (
     nattrans_violations,
     same_category,
 )
-from .twocat import CatPseudoFunctor, build_pseudofunctor
+from .twocat import CatPseudoFunctor, stagewise_pseudofunctor
 from .verdict import Verdict
 
 
@@ -384,7 +384,7 @@ def validate_pseudoidempotent(carrier: FinCat, endo: Functor, mult: NatTrans) ->
 
 @dataclass(eq=False)
 class Splitting:
-    category: FinCat           # inserter of (e, 1)
+    category: FinCat           # biequalizer (iso-inserter) of (e, 1)
     section: Functor           # r : A -> B
     retraction: Functor        # s : B -> A
     alpha: NatTrans            # s∘r ≅ e
@@ -394,46 +394,17 @@ class Splitting:
 def split_pseudoidempotent(p: Pseudoidempotent) -> Splitting:
     """Split through the category of objects with a chosen absorption iso.
 
-    The underlying category pairs an object with an isomorphism e(a) ≅ a;
-    the section sends a to (e(a), mult_a).  The comparison r∘s ≅ 1 is found
+    The underlying category is the biequalizer of (e, 1): it pairs an object
+    with an isomorphism e(a) ≅ a, and its projection is the retraction; the
+    section sends a to (e(a), mult_a).  The comparison r∘s ≅ 1 is found
     by search and re-validated, so degenerate idempotent data that does not
     actually split is reported rather than papered over.
     """
     a_cat, e = p.carrier, p.endo
-    objs = []
-    obj_of = {}
-    for a in a_cat.objects:
-        for mu in a_cat.hom(e.obj_map[a], a):
-            if a_cat.is_iso(mu):
-                name = f"({a}|{mu})"
-                objs.append(name)
-                obj_of[name] = (a, mu)
-    mors = []
-    for src in objs:
-        a, mu = obj_of[src]
-        for tgt in objs:
-            a2, mu2 = obj_of[tgt]
-            for g in a_cat.hom(a, a2):
-                if a_cat.table[(mu2, e.mor_map[g])] != a_cat.table[(g, mu)]:
-                    continue
-                mors.append((f"({g}:{src}>{tgt})", src, tgt))
-    idents = {o: f"({a_cat.identity[obj_of[o][0]]}:{o}>{o})" for o in objs}
-    table = {}
-    for (m1, s1, t1) in mors:
-        u1 = m1[1 : m1.index(":")]
-        for (m2, s2, t2) in mors:
-            if s2 != t1:
-                continue
-            u2 = m2[1 : m2.index(":")]
-            table[(m2, m1)] = f"({a_cat.table[(u2, u1)]}:{s1}>{t2})"
-    b_cat = build_fincat(f"split({e.name})", objs, mors, idents, table)
-    retraction = build_functor(
-        "split_s",
-        b_cat,
-        a_cat,
-        {o: obj_of[o][0] for o in objs},
-        {m: m[1 : m.index(":")] for m, _, _ in mors},
-    )
+    eq = biequalizer(e, identity_functor(a_cat))
+    b_cat, retraction = eq.category, eq.projection
+    b_cat.name = f"split({e.name})"
+    retraction.name = "split_s"
     sec_obj = {}
     sec_mor = {}
     for a in a_cat.objects:
@@ -460,7 +431,7 @@ def split_pseudoidempotent(p: Pseudoidempotent) -> Splitting:
 # Pointwise-limit diagrams (for commutation with filtered colimits)
 
 
-def biproduct_diagram(f1: CatPseudoFunctor, f2: CatPseudoFunctor, name: str = "prod") -> tuple[CatPseudoFunctor, dict[str, Biproduct]]:
+def biproduct_diagram(f1: CatPseudoFunctor, f2: CatPseudoFunctor, name: str = "prod") -> CatPseudoFunctor:
     """Stagewise product of two diagrams over the same index."""
     if f1.source is not f2.source:
         raise ValidationError(name, ["diagrams do not share an index"])
@@ -486,61 +457,19 @@ def biproduct_diagram(f1: CatPseudoFunctor, f2: CatPseudoFunctor, name: str = "p
             },
         )
 
+    def image(cell, i, j, src, tgt) -> dict[str, str]:
+        c1, c2 = cell(f1).components, cell(f2).components
+        return {
+            prods[i].pair_obj(x, y): prods[j].pair_mor(c1[x], c2[y])
+            for x in f1.on0[i].objects
+            for y in f2.on0[i].objects
+        }
+
     on1 = {d: pair_functor(d) for d in tc.one_home}
-    on2 = {}
-    for b in tc.two_cells:
-        i, j = tc.two_home[b]
-        d, d2 = tc.dom2(b), tc.cod2(b)
-        on2[b] = NatTrans(
-            f"{name}_{b}",
-            on1[d],
-            on1[d2],
-            {
-                prods[i].pair_obj(x, y): prods[j].pair_mor(
-                    f1.on2[b].components[x], f2.on2[b].components[y]
-                )
-                for x in f1.on0[i].objects
-                for y in f2.on0[i].objects
-            },
-        )
-    comp = {}
-    for (g, d), c1 in f1.comp.items():
-        c2 = f2.comp[(g, d)]
-        i = tc.one_home[d][0]
-        k = tc.one_home[g][1]
-        comp[(g, d)] = NatTrans(
-            f"{name}_c({g},{d})",
-            compose_functors(on1[g], on1[d]),
-            on1[tc.hcomp1[(g, d)]],
-            {
-                prods[i].pair_obj(x, y): prods[k].pair_mor(
-                    c1.components[x], c2.components[y]
-                )
-                for x in f1.on0[i].objects
-                for y in f2.on0[i].objects
-            },
-        )
-    unit_c = {}
-    for i in tc.cells0:
-        unit_c[i] = NatTrans(
-            f"{name}_u({i})",
-            identity_functor(prods[i].category),
-            on1[tc.unit[i]],
-            {
-                prods[i].pair_obj(x, y): prods[i].pair_mor(
-                    f1.unit_c[i].components[x], f2.unit_c[i].components[y]
-                )
-                for x in f1.on0[i].objects
-                for y in f2.on0[i].objects
-            },
-        )
-    pf = build_pseudofunctor(
-        name, tc, {i: prods[i].category for i in tc.cells0}, on1, on2, comp, unit_c
-    )
-    return pf, prods
+    return stagewise_pseudofunctor(name, tc, {i: prods[i].category for i in tc.cells0}, on1, image)
 
 
-def cotensor_diagram(f: CatPseudoFunctor, name: str = "sq") -> tuple[CatPseudoFunctor, dict[str, ArrowCotensor]]:
+def cotensor_diagram(f: CatPseudoFunctor, name: str = "sq") -> CatPseudoFunctor:
     """Stagewise arrow category of a diagram."""
     tc = f.source
     cots = {i: arrow_cotensor(f.on0[i]) for i in tc.cells0}
@@ -560,61 +489,21 @@ def cotensor_diagram(f: CatPseudoFunctor, name: str = "sq") -> tuple[CatPseudoFu
             mor_map[m] = cj.square(fun.mor_map[p], fun.mor_map[q], fun.mor_map[src], fun.mor_map[tgt])
         return build_functor(f"{name}_{d}", ci.category, cj.category, obj_map, mor_map)
 
+    def image(cell, i, j, src, tgt) -> dict[str, str]:
+        c = cell(f)
+        fib = f.on0[i]
+        return {
+            m: cots[j].square(
+                c.components[fib.dom[m]],
+                c.components[fib.cod[m]],
+                c.source.mor_map[m],
+                c.target.mor_map[m],
+            )
+            for m in fib.morphisms
+        }
+
     on1 = {d: sq_functor(d) for d in tc.one_home}
-    on2 = {}
-    for b in tc.two_cells:
-        i, j = tc.two_home[b]
-        d, d2 = tc.dom2(b), tc.cod2(b)
-        fib_i = f.on0[i]
-        comps = {}
-        for m in fib_i.morphisms:
-            a, bb = fib_i.dom[m], fib_i.cod[m]
-            comps[m] = cots[j].square(
-                f.on2[b].components[a],
-                f.on2[b].components[bb],
-                f.on1[d].mor_map[m],
-                f.on1[d2].mor_map[m],
-            )
-        on2[b] = NatTrans(f"{name}_{b}", on1[d], on1[d2], comps)
-    comp = {}
-    for (g, d), c1 in f.comp.items():
-        i = tc.one_home[d][0]
-        k = tc.one_home[g][1]
-        fib_i = f.on0[i]
-        comps = {}
-        for m in fib_i.morphisms:
-            a, bb = fib_i.dom[m], fib_i.cod[m]
-            comps[m] = cots[k].square(
-                c1.components[a],
-                c1.components[bb],
-                compose_functors(f.on1[g], f.on1[d]).mor_map[m],
-                f.on1[tc.hcomp1[(g, d)]].mor_map[m],
-            )
-        comp[(g, d)] = NatTrans(
-            f"{name}_c({g},{d})",
-            compose_functors(on1[g], on1[d]),
-            on1[tc.hcomp1[(g, d)]],
-            comps,
-        )
-    unit_c = {}
-    for i in tc.cells0:
-        fib_i = f.on0[i]
-        comps = {}
-        for m in fib_i.morphisms:
-            a, bb = fib_i.dom[m], fib_i.cod[m]
-            comps[m] = cots[i].square(
-                f.unit_c[i].components[a],
-                f.unit_c[i].components[bb],
-                m,
-                f.on1[tc.unit[i]].mor_map[m],
-            )
-        unit_c[i] = NatTrans(
-            f"{name}_u({i})", identity_functor(cots[i].category), on1[tc.unit[i]], comps
-        )
-    pf = build_pseudofunctor(
-        name, tc, {i: cots[i].category for i in tc.cells0}, on1, on2, comp, unit_c
-    )
-    return pf, cots
+    return stagewise_pseudofunctor(name, tc, {i: cots[i].category for i in tc.cells0}, on1, image)
 
 
 def biequalizer_diagram(
@@ -623,7 +512,7 @@ def biequalizer_diagram(
     u: dict[str, Functor],
     v: dict[str, Functor],
     name: str = "eqz",
-) -> tuple[CatPseudoFunctor, dict[str, Biequalizer]]:
+) -> CatPseudoFunctor:
     """Stagewise biequalizer of two strictly 2-natural transformations.
 
     Requires u_j ∘ F1(d) = F2(d) ∘ u_i on the nose (and likewise for v);
@@ -653,46 +542,15 @@ def biequalizer_diagram(
             mor_map[m] = f"({f1.on1[d].mor_map[g]}:{obj_map[src]}>{obj_map[tgt]})"
         return build_functor(f"{name}_{d}", ei.category, ej.category, obj_map, mor_map)
 
+    def image(cell, i, j, src, tgt) -> dict[str, str]:
+        c = cell(f1).components
+        return {
+            o: f"({c[a]}:{src.obj_map[o]}>{tgt.obj_map[o]})"
+            for o, (a, _) in eqs[i].obj_of.items()
+        }
+
     on1 = {d: eq_functor(d) for d in tc.one_home}
-    on2 = {}
-    for b in tc.two_cells:
-        i, j = tc.two_home[b]
-        d, d2 = tc.dom2(b), tc.cod2(b)
-        comps = {}
-        for o in eqs[i].category.objects:
-            a, _ = eqs[i].obj_of[o]
-            src = on1[d].obj_map[o]
-            tgt = on1[d2].obj_map[o]
-            comps[o] = f"({f1.on2[b].components[a]}:{src}>{tgt})"
-        on2[b] = NatTrans(f"{name}_{b}", on1[d], on1[d2], comps)
-    comp = {}
-    for (g, d), c1 in f1.comp.items():
-        i = tc.one_home[d][0]
-        comps = {}
-        for o in eqs[i].category.objects:
-            a, _ = eqs[i].obj_of[o]
-            src = compose_functors(on1[g], on1[d]).obj_map[o]
-            tgt = on1[tc.hcomp1[(g, d)]].obj_map[o]
-            comps[o] = f"({c1.components[a]}:{src}>{tgt})"
-        comp[(g, d)] = NatTrans(
-            f"{name}_c({g},{d})",
-            compose_functors(on1[g], on1[d]),
-            on1[tc.hcomp1[(g, d)]],
-            comps,
-        )
-    unit_c = {}
-    for i in tc.cells0:
-        comps = {}
-        for o in eqs[i].category.objects:
-            a, _ = eqs[i].obj_of[o]
-            comps[o] = f"({f1.unit_c[i].components[a]}:{o}>{on1[tc.unit[i]].obj_map[o]})"
-        unit_c[i] = NatTrans(
-            f"{name}_u({i})", identity_functor(eqs[i].category), on1[tc.unit[i]], comps
-        )
-    pf = build_pseudofunctor(
-        name, tc, {i: eqs[i].category for i in tc.cells0}, on1, on2, comp, unit_c
-    )
-    return pf, eqs
+    return stagewise_pseudofunctor(name, tc, {i: eqs[i].category for i in tc.cells0}, on1, image)
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +561,7 @@ def commute_biproduct(f1: CatPseudoFunctor, f2: CatPseudoFunctor) -> Verdict:
     """colim(F1 x F2) against colim(F1) x colim(F2)."""
     from .colim import bifiltered_bicolimit
 
-    pointwise, _ = biproduct_diagram(f1, f2)
+    pointwise = biproduct_diagram(f1, f2)
     lhs = bifiltered_bicolimit(pointwise)
     c1 = bifiltered_bicolimit(f1, precheck=False)
     c2 = bifiltered_bicolimit(f2, precheck=False)
@@ -715,7 +573,7 @@ def commute_cotensor(f: CatPseudoFunctor) -> Verdict:
     """colim([2, F]) against [2, colim F]."""
     from .colim import bifiltered_bicolimit
 
-    pointwise, _ = cotensor_diagram(f)
+    pointwise = cotensor_diagram(f)
     lhs = bifiltered_bicolimit(pointwise)
     rhs = arrow_cotensor(bifiltered_bicolimit(f, precheck=False).result)
     return check_equivalence(lhs.result, rhs.category)
@@ -730,7 +588,7 @@ def commute_biequalizer(
     """colim of stagewise equalizers against the equalizer of induced maps."""
     from .colim import bifiltered_bicolimit, factor_cocone
 
-    pointwise, _ = biequalizer_diagram(f1, f2, u, v)
+    pointwise = biequalizer_diagram(f1, f2, u, v)
     lhs = bifiltered_bicolimit(pointwise)
     c1 = bifiltered_bicolimit(f1, precheck=False)
     c2 = bifiltered_bicolimit(f2, precheck=False)

@@ -286,10 +286,7 @@ class ColimitCat:
         """
         i1, a1 = p.src
         i2, a2 = p.dst
-        theta_s = self.transitions[p.left].components[a1]
-        back = self.result.inverse(theta_s)
-        if back is None:
-            raise ValueError(f"left transition at {p.left!r} is not invertible")
+        back = self.result.must_inverse(self.transitions[p.left].components[a1])
         mid = self.cocone[p.apex].mor_map[p.cell]
         theta_d = self.transitions[p.right].components[a2]
         return self.result.table[(theta_d, self.result.table[(mid, back)])]

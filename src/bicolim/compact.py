@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colim import ColimitCat, bifiltered_bicolimit
+from .colim import ColimitCat, Premorphism, bifiltered_bicolimit
 from .fincat import (
     FinCat,
     Functor,
@@ -28,12 +28,11 @@ from .fincat import (
     enumerate_nattrans,
     functor_category,
     functor_is_equivalence,
-    identity_functor,
     natural_iso_search,
     whisker_functor,
     whisker_nattrans,
 )
-from .twocat import CatPseudoFunctor, build_pseudofunctor
+from .twocat import CatPseudoFunctor, stagewise_pseudofunctor
 from .verdict import Verdict, negative, positive
 
 
@@ -82,16 +81,20 @@ def _pasting_components(
     colim: ColimitCat, lift1: OneCellLift, lift2: OneCellLift, d: str, d2: str, cell: NatTrans
 ) -> dict[str, str]:
     """Component at each probe object of (theta ∘ q(cell) ∘ theta^{-1})."""
-    res = colim.result
-    out = {}
-    for k in cell.components:
-        start = colim.transitions[d].components[lift1.functor.obj_map[k]]
-        back = res.must_inverse(start)
-        j = colim.diagram.source.one_home[d][1]
-        mid = colim.cocone[j].mor_map[cell.components[k]]
-        finish = colim.transitions[d2].components[lift2.functor.obj_map[k]]
-        out[k] = res.table[(finish, res.table[(mid, back)])]
-    return out
+    apex = colim.diagram.source.one_home[d][1]
+    return {
+        k: colim.morphism_of(
+            Premorphism(
+                (lift1.stage, lift1.functor.obj_map[k]),
+                (lift2.stage, lift2.functor.obj_map[k]),
+                apex,
+                d,
+                d2,
+                c,
+            )
+        )
+        for k, c in cell.components.items()
+    }
 
 
 def refine_lifts(
@@ -207,75 +210,27 @@ def mapped_diagram(
     fun_name: dict[str, dict[tuple, str]] = {
         i: {f.key(): n for n, f in fcs[i].functors.items()} for i in tc.cells0
     }
-    nat_name: dict[str, dict[tuple, str]] = {}
-    for i in tc.cells0:
-        nat_name[i] = {}
-        for n, t in fcs[i].transformations.items():
-            nat_name[i][(t.source.key(), t.target.key(), tuple(sorted(t.components.items())))] = n
+    nat_name: dict[str, dict[tuple, str]] = {
+        i: {t.key(): n for n, t in fcs[i].transformations.items()} for i in tc.cells0
+    }
 
     def functor_image(d: str) -> Functor:
         i, j = tc.one_home[d]
         post = pf.on1[d]
-        obj_map = {}
-        mor_map = {}
-        for n, g in fcs[i].functors.items():
-            obj_map[n] = fun_name[j][compose_functors(post, g).key()]
-        for n, t in fcs[i].transformations.items():
-            image = whisker_functor(post, t)
-            mor_map[n] = nat_name[j][
-                (image.source.key(), image.target.key(), tuple(sorted(image.components.items())))
-            ]
+        obj_map = {n: fun_name[j][compose_functors(post, g).key()] for n, g in fcs[i].functors.items()}
+        mor_map = {
+            n: nat_name[j][whisker_functor(post, t).key()]
+            for n, t in fcs[i].transformations.items()
+        }
         return build_functor(f"[K,{d}]", fcs[i].category, fcs[j].category, obj_map, mor_map)
 
+    def image(cell, i, j, src, tgt) -> dict[str, str]:
+        c = cell(pf)
+        return {n: nat_name[j][whisker_nattrans(c, g).key()] for n, g in fcs[i].functors.items()}
+
     on1 = {d: functor_image(d) for d in tc.one_home}
-
-    def nat_image(i: str, j: str, src_d: str, tgt_d: str, cell: NatTrans) -> NatTrans:
-        comps = {}
-        for n, g in fcs[i].functors.items():
-            image = whisker_nattrans(cell, g)
-            comps[n] = nat_name[j][
-                (image.source.key(), image.target.key(), tuple(sorted(image.components.items())))
-            ]
-        return NatTrans(f"[K,{cell.name}]", on1[src_d], on1[tgt_d], comps)
-
-    on2 = {}
-    for b in tc.two_cells:
-        i, j = tc.two_home[b]
-        on2[b] = nat_image(i, j, tc.dom2(b), tc.cod2(b), pf.on2[b])
-    comp = {}
-    for (g, d), cell in pf.comp.items():
-        i = tc.one_home[d][0]
-        k = tc.one_home[g][1]
-        comps = {}
-        for n, fn in fcs[i].functors.items():
-            image = whisker_nattrans(cell, fn)
-            comps[n] = nat_name[k][
-                (image.source.key(), image.target.key(), tuple(sorted(image.components.items())))
-            ]
-        comp[(g, d)] = NatTrans(
-            f"[K,c({g},{d})]",
-            compose_functors(on1[g], on1[d]),
-            on1[tc.hcomp1[(g, d)]],
-            comps,
-        )
-    unit_c = {}
-    for i in tc.cells0:
-        comps = {}
-        for n, fn in fcs[i].functors.items():
-            image = whisker_nattrans(pf.unit_c[i], fn)
-            comps[n] = nat_name[i][
-                (image.source.key(), image.target.key(), tuple(sorted(image.components.items())))
-            ]
-        unit_c[i] = NatTrans(
-            f"[K,u({i})]",
-            identity_functor(fcs[i].category),
-            on1[tc.unit[i]],
-            comps,
-        )
-    mapped = build_pseudofunctor(
-        f"[K,{pf.name}]", tc, {i: fcs[i].category for i in tc.cells0}, on1, on2, comp, unit_c
-    )
-    return mapped, fcs
+    on0 = {i: fcs[i].category for i in tc.cells0}
+    return stagewise_pseudofunctor(f"[K,{pf.name}]", tc, on0, on1, image), fcs
 
 
 def check_bicompact_against(
@@ -292,10 +247,7 @@ def check_bicompact_against(
     inner = bifiltered_bicolimit(mapped, precheck=False)
     outer = functor_category(probe, colim.result, max_morphisms)
     outer_fun_name = {f.key(): n for n, f in outer.functors.items()}
-    outer_nat_name = {
-        (t.source.key(), t.target.key(), tuple(sorted(t.components.items()))): n
-        for n, t in outer.transformations.items()
-    }
+    outer_nat_name = {t.key(): n for n, t in outer.transformations.items()}
 
     obj_map = {}
     for (i, gname), oname in inner.obj_name.items():
@@ -303,22 +255,20 @@ def check_bicompact_against(
         obj_map[oname] = outer_fun_name[composed.key()]
     mor_map = {}
     for cname, rep in inner.class_rep.items():
-        i1, g1 = rep.src
-        i2, g2 = rep.dst
-        j = rep.apex
-        chi = fcs[j].transformations[rep.cell]
-        src_fun = outer.functors[obj_map[inner.obj_name[(i1, g1)]]]
-        tgt_fun = outer.functors[obj_map[inner.obj_name[(i2, g2)]]]
-        comps = {}
-        for k in probe.objects:
-            start = colim.transitions[rep.left].components[fcs[i1].functors[g1].obj_map[k]]
-            back = colim.result.must_inverse(start)
-            mid = colim.cocone[j].mor_map[chi.components[k]]
-            finish = colim.transitions[rep.right].components[fcs[i2].functors[g2].obj_map[k]]
-            comps[k] = colim.result.table[(finish, colim.result.table[(mid, back)])]
-        mor_map[cname] = outer_nat_name[
-            (src_fun.key(), tgt_fun.key(), tuple(sorted(comps.items())))
-        ]
+        (i1, g1), (i2, g2) = rep.src, rep.dst
+        b1, b2 = fcs[i1].functors[g1], fcs[i2].functors[g2]
+        chi = fcs[rep.apex].transformations[rep.cell]
+        comps = {
+            k: colim.morphism_of(
+                Premorphism(
+                    (i1, b1.obj_map[k]), (i2, b2.obj_map[k]), rep.apex, rep.left, rep.right, c
+                )
+            )
+            for k, c in chi.components.items()
+        }
+        src_fun = outer.functors[obj_map[inner.obj_name[rep.src]]]
+        tgt_fun = outer.functors[obj_map[inner.obj_name[rep.dst]]]
+        mor_map[cname] = outer_nat_name[NatTrans("compare", src_fun, tgt_fun, comps).key()]
     comparison = build_functor(
         "compare", inner.result, outer.category, obj_map, mor_map
     )

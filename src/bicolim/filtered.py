@@ -88,34 +88,8 @@ def _find_equifier(
     return None
 
 
-def _family_cone(tc: TwoCat, objs: list[str], allowed: frozenset[str] | None) -> dict[str, str] | None:
-    """Cone over a finite family, built by iterating binary spans.
-
-    On finite data this adds nothing beyond the binary case (which is why
-    the checkers default to families of size 2), but the iteration is the
-    exact degenerate form of the cardinal-indexed condition.
-    """
-    if not objs:
-        return {}
-    legs = {objs[0]: tc.unit[objs[0]]}
-    tip = objs[0]
-    for nxt in objs[1:]:
-        span = _find_span(tc, tip, nxt, allowed)
-        if span is None:
-            return None
-        tip, up, leg = span
-        legs = {o: tc.hcomp1[(up, m)] for o, m in legs.items()}
-        legs[nxt] = leg
-    return legs
-
-
-def check_bifiltered(tc: TwoCat, family_size: int = 2) -> Verdict:
-    """The three bifilteredness conditions, by exhaustive witness search.
-
-    ``family_size`` widens condition 1 to families of that size; cones are
-    assembled by iterating binary spans, so anything beyond 2 is redundant
-    on finite data and exists only to mirror the cardinal-indexed variant.
-    """
+def check_bifiltered(tc: TwoCat) -> Verdict:
+    """The three bifilteredness conditions, by exhaustive witness search."""
     if not tc.cells0:
         raise ValidationError(tc.name, ["empty 0-cell set"])
     witnesses: list[dict[str, Any]] = []
@@ -133,16 +107,6 @@ def check_bifiltered(tc: TwoCat, family_size: int = 2) -> Verdict:
         witnesses.append(
             {"condition": "span", "pair": [i, i2], "apex": span[0], "left": span[1], "right": span[2]}
         )
-    for r in range(3, family_size + 1):
-        for family in itertools.combinations_with_replacement(sorted(tc.cells0), r):
-            legs = _family_cone(tc, list(family), None)
-            if legs is None:
-                return negative(
-                    "bifiltered", {"condition": "span", "instance": list(family)}
-                )
-            witnesses.append(
-                {"condition": "family-cone", "family": list(family), "legs": legs}
-            )
     for d, d2 in _parallel_one_cell_pairs(tc):
         hit = _find_insertion(tc, d, d2, None, invertible=True)
         if hit is None:
@@ -172,15 +136,12 @@ def check_bifiltered(tc: TwoCat, family_size: int = 2) -> Verdict:
     return positive("bifiltered", witnesses)
 
 
-def check_sigma_filtered(
-    tc: TwoCat, sigma: SigmaClass, assume_closed: bool = False, family_size: int = 2
-) -> Verdict:
+def check_sigma_filtered(tc: TwoCat, sigma: SigmaClass, assume_closed: bool = False) -> Verdict:
     """σ-filteredness of the pair, after closing the class.
 
     The strengthening of condition 2 (the inserted cell can be chosen
     invertible when the compared cell is also in the class) is verified as
-    its own sub-search rather than derived.  ``family_size`` behaves as in
-    :func:`check_bifiltered`.
+    its own sub-search rather than derived.
     """
     if not tc.cells0:
         raise ValidationError(tc.name, ["empty 0-cell set"])
@@ -197,16 +158,6 @@ def check_sigma_filtered(
         witnesses.append(
             {"condition": "span", "pair": [i, i2], "apex": span[0], "left": span[1], "right": span[2]}
         )
-    for r in range(3, family_size + 1):
-        for family in itertools.combinations_with_replacement(sorted(tc.cells0), r):
-            legs = _family_cone(tc, list(family), allowed)
-            if legs is None:
-                return negative(
-                    "sigma-filtered", {"condition": "span", "instance": list(family)}
-                )
-            witnesses.append(
-                {"condition": "family-cone", "family": list(family), "legs": legs}
-            )
     for i, j in sorted(tc.hom):
         cells = tc.cells1(i, j)
         for s in cells:

@@ -330,20 +330,11 @@ class Functor:
     obj_map: dict[str, str]
     mor_map: dict[str, str]
 
-    def on_obj(self, x: str) -> str:
-        return self.obj_map[x]
-
-    def on_mor(self, m: str) -> str:
-        return self.mor_map[m]
-
     def key(self) -> tuple:
         return (
             tuple(sorted(self.obj_map.items())),
             tuple(sorted(self.mor_map.items())),
         )
-
-    def equal_on_the_nose(self, other: Functor) -> bool:
-        return self.key() == other.key()
 
 
 def functor_violations(fun: Functor) -> list[str]:
@@ -417,8 +408,8 @@ class NatTrans:
     target: Functor
     components: dict[str, str]
 
-    def at(self, x: str) -> str:
-        return self.components[x]
+    def key(self) -> tuple:
+        return (self.source.key(), self.target.key(), tuple(sorted(self.components.items())))
 
     def is_invertible(self) -> bool:
         tgt = self.source.target
@@ -514,17 +505,6 @@ def whisker_nattrans(alpha: NatTrans, fun: Functor) -> NatTrans:
         compose_functors(alpha.target, fun),
         {x: alpha.components[fun.obj_map[x]] for x in fun.source.objects},
     )
-
-
-def invert_nattrans(nt: NatTrans) -> NatTrans:
-    tgt = nt.source.target
-    comps = {}
-    for x, c in nt.components.items():
-        inv = tgt.inverse(c)
-        if inv is None:
-            raise ValueError(f"{nt.name} is not invertible at {x!r}")
-        comps[x] = inv
-    return NatTrans(f"{nt.name}~", nt.target, nt.source, comps)
 
 
 # ---------------------------------------------------------------------------

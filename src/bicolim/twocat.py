@@ -13,7 +13,7 @@ Pseudo-ness lives entirely in :class:`CatPseudoFunctor`: the underlying
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .fincat import (
     FinCat,
@@ -77,9 +77,6 @@ class TwoCat:
         """g∘f for f: i -> j, g: j -> k."""
         return self.hcomp1[(g, f)]
 
-    def id1(self, i: str) -> str:
-        return self.unit[i]
-
     # -- 2-cells ------------------------------------------------------------
 
     @property
@@ -108,10 +105,6 @@ class TwoCat:
     def vcomp(self, b: str, a: str) -> str:
         """Vertical composite b∘a inside one hom category."""
         return self.hom_of2(a).table[(b, a)]
-
-    def hcomp(self, b: str, a: str) -> str:
-        """Horizontal composite of 2-cells (b over the codomain side)."""
-        return self.hcomp2[(b, a)]
 
     def whisker_l(self, g: str, a: str) -> str:
         return self.hcomp2[(self.id2(g), a)]
@@ -499,14 +492,8 @@ class TwoFunctor:
     on1: dict[str, str]
     on2: dict[str, str]
 
-    def map0(self, i: str) -> str:
-        return self.on0[i]
-
     def map1(self, f: str) -> str:
         return self.on1[f]
-
-    def map2(self, a: str) -> str:
-        return self.on2[a]
 
 
 def twofunctor_violations(fn: TwoFunctor) -> list[str]:
@@ -592,23 +579,6 @@ class CatPseudoFunctor:
     on2: dict[str, NatTrans]
     comp: dict[tuple[str, str], NatTrans]
     unit_c: dict[str, NatTrans]
-
-    def fiber(self, i: str) -> FinCat:
-        return self.on0[i]
-
-    def act1(self, f: str) -> Functor:
-        return self.on1[f]
-
-    def act2(self, a: str) -> NatTrans:
-        return self.on2[a]
-
-    def comp_at(self, g: str, f: str, a: str) -> str:
-        """Component F(g)(F(f)(a)) -> F(g∘f)(a) of the comparison."""
-        return self.comp[(g, f)].components[a]
-
-    def unit_at(self, i: str, a: str) -> str:
-        """Component a -> F(1_i)(a) of the unit comparison."""
-        return self.unit_c[i].components[a]
 
     def is_strict(self) -> bool:
         return all(
@@ -776,6 +746,39 @@ def build_pseudofunctor(
     if violations:
         raise ValidationError(name, violations)
     return pf
+
+
+def stagewise_pseudofunctor(
+    name: str,
+    source: TwoCat,
+    on0: Mapping[str, FinCat],
+    on1: Mapping[str, Functor],
+    image: Callable[..., dict[str, str]],
+) -> CatPseudoFunctor:
+    """A diagram obtained by applying one Cat-construction at every stage.
+
+    ``on0`` and ``on1`` are the new fibers and transition functors.  Each new
+    structure 2-cell ``src ⇒ tgt``, between functors ``on0[i] -> on0[j]``,
+    gets its components from the one rule ``image(cell, i, j, src, tgt)``;
+    ``cell`` picks the old 2-cell out of a diagram (``lambda p: p.on2[b]``),
+    so one rule can read the cells of several diagrams.
+    """
+
+    def cell(label: str, pick, i: str, j: str, src: Functor, tgt: Functor) -> NatTrans:
+        return NatTrans(f"{name}_{label}", src, tgt, image(pick, i, j, src, tgt))
+
+    on2, comp, unit_c = {}, {}, {}
+    for b in source.two_cells:
+        src, tgt = on1[source.dom2(b)], on1[source.cod2(b)]
+        on2[b] = cell(b, lambda p: p.on2[b], *source.two_home[b], src, tgt)
+    for (g, f), gf in source.hcomp1.items():
+        i, j = source.one_home[f][0], source.one_home[g][1]
+        src = compose_functors(on1[g], on1[f])
+        comp[(g, f)] = cell(f"c({g},{f})", lambda p: p.comp[(g, f)], i, j, src, on1[gf])
+    for i in source.cells0:
+        src = identity_functor(on0[i])
+        unit_c[i] = cell(f"u({i})", lambda p: p.unit_c[i], i, i, src, on1[source.unit[i]])
+    return build_pseudofunctor(name, source, on0, on1, on2, comp, unit_c)
 
 
 def validate_pseudofunctor(data: Mapping, index: TwoCat) -> CatPseudoFunctor:

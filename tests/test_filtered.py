@@ -290,17 +290,3 @@ def test_sigma_cone_cells_invertible_over_class():
     for d, cell in cone["cells"].items():
         if d in sigma.members:
             assert tc.invertible2(cell)
-
-
-def test_family_size_parameter_is_degenerate_on_finite_fixtures():
-    # widening condition 1 beyond binary families never changes a verdict
-    for name, make in ALL_FIXTURES.items():
-        tc = make()
-        assert (
-            check_bifiltered(tc).outcome == check_bifiltered(tc, family_size=4).outcome
-        ), name
-        sigma = sigma_closure(all_one_cells(tc))
-        assert (
-            check_sigma_filtered(tc, sigma, assume_closed=True).outcome
-            == check_sigma_filtered(tc, sigma, assume_closed=True, family_size=4).outcome
-        ), name
