@@ -32,7 +32,7 @@ corrupt downstream answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 from .fincat import (
@@ -45,6 +45,7 @@ from .fincat import (
     compose_functors,
     generating_set,
     identity_nattrans,
+    incidence,
     natural_iso_search,
     nattrans_violations,
     same_category,
@@ -328,17 +329,22 @@ def _premorphism_universe(pf: CatPseudoFunctor) -> list[Premorphism]:
     base = pf.source
     stages = sorted(base.cells0)
     objs = [(i, a) for i in stages for a in pf.on0[i].objects]
+    # the legs from each object into each apex, with the objects they carry
+    legs = {
+        (x, j): [(s, pf.on1[s].obj_map[x[1]]) for s in base.cells1(x[0], j)]
+        for x in objs
+        for j in stages
+    }
     out: list[Premorphism] = []
-    for (i1, a1) in objs:
-        for (i2, a2) in objs:
+    for x1 in objs:
+        for x2 in objs:
             for j in stages:
-                fj = pf.on0[j]
-                for s in base.cells1(i1, j):
-                    sa = pf.on1[s].obj_map[a1]
-                    for d in base.cells1(i2, j):
-                        da = pf.on1[d].obj_map[a2]
-                        for cell in fj.hom(sa, da):
-                            out.append(Premorphism((i1, a1), (i2, a2), j, s, d, cell))
+                hom = pf.on0[j].hom
+                right = legs[(x2, j)]
+                for s, sa in legs[(x1, j)]:
+                    for d, da in right:
+                        for cell in hom(sa, da):
+                            out.append(Premorphism(x1, x2, j, s, d, cell))
     return out
 
 
@@ -356,9 +362,7 @@ def _quotient(pf: CatPseudoFunctor, universe: list[Premorphism]) -> dict[Premorp
     # R1 along generating 1-cells only; exact for a coherent diagram (module doc)
     dom = {t: i for t, (i, _) in base.one_home.items()}
     cod = {t: j for t, (_, j) in base.one_home.items()}
-    out_of: dict[str, list[str]] = {j: [] for j in base.cells0}
-    for t in base.one_cells:
-        out_of[dom[t]].append(t)
+    out_of, _ = incidence(dom, cod)
     along: dict[str, list[str]] = {j: [] for j in base.cells0}
     for t in generating_set(dom, cod, set(base.unit.values()), base.hcomp1, out_of):
         along[dom[t]].append(t)
@@ -386,7 +390,9 @@ class _Plan:
 
     The composite cell is ``q_comp[a3] ∘ (q_map[q.cell] ∘ head(a1, a2, p.cell))``,
     nested exactly as in ``compose``: ``head`` pushes p's cell through c1⁻¹,
-    F(w∘u), comp(w∘u, p.right), γ and c2⁻¹, and is memoised per plan.
+    F(w∘u), comp(w∘u, p.right), γ and c2⁻¹, and is memoised per head
+    signature (p.left, p.right, w∘u, γ, w∘u2, q.left), the legs and cells it
+    reads: every plan with that signature shares one ``heads`` dict.
     """
 
     n: str                            # the amalgamated stage
@@ -400,7 +406,7 @@ class _Plan:
     p_comp: dict[str, str]            # comp(w∘u, p.right)
     gamma: dict[str, str]             # F(γ)
     c2: dict[str, str]                # comp(w∘u2, q.left), inverted on use
-    heads: dict[tuple[str, str, str], str] = field(default_factory=dict)
+    heads: dict[tuple[str, str, str], str]  # shared per head signature
 
     def head(self, a1: str, a2: str, cell: str) -> str:
         """p's cell pushed to just before q's, for p = (.., a1), (.., a2), cell."""
@@ -433,6 +439,7 @@ class _Amalgamator:
         self._spans: dict[tuple[str, str], tuple[str, str, str]] = {}
         self._insertions: dict[tuple[str, str], tuple[str, str]] = {}
         self._plans: dict[tuple[str, ...], _Plan] = {}
+        self._heads: dict[tuple[str, ...], dict[tuple[str, str, str], str]] = {}
 
     def span(self, j: str, k: str) -> tuple[str, str, str]:
         if (j, k) not in self._spans:
@@ -518,6 +525,7 @@ class _Amalgamator:
             pf.comp[(wu, p.right)].components,
             pf.on2[gamma].components,
             pf.comp[(wu2, q.left)].components,
+            self._heads.setdefault((p.left, p.right, wu, gamma, wu2, q.left), {}),
         )
         return plan
 

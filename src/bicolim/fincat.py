@@ -157,9 +157,15 @@ def build_fincat(
 def fincat_violations(cat: FinCat) -> list[str]:
     """Exhaustively check the category axioms; returns all violations.
 
-    Associativity is decided by :func:`associative_over_generators`.  When a
-    unit law fails, or that test finds a failure, the full triple scan runs
-    so that every violated triple is listed.
+    Typing and totality are decided in one pass over the table: every entry
+    must be a composable pair with a composite of the right dom/cod, and the
+    table must have Σₓ |into x|·|out_of x| entries.  Its keys are distinct
+    and composable, so an equal count means it is total.  Only when that
+    pass fails does the set-based listing run, naming every missing or
+    ill-typed entry.  Associativity is decided by
+    :func:`associative_over_generators`.  When a unit law fails, or that test
+    finds a failure, the full triple scan runs so that every violated triple
+    is listed.
     """
     out: list[str] = []
     objset = set(cat.objects)
@@ -180,18 +186,19 @@ def fincat_violations(cat: FinCat) -> list[str]:
     if out:
         return out
 
-    composable = set(cat.composable_pairs())
-    for pair in composable:
-        if pair not in cat.table:
-            out.append(f"composition not total: {pair[0]!r} after {pair[1]!r} missing")
-    for (g, f), gf in cat.table.items():
-        if (g, f) not in composable:
-            out.append(f"composite listed for non-composable pair ({g!r}, {f!r})")
-        elif gf not in cat.dom:
-            out.append(f"composite {gf!r} of ({g!r}, {f!r}) is not a morphism")
-        elif cat.dom[gf] != cat.dom[f] or cat.cod[gf] != cat.cod[g]:
-            out.append(f"composite of ({g!r}, {f!r}) has wrong dom/cod")
-    if out:
+    out_of, into = incidence(cat.dom, cat.cod)
+    if not _typed_and_total(cat, out_of, into):  # list what the pass rejected
+        composable = set(cat.composable_pairs())
+        for pair in composable:
+            if pair not in cat.table:
+                out.append(f"composition not total: {pair[0]!r} after {pair[1]!r} missing")
+        for (g, f), gf in cat.table.items():
+            if (g, f) not in composable:
+                out.append(f"composite listed for non-composable pair ({g!r}, {f!r})")
+            elif gf not in cat.dom:
+                out.append(f"composite {gf!r} of ({g!r}, {f!r}) is not a morphism")
+            elif cat.dom[gf] != cat.dom[f] or cat.cod[gf] != cat.cod[g]:
+                out.append(f"composite of ({g!r}, {f!r}) has wrong dom/cod")
         return out
 
     for m in cat.dom:
@@ -200,22 +207,48 @@ def fincat_violations(cat: FinCat) -> list[str]:
         if cat.table[(m, cat.identity[cat.dom[m]])] != m:
             out.append(f"right identity law fails at {m!r}")
     if out or not associative_over_generators(
-        cat.dom, cat.cod, cat.identity.values(), cat.table
+        cat.dom, cat.cod, cat.identity.values(), cat.table, out_of, into
     ):
-        _associativity_scan(cat, composable, out)
+        _associativity_scan(cat, out_of, out)
     return out
 
 
+def incidence(
+    dom: Mapping[str, str], cod: Mapping[str, str]
+) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """The morphisms out of and into each object that has any."""
+    out_of: dict[str, list[str]] = {}
+    into: dict[str, list[str]] = {}
+    for m in dom:
+        out_of.setdefault(dom[m], []).append(m)
+        into.setdefault(cod[m], []).append(m)
+    return out_of, into
+
+
+def _typed_and_total(
+    cat: FinCat, out_of: Mapping[str, list[str]], into: Mapping[str, list[str]]
+) -> bool:
+    """Every entry composable and well typed, and one entry per composable pair."""
+    dom, cod = cat.dom, cat.cod
+    expected = sum(len(ms) * len(out_of.get(x, ())) for x, ms in into.items())
+    if len(cat.table) != expected:
+        return False
+    try:
+        for (g, f), gf in cat.table.items():
+            if cod[f] != dom[g] or dom[gf] != dom[f] or cod[gf] != cod[g]:
+                return False
+    except KeyError:  # a key or a composite that is no morphism
+        return False
+    return True
+
+
 def _associativity_scan(
-    cat: FinCat, composable: set[tuple[str, str]], out: list[str]
+    cat: FinCat, out_of: Mapping[str, list[str]], out: list[str]
 ) -> None:
     """Associativity over every composable triple, appended to ``out``."""
-    by_dom: dict[str, list[str]] = {x: [] for x in cat.objects}
-    for m in cat.dom:
-        by_dom[cat.dom[m]].append(m)
-    for g, f in composable:
+    for g, f in set(cat.composable_pairs()):
         gf = cat.table[(g, f)]
-        for h in by_dom[cat.cod[g]]:
+        for h in out_of[cat.cod[g]]:
             if cat.table[(h, gf)] != cat.table[(cat.table[(h, g)], f)]:
                 out.append(f"associativity fails on ({h!r}, {g!r}, {f!r})")
                 if len(out) > 20:
@@ -227,27 +260,24 @@ def associative_over_generators(
     cod: Mapping[str, str],
     identities: Collection[str],
     table: Mapping[tuple[str, str], str],
+    out_of: Mapping[str, list[str]],
+    into: Mapping[str, list[str]],
 ) -> bool:
     """Light's associativity test: check h∘(a∘f) = (h∘a)∘f for middles ``a``
     in a generating set only.
 
-    ``identities`` holds the identity of each object.  The table must be well
-    typed and total on composable pairs, and the unit laws must hold.  Then
-    the test is exact (Clifford & Preston, The Algebraic Theory of Semigroups
-    I, 1961, §1.2): the law holds at identities by the unit laws, and if it
-    holds at a1 and a2 it holds at a1∘a2, since
+    ``identities`` holds the identity of each object, and ``out_of``/``into``
+    list the morphisms out of and into each object (:func:`incidence`).  The
+    table must be well typed and total on composable pairs, and the unit laws
+    must hold.  Then the test is exact (Clifford & Preston, The Algebraic
+    Theory of Semigroups I, 1961, §1.2): the law holds at identities by the
+    unit laws, and if it holds at a1 and a2 it holds at a1∘a2, since
     h∘((a1∘a2)∘f) = h∘(a1∘(a2∘f)) = (h∘a1)∘(a2∘f) = ((h∘a1)∘a2)∘f
     = (h∘(a1∘a2))∘f uses only the law at a1 and a2.
     """
     if len(identities) == len(dom):  # nothing but identities: the empty set generates
         return True
-    ids = set(identities)
-    out_of: dict[str, list[str]] = {}
-    into: dict[str, list[str]] = {}
-    for m in dom:
-        out_of.setdefault(dom[m], []).append(m)
-        into.setdefault(cod[m], []).append(m)
-    for a in generating_set(dom, cod, ids, table, out_of):
+    for a in generating_set(dom, cod, set(identities), table, out_of):
         after = [(h, table[(h, a)]) for h in out_of.get(cod[a], ())]
         for f in into.get(dom[a], ()):
             af = table[(a, f)]

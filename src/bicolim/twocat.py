@@ -27,6 +27,7 @@ from .fincat import (
     hcompose_nattrans,
     identity_functor,
     identity_nattrans,
+    incidence,
     nattrans_violations,
     vcompose_nattrans,
     whisker_functor,
@@ -194,11 +195,10 @@ def twocat_violations(tc: TwoCat) -> list[str]:
         if tc.hcomp1[(tc.unit[j], f)] != f or tc.hcomp1[(f, tc.unit[i])] != f:
             out.append(f"1-cell unit law fails at {f!r}")
     # 1-cell associativity: that of the category of 0-cells and 1-cells
+    one_dom = {f: home[0] for f, home in tc.one_home.items()}
+    one_cod = {f: home[1] for f, home in tc.one_home.items()}
     if out or not associative_over_generators(
-        {f: home[0] for f, home in tc.one_home.items()},
-        {f: home[1] for f, home in tc.one_home.items()},
-        tc.unit.values(),
-        tc.hcomp1,
+        one_dom, one_cod, tc.unit.values(), tc.hcomp1, *incidence(one_dom, one_cod)
     ):
         for f in one_cells:
             for g in ones_from[tc.dst(f)]:
@@ -253,11 +253,14 @@ def twocat_violations(tc: TwoCat) -> list[str]:
         if tc.hcomp2[(tc.id2(tc.unit[j]), a)] != a or tc.hcomp2[(a, tc.id2(tc.unit[i]))] != a:
             out.append(f"2-cell unit law fails at {a!r}")
     # horizontal 2-cell associativity: that of the category of 0-cells and 2-cells
+    two_dom = {a: home[0] for a, home in tc.two_home.items()}
+    two_cod = {a: home[1] for a, home in tc.two_home.items()}
     if out or not associative_over_generators(
-        {a: home[0] for a, home in tc.two_home.items()},
-        {a: home[1] for a, home in tc.two_home.items()},
+        two_dom,
+        two_cod,
         [tc.id2(tc.unit[i]) for i in tc.cells0],
         tc.hcomp2,
+        *incidence(two_dom, two_cod),
     ):
         for a in two_cells:
             for b in twos_from[tc.two_home[a][1]]:

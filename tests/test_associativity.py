@@ -1,9 +1,12 @@
 """Differential tests: associativity over a generating set against the full
-triple scan.
+triple scan, and the one-pass typing/totality check against set listing.
 
 The scan is the oracle.  Patching ``associative_over_generators`` to answer
 False makes ``fincat_violations`` and ``twocat_violations`` run the scan on
 every input, which is what they did before the generator test existed.
+``listing_violations`` is ``fincat_violations`` as it was before typing and
+totality were decided in one pass: it builds the set of composable pairs and
+lists against it on every input.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from bicolim.fincat import (
     build_fincat,
     fincat_violations,
     functor_category,
+    incidence,
 )
 from bicolim.twocat import build_twocat, locally_discrete, twocat_violations
 
@@ -36,20 +40,114 @@ def scan_twocat_violations(tc) -> list[str]:
         return twocat_violations(tc)
 
 
+def listing_violations(cat: FinCat) -> list[str]:
+    """The set-based check, kept verbatim as the oracle of the one-pass one."""
+    out: list[str] = []
+    objset = set(cat.objects)
+    for m in cat.dom:
+        if cat.dom[m] not in objset or cat.cod[m] not in objset:
+            out.append(f"morphism {m!r} has dangling dom/cod")
+    if out:
+        return out
+    for x in cat.objects:
+        i = cat.identity.get(x)
+        if i is None:
+            out.append(f"object {x!r} has no identity")
+        elif i not in cat.dom or cat.dom[i] != x or cat.cod[i] != x:
+            out.append(f"identity of {x!r} is not an endomorphism of it")
+    for x, i in cat.identity.items():
+        if x not in objset:
+            out.append(f"identity listed for unknown object {x!r}")
+    if out:
+        return out
+
+    composable = set(cat.composable_pairs())
+    for pair in composable:
+        if pair not in cat.table:
+            out.append(f"composition not total: {pair[0]!r} after {pair[1]!r} missing")
+    for (g, f), gf in cat.table.items():
+        if (g, f) not in composable:
+            out.append(f"composite listed for non-composable pair ({g!r}, {f!r})")
+        elif gf not in cat.dom:
+            out.append(f"composite {gf!r} of ({g!r}, {f!r}) is not a morphism")
+        elif cat.dom[gf] != cat.dom[f] or cat.cod[gf] != cat.cod[g]:
+            out.append(f"composite of ({g!r}, {f!r}) has wrong dom/cod")
+    if out:
+        return out
+
+    for m in cat.dom:
+        if cat.table[(cat.identity[cat.cod[m]], m)] != m:
+            out.append(f"left identity law fails at {m!r}")
+        if cat.table[(m, cat.identity[cat.dom[m]])] != m:
+            out.append(f"right identity law fails at {m!r}")
+    if out or not associative_over_generators(
+        cat.dom, cat.cod, cat.identity.values(), cat.table, *incidence(cat.dom, cat.cod)
+    ):
+        by_dom: dict[str, list[str]] = {x: [] for x in cat.objects}
+        for m in cat.dom:
+            by_dom[cat.dom[m]].append(m)
+        for g, f in composable:
+            gf = cat.table[(g, f)]
+            for h in by_dom[cat.cod[g]]:
+                if cat.table[(h, gf)] != cat.table[(cat.table[(h, g)], f)]:
+                    out.append(f"associativity fails on ({h!r}, {g!r}, {f!r})")
+                    if len(out) > 20:
+                        return out
+    return out
+
+
 def agrees_with_scan(cat: FinCat) -> list[str]:
-    """Assert the two checks agree on a well-typed unital-or-not table."""
+    """Assert the checks agree on a well-typed unital-or-not table."""
     got = fincat_violations(cat)
     assert got == scan_violations(cat)
+    assert got == listing_violations(cat)
     if not any("identity law" in v for v in got):
-        fast = associative_over_generators(cat.dom, cat.cod, cat.identity.values(), cat.table)
+        fast = associative_over_generators(
+            cat.dom, cat.cod, cat.identity.values(), cat.table, *incidence(cat.dom, cat.cod)
+        )
         assert fast == (not got)
     return got
 
 
-def with_composite(cat: FinCat, pair: tuple[str, str], value: str) -> FinCat:
-    table = dict(cat.table)
-    table[pair] = value
+def with_table(cat: FinCat, table: dict[tuple[str, str], str]) -> FinCat:
     return FinCat(cat.name, cat.objects, dict(cat.dom), dict(cat.cod), dict(cat.identity), table)
+
+
+def with_composite(cat: FinCat, pair: tuple[str, str], value: str) -> FinCat:
+    return with_table(cat, {**cat.table, pair: value})
+
+
+def corruptions(cat: FinCat) -> dict[str, FinCat]:
+    """One broken copy of ``cat`` per way a table can be mistyped or partial.
+
+    Each breaks the last entry in name order or adds the first
+    non-composable pair."""
+    pairs = sorted(cat.table)
+    mors = cat.morphisms
+    g, f = pairs[-1]
+    out = {}
+    out["dropped"] = with_table(cat, {k: v for k, v in cat.table.items() if k != (g, f)})
+    # a non-composable pair whose composite is typed as if it composed, so
+    # only the composability test can reject it
+    loose = [
+        ((b, a), v)
+        for b in mors
+        for a in mors
+        if cat.dom[b] != cat.cod[a]
+        for v in cat.hom(cat.dom[a], cat.cod[b])
+    ]
+    extra, value = loose[0] if loose else (("ghost", f), cat.table[(g, f)])
+    out["non_composable"] = with_table(cat, {**cat.table, extra: value})
+    out["unknown_key"] = with_table(cat, {**cat.table, (g, "ghost"): cat.table[(g, f)]})
+    out["not_a_morphism"] = with_composite(cat, (g, f), "ghost")
+    wrong = [m for m in mors if (cat.dom[m], cat.cod[m]) != (cat.dom[f], cat.cod[g])]
+    if wrong:
+        out["wrong_type"] = with_composite(cat, (g, f), wrong[0])
+    # one missing and one extra entry: the count alone cannot tell
+    swapped = {k: v for k, v in cat.table.items() if k != (g, f)}
+    swapped[extra] = value
+    out["dropped_and_extra"] = with_table(cat, swapped)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +267,65 @@ def test_one_corrupted_composite_agrees_with_scan(cat, data):
     g, f = pair
     value = data.draw(st.sampled_from(cat.hom(cat.dom[f], cat.cod[g])))
     agrees_with_scan(with_composite(cat, pair, value))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(valid_categories, unital_tables()))
+def test_corrupted_tables_list_as_before(cat):
+    for broken in corruptions(cat).values():
+        got = fincat_violations(broken)
+        assert got and got == listing_violations(broken)
+
+
+CORRUPTION_MESSAGES = {
+    "dropped": "composition not total",
+    "non_composable": "composite listed for non-composable pair",
+    "unknown_key": "composite listed for non-composable pair",
+    "not_a_morphism": "is not a morphism",
+    "wrong_type": "has wrong dom/cod",
+    "dropped_and_extra": "composition not total",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CORRUPTION_MESSAGES))
+def test_each_corruption_is_listed_as_before(kind):
+    for cat in [zoo.chain(4), *FUNCTOR_CATEGORIES]:
+        broken = corruptions(cat)[kind]
+        got = fincat_violations(broken)
+        if kind == "dropped_and_extra":
+            assert len(broken.table) == len(cat.table)
+        assert any(CORRUPTION_MESSAGES[kind] in v for v in got)
+        assert got == listing_violations(broken)
+        with pytest.raises(ValidationError) as err:
+            build_fincat(
+                broken.name,
+                broken.objects,
+                [(m, broken.dom[m], broken.cod[m]) for m in broken.morphisms],
+                broken.identity,
+                broken.table,
+            )
+        assert err.value.violations == got
+
+
+def test_valid_categories_never_list_composable_pairs(monkeypatch):
+    # the one-pass check decides typing and totality on valid input; the
+    # set of composable pairs is built only to list violations
+    def refuse(self):
+        raise AssertionError("composable_pairs called on a valid category")
+
+    monkeypatch.setattr(FinCat, "composable_pairs", refuse)
+    chain = zoo.chain(4)
+    build_fincat(
+        "chain4",
+        chain.objects,
+        [(m, chain.dom[m], chain.cod[m]) for m in chain.morphisms],
+        chain.identity,
+        chain.table,
+    )
+    functor_category(zoo.walking_arrow(), zoo.chain(3))
+    functor_category(zoo.bz2(), zoo.walking_iso())
+    with pytest.raises(AssertionError, match="composable_pairs"):
+        fincat_violations(corruptions(chain)["dropped"])
 
 
 def test_groups_have_no_indecomposables_yet_are_covered():
