@@ -21,8 +21,10 @@ in the universe.  ``build_pseudofunctor`` checks that coherence, and
 restriction and precomposition preserve it.
 
 Composition amalgamates two spans over a common stage found via the
-filteredness conditions.  Everything but the two cells depends only on the
-legs of the two spans, so the composition table reads each entry off a plan
+filteredness conditions.  A composite g∘f is some class from f's source to
+g's target, so when that hom holds one class the table takes it without
+amalgamating.  For the other entries, everything but the two cells depends
+only on the legs of the two spans, so the table reads each entry off a plan
 cached per pair of leg signatures (``_Amalgamator.plan``); the unplanned
 ``_Amalgamator.compose`` is the reference the tests compare it with.  The
 result category is re-validated from scratch, so any incompleteness of the
@@ -49,6 +51,7 @@ from .fincat import (
     natural_iso_search,
     nattrans_violations,
     same_category,
+    sole_morphisms,
     vcompose_nattrans,
     whisker_functor,
     whisker_nattrans,
@@ -581,20 +584,27 @@ def bifiltered_bicolimit(pf: CatPseudoFunctor, precheck: bool = True) -> Colimit
         ident_prem = Premorphism((i, a), (i, a), i, unit, unit, fib.identity[ua])
         identities[oname] = classes[ident_prem]
     # class representatives by target object: g∘f is defined exactly when
-    # f ends where g starts; each rep's leg signature gets a small id, and
-    # g∘f is read off the plan of the two signatures
+    # f ends where g starts.  An entry whose hom f.src -> g.dst holds one
+    # class is that class; the rest are read off the plan of the two leg
+    # signatures, each of which gets a small id
+    sole = sole_morphisms(mor_rows)
     sig_id: dict[tuple[str, str, str], int] = {}
     for rep in class_rep.values():
         sig_id.setdefault((rep.apex, rep.left, rep.right), len(sig_id))
-    ending_at: dict[tuple[str, str], list[tuple[str, int, Premorphism]]] = {}
+    ending_at: dict[tuple[str, str], list[tuple[str, str, int, Premorphism]]] = {}
     for fname, frep in class_rep.items():
         fid = sig_id[(frep.apex, frep.left, frep.right)]
-        ending_at.setdefault(frep.dst, []).append((fname, fid, frep))
+        ending_at.setdefault(frep.dst, []).append((fname, obj_name[frep.src], fid, frep))
     plans: dict[int, dict[int, _Plan]] = {}
     table: dict[tuple[str, str], str] = {}
     for gname, grep in class_rep.items():
+        gdst = obj_name[grep.dst]
         row = plans.setdefault(sig_id[(grep.apex, grep.left, grep.right)], {})
-        for fname, fid, frep in ending_at.get(grep.src, ()):
+        for fname, fsrc, fid, frep in ending_at.get(grep.src, ()):
+            only = sole.get((fsrc, gdst))
+            if only is not None:
+                table[(gname, fname)] = only
+                continue
             plan = row.get(fid)
             if plan is None:
                 plan = row[fid] = amal.plan(frep, grep)

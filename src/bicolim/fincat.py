@@ -255,6 +255,21 @@ def _associativity_scan(
                     return
 
 
+def sole_morphisms(rows: Iterable[tuple[str, str, str]]) -> dict[tuple[str, str], str | None]:
+    """Each nonempty hom, keyed by (dom, cod): its morphism if it holds
+    exactly one, else None.
+
+    ``rows`` are (name, dom, cod) triples.  In a well-typed table a composite
+    that lands in a one-morphism hom must be that morphism, so it needs no
+    computing.
+    """
+    sole: dict[tuple[str, str], str | None] = {}
+    for m, d, c in rows:
+        key = (d, c)
+        sole[key] = None if key in sole else m
+    return sole
+
+
 def associative_over_generators(
     dom: Mapping[str, str],
     cod: Mapping[str, str],
@@ -274,8 +289,15 @@ def associative_over_generators(
     unit laws, and if it holds at a1 and a2 it holds at a1∘a2, since
     h∘((a1∘a2)∘f) = h∘(a1∘(a2∘f)) = (h∘a1)∘(a2∘f) = ((h∘a1)∘a2)∘f
     = (h∘(a1∘a2))∘f uses only the law at a1 and a2.
+
+    When every hom holds at most one morphism the table is associative
+    outright: being well typed, it puts h∘(a∘f) and (h∘a)∘f in the same
+    hom, dom f → cod h.  A category of identities alone is such a table;
+    counting identities settles it without grouping the morphisms.
     """
-    if len(identities) == len(dom):  # nothing but identities: the empty set generates
+    if len(identities) == len(dom) or None not in sole_morphisms(
+        (m, dom[m], cod[m]) for m in dom
+    ).values():
         return True
     for a in generating_set(dom, cod, set(identities), table, out_of):
         after = [(h, table[(h, a)]) for h in out_of.get(cod[a], ())]
@@ -900,10 +922,15 @@ def functor_category(c: FinCat, d: FinCat, max_morphisms: int = 100_000) -> Func
     ending_at: dict[str, list[tuple[str, str, dict[str, str]]]] = {fn: [] for fn in functors}
     for name, fn, gn in mor_rows:
         ending_at[gn].append((name, fn, transformations[name].components))
+    sole = sole_morphisms(mor_rows)
     table: dict[tuple[str, str], str] = {}
     for beta_name, bf, bg in mor_rows:
         beta = transformations[beta_name].components
         for alpha_name, af, alpha in ending_at[bf]:
+            only = sole.get((af, bg))
+            if only is not None:  # the one transformation af ⇒ bg
+                table[(beta_name, alpha_name)] = only
+                continue
             # c.objects is sorted, so this is the sorted component tuple
             key = tuple((x, d.table[(beta[x], alpha[x])]) for x in c.objects)
             table[(beta_name, alpha_name)] = comp_key[(af, bg, key)]

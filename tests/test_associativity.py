@@ -6,7 +6,10 @@ False makes ``fincat_violations`` and ``twocat_violations`` run the scan on
 every input, which is what they did before the generator test existed.
 ``listing_violations`` is ``fincat_violations`` as it was before typing and
 totality were decided in one pass: it builds the set of composable pairs and
-lists against it on every input.
+lists against it on every input.  It calls the current
+``associative_over_generators``, so the shortcut that passes a table whose
+homs hold at most one morphism without Light's test has the scan alone as
+its oracle; the preorder tests below give it that oracle.
 """
 
 from __future__ import annotations
@@ -107,6 +110,17 @@ def agrees_with_scan(cat: FinCat) -> list[str]:
         )
         assert fast == (not got)
     return got
+
+
+def rebuild(cat: FinCat) -> FinCat:
+    """``cat`` sent through ``build_fincat``, which raises on any violation."""
+    return build_fincat(
+        cat.name,
+        cat.objects,
+        [(m, cat.dom[m], cat.cod[m]) for m in cat.morphisms],
+        cat.identity,
+        cat.table,
+    )
 
 
 def with_table(cat: FinCat, table: dict[tuple[str, str], str]) -> FinCat:
@@ -232,6 +246,32 @@ def transformation_monoids(draw) -> FinCat:
     return transformation_monoid(draw(st.lists(maps, max_size=3)), n)
 
 
+@st.composite
+def preorders(draw) -> FinCat:
+    """Thin categories: a random preorder (cycles make isomorphic objects),
+    some with extra objects that carry only their identity, and some with
+    every morphism renamed in a shuffled order, so that name order (which
+    the generating set follows) no longer tracks the relation."""
+    names = [f"p{i}" for i in range(draw(st.integers(1, 5)))]
+    relation = [pair for pair in itertools.permutations(names, 2) if draw(st.booleans())]
+    cat = zoo.poset("P", relation + [(x, x) for x in names])
+    objects = list(cat.objects)
+    dom, cod, identity, table = dict(cat.dom), dict(cat.cod), dict(cat.identity), dict(cat.table)
+    for k in range(draw(st.integers(0, 2))):
+        x, i = f"x{k}", f"id_x{k}"
+        objects.append(x)
+        dom[i] = cod[i] = x
+        identity[x] = table[(i, i)] = i
+    if draw(st.booleans()):
+        mors = sorted(dom)
+        new = dict(zip(mors, draw(st.permutations([f"r{k:02d}" for k in range(len(mors))]))))
+        dom = {new[m]: x for m, x in dom.items()}
+        cod = {new[m]: x for m, x in cod.items()}
+        identity = {x: new[m] for x, m in identity.items()}
+        table = {(new[g], new[f]): new[gf] for (g, f), gf in table.items()}
+    return FinCat("preorder", tuple(objects), dom, cod, identity, table)
+
+
 FUNCTOR_CATEGORIES = [
     functor_category(zoo.walking_arrow(), zoo.walking_arrow()).category,
     functor_category(zoo.walking_arrow(), zoo.bz2()).category,
@@ -297,13 +337,7 @@ def test_each_corruption_is_listed_as_before(kind):
         assert any(CORRUPTION_MESSAGES[kind] in v for v in got)
         assert got == listing_violations(broken)
         with pytest.raises(ValidationError) as err:
-            build_fincat(
-                broken.name,
-                broken.objects,
-                [(m, broken.dom[m], broken.cod[m]) for m in broken.morphisms],
-                broken.identity,
-                broken.table,
-            )
+            rebuild(broken)
         assert err.value.violations == got
 
 
@@ -326,6 +360,48 @@ def test_valid_categories_never_list_composable_pairs(monkeypatch):
     functor_category(zoo.bz2(), zoo.walking_iso())
     with pytest.raises(AssertionError, match="composable_pairs"):
         fincat_violations(corruptions(chain)["dropped"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(preorders())
+def test_preorders_pass_every_check(cat):
+    assert agrees_with_scan(cat) == []
+    rebuild(cat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(preorders(), st.data())
+def test_corrupted_preorders_are_rejected_as_before(cat, data):
+    # a thin table has no well-typed wrong composite, so every corruption
+    # is a typing or totality violation, listed and raised as before
+    pair = data.draw(st.sampled_from(sorted(cat.table)))
+    value = data.draw(st.sampled_from([m for m in cat.morphisms if m != cat.table[pair]] + ["ghost"]))
+    for broken in [with_composite(cat, pair, value), *corruptions(cat).values()]:
+        got = fincat_violations(broken)
+        assert got and got == listing_violations(broken) == scan_violations(broken)
+        with pytest.raises(ValidationError) as err:
+            rebuild(broken)
+        assert err.value.violations == got
+
+
+def test_only_tables_with_a_larger_hom_reach_generating_set(monkeypatch):
+    thin = [zoo.chain(4), zoo.walking_iso(), zoo.poset("C", [("a", "b"), ("b", "c"), ("c", "a")])]
+    non_thin = [zoo.bz2(), transformation_monoid([(1, 0, 2), (0, 0, 1)], 3)]
+    seen: list[int] = []
+    real = fincat.generating_set
+
+    def spy(dom, *args):
+        seen.append(len(dom))
+        return real(dom, *args)
+
+    monkeypatch.setattr(fincat, "generating_set", spy)
+    for cat in thin:
+        assert fincat_violations(cat) == []
+    assert seen == []
+    for cat in non_thin:
+        assert fincat_violations(cat) == []
+        assert seen == [len(cat.dom)]
+        seen.clear()
 
 
 def test_groups_have_no_indecomposables_yet_are_covered():

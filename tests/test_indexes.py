@@ -226,6 +226,13 @@ COLIMIT_DIAGRAMS = {
         for n, m in ((2, 2), (3, 2), (3, 3), (4, 3), (5, 4))
     },
     "ladder4x3|star": lambda: ladder_star(4, 3),
+    # homs with two classes, so the table computes entries off plans too
+    "const_parallel_over_chain3": lambda: constant_pseudofunctor(
+        locally_discrete(zoo.chain(3)), zoo.parallel_pair()
+    ),
+    "const_bz2_over_chain3": lambda: constant_pseudofunctor(
+        locally_discrete(zoo.chain(3)), zoo.bz2()
+    ),
     **{name: corpus.DIAGRAM_BUILDERS[name] for name in corpus.BIFILTERED_DIAGRAMS},
     **{
         f"{dname}|{cname}": (lambda d=dname, c=cname: corpus_class_restricted(d, c))
@@ -259,6 +266,25 @@ def test_plans_match_compose_on_every_span(name):
     pairs = ((p, q) for p in universe for q in starting_at.get(p.dst, ()))
     for p, q in itertools.islice(pairs, 20_000):
         assert planned.plan(p, q).composite(p, q) == unplanned.compose(q, p), (p, q)
+
+
+def has_sole_and_computed_entries(cat: FinCat) -> bool:
+    """Some composite lands in a hom of one morphism, and some in a larger one."""
+    sizes = {len(cat.hom(cat.dom[f], cat.cod[g])) == 1 for g, f in cat.table}
+    return sizes == {True, False}
+
+
+def test_oracles_see_sole_and_computed_entries_in_one_table():
+    # entries in a one-morphism hom skip the composite, so each oracle must
+    # compare at least one table where both kinds of entry occur
+    assert any(
+        has_sole_and_computed_entries(bifiltered_bicolimit(COLIMIT_DIAGRAMS[name]()).result)
+        for name in sorted(COLIMIT_DIAGRAMS)
+    )
+    assert any(
+        has_sole_and_computed_entries(functor_category(SMALL[c](), SMALL[d]()).category)
+        for c, d in itertools.product(sorted(SMALL), repeat=2)
+    )
 
 
 @pytest.mark.parametrize("name", ["twisted_iso", "collapse_pair"])
