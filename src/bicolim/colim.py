@@ -542,6 +542,48 @@ class _Amalgamator:
         ]
 
 
+def _composition_table(
+    pf: CatPseudoFunctor,
+    classes: dict[Premorphism, str],
+    class_rep: dict[str, Premorphism],
+    obj_name: dict[tuple[str, str], str],
+    mor_rows: list[tuple[str, str, str]],
+) -> dict[tuple[str, str], str]:
+    """The composition table of the colimit, in ``class_rep`` order.
+
+    The hom index, amalgamator and plans it builds are dropped on return,
+    before the result category is validated.
+    """
+    # class representatives by target object: g∘f is defined exactly when
+    # f ends where g starts.  An entry whose hom f.src -> g.dst holds one
+    # class is that class; the rest are read off the plan of the two leg
+    # signatures, each of which gets a small id
+    sole = sole_morphisms(mor_rows)
+    sig_id: dict[tuple[str, str, str], int] = {}
+    for rep in class_rep.values():
+        sig_id.setdefault((rep.apex, rep.left, rep.right), len(sig_id))
+    ending_at: dict[tuple[str, str], list[tuple[str, str, int, Premorphism]]] = {}
+    for fname, frep in class_rep.items():
+        fid = sig_id[(frep.apex, frep.left, frep.right)]
+        ending_at.setdefault(frep.dst, []).append((fname, obj_name[frep.src], fid, frep))
+    amal = _Amalgamator(pf)
+    plans: dict[int, dict[int, _Plan]] = {}
+    table: dict[tuple[str, str], str] = {}
+    for gname, grep in class_rep.items():
+        gdst = obj_name[grep.dst]
+        row = plans.setdefault(sig_id[(grep.apex, grep.left, grep.right)], {})
+        for fname, fsrc, fid, frep in ending_at.get(grep.src, ()):
+            only = sole.get((fsrc, gdst))
+            if only is not None:
+                table[(gname, fname)] = only
+                continue
+            plan = row.get(fid)
+            if plan is None:
+                plan = row[fid] = amal.plan(frep, grep)
+            table[(gname, fname)] = classes[plan.composite(frep, grep)]
+    return table
+
+
 def bifiltered_bicolimit(pf: CatPseudoFunctor, precheck: bool = True) -> ColimitCat:
     """Colimit of a diagram of finite categories over a bifiltered index."""
     base = pf.source
@@ -570,8 +612,6 @@ def bifiltered_bicolimit(pf: CatPseudoFunctor, precheck: bool = True) -> Colimit
         for i in sorted(base.cells0)
         for a in pf.on0[i].objects
     }
-    amal = _Amalgamator(pf)
-
     mor_rows = [
         (name, _el_obj(*rep.src), _el_obj(*rep.dst))
         for name, rep in sorted(class_rep.items())
@@ -583,32 +623,7 @@ def bifiltered_bicolimit(pf: CatPseudoFunctor, precheck: bool = True) -> Colimit
         ua = pf.on1[unit].obj_map[a]
         ident_prem = Premorphism((i, a), (i, a), i, unit, unit, fib.identity[ua])
         identities[oname] = classes[ident_prem]
-    # class representatives by target object: g∘f is defined exactly when
-    # f ends where g starts.  An entry whose hom f.src -> g.dst holds one
-    # class is that class; the rest are read off the plan of the two leg
-    # signatures, each of which gets a small id
-    sole = sole_morphisms(mor_rows)
-    sig_id: dict[tuple[str, str, str], int] = {}
-    for rep in class_rep.values():
-        sig_id.setdefault((rep.apex, rep.left, rep.right), len(sig_id))
-    ending_at: dict[tuple[str, str], list[tuple[str, str, int, Premorphism]]] = {}
-    for fname, frep in class_rep.items():
-        fid = sig_id[(frep.apex, frep.left, frep.right)]
-        ending_at.setdefault(frep.dst, []).append((fname, obj_name[frep.src], fid, frep))
-    plans: dict[int, dict[int, _Plan]] = {}
-    table: dict[tuple[str, str], str] = {}
-    for gname, grep in class_rep.items():
-        gdst = obj_name[grep.dst]
-        row = plans.setdefault(sig_id[(grep.apex, grep.left, grep.right)], {})
-        for fname, fsrc, fid, frep in ending_at.get(grep.src, ()):
-            only = sole.get((fsrc, gdst))
-            if only is not None:
-                table[(gname, fname)] = only
-                continue
-            plan = row.get(fid)
-            if plan is None:
-                plan = row[fid] = amal.plan(frep, grep)
-            table[(gname, fname)] = classes[plan.composite(frep, grep)]
+    table = _composition_table(pf, classes, class_rep, obj_name, mor_rows)
     result = build_fincat(
         f"colim({pf.name})",
         list(obj_name.values()),

@@ -292,12 +292,9 @@ def associative_over_generators(
 
     When every hom holds at most one morphism the table is associative
     outright: being well typed, it puts h∘(a∘f) and (h∘a)∘f in the same
-    hom, dom f → cod h.  A category of identities alone is such a table;
-    counting identities settles it without grouping the morphisms.
+    hom, dom f → cod h.
     """
-    if len(identities) == len(dom) or None not in sole_morphisms(
-        (m, dom[m], cod[m]) for m in dom
-    ).values():
+    if None not in sole_morphisms((m, dom[m], cod[m]) for m in dom).values():
         return True
     for a in generating_set(dom, cod, set(identities), table, out_of):
         after = [(h, table[(h, a)]) for h in out_of.get(cod[a], ())]
@@ -934,6 +931,8 @@ def functor_category(c: FinCat, d: FinCat, max_morphisms: int = 100_000) -> Func
             # c.objects is sorted, so this is the sorted component tuple
             key = tuple((x, d.table[(beta[x], alpha[x])]) for x in c.objects)
             table[(beta_name, alpha_name)] = comp_key[(af, bg, key)]
+    # freed before build_fincat indexes the table, so they add nothing to the peak
+    del comp_key, ending_at, sole
     cat = build_fincat(
         f"[{c.name},{d.name}]",
         functors,
