@@ -5,6 +5,22 @@ hom category are the 1-cells, morphisms the 2-cells) plus total horizontal
 composition tables on both levels.  1-cell and 2-cell names are required to be
 globally unique, which keeps every lookup flat.
 
+Validation runs once, at the trust boundary: fixture load and
+``build_fincat``, ``build_twocat``, ``build_functor`` and
+``build_pseudofunctor`` check every axiom of the tables they are given.
+Four builders derive a 2-category from one already valid and assemble it
+directly, without replaying the axioms, because each is correct by
+construction:
+
+- ``locally_discrete``: its axioms are the category's, with identity 2-cells;
+- ``op1``: swapping the arguments of both horizontal compositions sends each
+  axiom to itself;
+- ``full_sub_on_zero_cells``: cells between kept 0-cells compose to cells
+  between them;
+- ``full_sub_on_one_cells``: each hom is a full subcategory, and the kept
+  1-cells, checked to hold the units and to be closed under composition,
+  keep every composite inside.
+
 Pseudo-ness lives entirely in :class:`CatPseudoFunctor`: the underlying
 2-categories are always strict, and functors between bases are strict
 2-functors (:class:`TwoFunctor`).
@@ -124,6 +140,24 @@ class TwoCat:
         return tuple(a for a in cat.hom(d, s) if cat.is_iso(a))
 
 
+def _assemble_twocat(
+    name: str,
+    cells0: Iterable[str],
+    hom: Mapping[tuple[str, str], FinCat],
+    hcomp1: Mapping[tuple[str, str], str],
+    hcomp2: Mapping[tuple[str, str], str],
+    unit: Mapping[str, str],
+) -> TwoCat:
+    """A TwoCat on the given tables, unchecked; absent homs are empty."""
+    zero = tuple(sorted(set(cells0)))
+    full_hom = dict(hom)
+    for i in zero:
+        for j in zero:
+            if (i, j) not in full_hom:
+                full_hom[(i, j)] = FinCat(f"{name}[{i},{j}]", (), {}, {}, {}, {})
+    return TwoCat(name, zero, full_hom, dict(hcomp1), dict(hcomp2), dict(unit))
+
+
 def build_twocat(
     name: str,
     cells0: Iterable[str],
@@ -132,13 +166,8 @@ def build_twocat(
     hcomp2: Mapping[tuple[str, str], str],
     unit: Mapping[str, str],
 ) -> TwoCat:
-    zero = tuple(sorted(set(cells0)))
-    full_hom = dict(hom)
-    for i in zero:
-        for j in zero:
-            if (i, j) not in full_hom:
-                full_hom[(i, j)] = build_fincat(f"{name}[{i},{j}]", [], [], {}, {})
-    cat = TwoCat(name, zero, full_hom, dict(hcomp1), dict(hcomp2), dict(unit))
+    """Assemble and validate a 2-category from caller-supplied tables."""
+    cat = _assemble_twocat(name, cells0, hom, hcomp1, hcomp2, unit)
     violations = twocat_violations(cat)
     if violations:
         raise ValidationError(name, violations)
@@ -319,23 +348,25 @@ def locally_discrete(cat: FinCat, name: str | None = None) -> TwoCat:
     for i in cat.objects:
         for j in cat.objects:
             cells = cat.hom(i, j)
-            hom[(i, j)] = build_fincat(
+            ids = {m: f"v_{m}" for m in cells}
+            hom[(i, j)] = FinCat(
                 f"{cat.name}[{i},{j}]",
                 cells,
-                [(f"v_{m}", m, m) for m in cells],
-                {m: f"v_{m}" for m in cells},
-                {(f"v_{m}", f"v_{m}"): f"v_{m}" for m in cells},
+                {v: m for m, v in ids.items()},
+                {v: m for m, v in ids.items()},
+                ids,
+                {(v, v): v for v in ids.values()},
             )
     hcomp2 = {
         (f"v_{g}", f"v_{f}"): f"v_{gf}" for (g, f), gf in cat.table.items()
     }
-    return build_twocat(
+    return _assemble_twocat(
         name or f"ld({cat.name})",
         cat.objects,
         hom,
-        dict(cat.table),
+        cat.table,
         hcomp2,
-        dict(cat.identity),
+        cat.identity,
     )
 
 
@@ -348,23 +379,26 @@ def terminal_twocat() -> TwoCat:
 
 def op1(tc: TwoCat) -> TwoCat:
     """Dual on 1-cells only; 2-cells keep their direction."""
-    return build_twocat(
+    return _assemble_twocat(
         f"{tc.name}^op",
         tc.cells0,
         {(i, j): tc.hom[(j, i)] for (j, i) in tc.hom},
         {(g, f): tc.hcomp1[(f, g)] for (f, g) in tc.hcomp1},
         {(b, a): tc.hcomp2[(a, b)] for (a, b) in tc.hcomp2},
-        dict(tc.unit),
+        tc.unit,
     )
 
 
 def full_sub_on_zero_cells(tc: TwoCat, objs: Iterable[str], name: str | None = None) -> TwoCat:
     """Full sub-2-category spanned by a subset of the 0-cells."""
     kept0 = sorted(set(objs))
+    unknown = [i for i in kept0 if i not in tc.cells0]
+    if unknown:
+        raise ValidationError(tc.name, [f"unknown 0-cell {i!r}" for i in unknown])
     hom = {(i, j): tc.hom[(i, j)] for i in kept0 for j in kept0}
     kept1 = {f for cat in hom.values() for f in cat.objects}
     kept2 = {a for cat in hom.values() for a in cat.dom}
-    return build_twocat(
+    return _assemble_twocat(
         name or f"{tc.name}|{'+'.join(kept0)}",
         kept0,
         hom,
@@ -377,42 +411,55 @@ def full_sub_on_zero_cells(tc: TwoCat, objs: Iterable[str], name: str | None = N
 def full_sub_on_one_cells(tc: TwoCat, keep: Iterable[str], name: str | None = None) -> TwoCat:
     """Full-on-0-cells-and-2-cells subcategory with the given 1-cells.
 
-    ``keep`` must contain the units and be closed under composition.
+    ``keep`` must name 1-cells of ``tc``, contain the units and be closed
+    under composition; closure is checked on the composable pairs of kept
+    1-cells only, found by source 0-cell.
     """
     kept = set(keep)
+    unknown = sorted(f for f in kept if f not in tc.one_home)
+    if unknown:
+        raise ValidationError(tc.name, [f"unknown 1-cell {f!r}" for f in unknown])
     missing_units = [i for i in tc.cells0 if tc.unit[i] not in kept]
     if missing_units:
         raise ValidationError(
             tc.name, [f"1-cell class misses unit of {i!r}" for i in missing_units]
         )
-    for f in kept:
-        for g in kept:
-            if tc.one_home[f][1] == tc.one_home[g][0] and tc.hcomp1[(g, f)] not in kept:
-                raise ValidationError(
-                    tc.name, [f"1-cell class not closed under ({g!r}, {f!r})"]
-                )
+    kept_from: dict[str, list[str]] = {i: [] for i in tc.cells0}
+    for f in sorted(kept):
+        kept_from[tc.one_home[f][0]].append(f)
+    open_pairs = [
+        (g, f)
+        for fs in kept_from.values()
+        for f in fs
+        for g in kept_from[tc.one_home[f][1]]
+        if tc.hcomp1[(g, f)] not in kept
+    ]
+    if open_pairs:
+        raise ValidationError(
+            tc.name, [f"1-cell class not closed under ({g!r}, {f!r})" for g, f in open_pairs]
+        )
     hom: dict[tuple[str, str], FinCat] = {}
     kept2: set[str] = set()
     for (i, j), cat in tc.hom.items():
-        objs = [f for f in cat.objects if f in kept]
-        objset = set(objs)
-        mors = [a for a in cat.morphisms if cat.dom[a] in objset and cat.cod[a] in objset]
+        objs = tuple(f for f in cat.objects if f in kept)
+        mors = [a for a in cat.morphisms if cat.dom[a] in kept and cat.cod[a] in kept]
         kept2.update(mors)
         morset = set(mors)
-        hom[(i, j)] = build_fincat(
+        hom[(i, j)] = FinCat(
             f"{cat.name}|",
             objs,
-            [(a, cat.dom[a], cat.cod[a]) for a in mors],
+            {a: cat.dom[a] for a in mors},
+            {a: cat.cod[a] for a in mors},
             {f: cat.identity[f] for f in objs},
             {k: v for k, v in cat.table.items() if k[0] in morset and k[1] in morset},
         )
-    return build_twocat(
+    return _assemble_twocat(
         name or f"{tc.name}|sigma",
         tc.cells0,
         hom,
         {k: v for k, v in tc.hcomp1.items() if k[0] in kept and k[1] in kept},
         {k: v for k, v in tc.hcomp2.items() if k[0] in kept2 and k[1] in kept2},
-        dict(tc.unit),
+        tc.unit,
     )
 
 

@@ -20,6 +20,7 @@ from bicolim.twocat import (
     constant_pseudofunctor,
     describe_twocat,
     full_sub_on_one_cells,
+    full_sub_on_zero_cells,
     inclusion_twofunctor,
     internal_equivalences,
     locally_discrete,
@@ -65,6 +66,14 @@ def test_walking_iso_hom_twocat_valid():
     tc = walking_iso_hom_twocat()
     assert not twocat_violations(tc)
     assert tc.invertible_between("p", "q") == ("w",)
+
+
+def test_absent_homs_are_filled_with_empty_categories():
+    tc = walking_iso_hom_twocat()
+    assert list(tc.hom)[-1] == ("y", "x")
+    absent = tc.hom[("y", "x")]
+    assert absent.name == "isohom[y,x]"
+    assert (absent.objects, absent.dom, absent.identity, absent.table) == ((), {}, {}, {})
 
 
 def test_twocat_document_roundtrip():
@@ -140,6 +149,23 @@ def test_sub_twocat_requires_closure():
     tc = poset_top()
     with pytest.raises(ValidationError):
         full_sub_on_one_cells(tc, [f for f in tc.one_home if f != "le_a_a"])
+
+
+def test_sub_twocat_requires_closure_under_composition():
+    tc = locally_discrete(zoo.chain(3))
+    with pytest.raises(ValidationError) as err:
+        full_sub_on_one_cells(tc, [f for f in tc.one_home if f != "le_0_2"])
+    assert err.value.violations == ["1-cell class not closed under ('le_1_2', 'le_0_1')"]
+
+
+def test_sub_twocats_name_unknown_cells():
+    tc = locally_discrete(zoo.chain(3))
+    with pytest.raises(ValidationError) as err:
+        full_sub_on_one_cells(tc, [*tc.one_home, "nope"])
+    assert err.value.violations == ["unknown 1-cell 'nope'"]
+    with pytest.raises(ValidationError) as err:
+        full_sub_on_zero_cells(tc, ["0", "zz"])
+    assert err.value.violations == ["unknown 0-cell 'zz'"]
 
 
 def test_inclusion_twofunctor_validates():
