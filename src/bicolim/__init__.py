@@ -8,7 +8,6 @@ from .fincat import (
     SizeGuardError,
     ValidationError,
     check_equivalence,
-    compose_path,
     functor_category,
     functor_is_equivalence,
     skeleton,
@@ -84,7 +83,6 @@ __all__ = [
     "check_flat_preserves_bilimits",
     "check_sigma_cofinal",
     "check_sigma_filtered",
-    "compose_path",
     "decompose_flat",
     "elements_category",
     "factor_cocone",

@@ -7,12 +7,22 @@ from the colimit of mapped functor categories is analysed directly for
 essential surjectivity and full faithfulness (the definition quantifies over
 this one functor, so no generic equivalence search is involved).
 
+Both searches run only where a witness can exist.  A lift a ≅ q_i∘b needs
+an isomorphism a(k) ≅ q_i(b(k)) at each probe object k, so b(k) ranges over
+the stage objects that admit one.  The comparison into [K, colim F] is
+composed with [K, r], r the retraction of colim F onto its skeleton; r is
+an equivalence, hence so is [K, r], and the comparison is an equivalence
+exactly when the composite into the smaller [K, sk(colim F)] is.  A negative
+verdict therefore names cells of [K, sk(colim F)]; the size guard and the
+``outer_objects`` witness still count [K, colim F].
+
 Verdicts are evidence for the supplied diagram only; no claim is made about
 all filtered diagrams at once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .colim import ColimitCat, Premorphism, bifiltered_bicolimit
@@ -28,7 +38,10 @@ from .fincat import (
     enumerate_nattrans,
     functor_category,
     functor_is_equivalence,
+    guard_object_maps,
     natural_iso_search,
+    skeleton,
+    transformations_exceeded,
     whisker_functor,
     whisker_nattrans,
 )
@@ -63,11 +76,26 @@ class TwoCellLift:
 
 def lift_one_cell(probe: FinCat, colim: ColimitCat, fun: Functor) -> OneCellLift:
     """Factor a functor into the colimit through a stage, up to invertible
-    comparison; exhaustive search in stage order."""
+    comparison; exhaustive search in stage order.
+
+    The comparison needs an isomorphism fun(k) ≅ q_i(b(k)) at every probe
+    object k, so b(k) ranges only over the stage objects that admit one.
+    That drops functors that cannot succeed and keeps the search order, so
+    the first lift found is the same as over all functors.
+    """
     pf = colim.diagram
+    res = colim.result
     for i in sorted(pf.source.cells0):
         q = colim.cocone[i]
-        for b in enumerate_functors(probe, pf.on0[i]):
+        candidates = {
+            k: [
+                b
+                for b in pf.on0[i].objects
+                if any(res.is_iso(m) for m in res.hom(fun.obj_map[k], q.obj_map[b]))
+            ]
+            for k in probe.objects
+        }
+        for b in enumerate_functors(probe, pf.on0[i], candidates):
             beta = natural_iso_search(fun, compose_functors(q, b))
             if beta is not None:
                 b.name = f"lift@{i}"
@@ -233,25 +261,56 @@ def mapped_diagram(
     return stagewise_pseudofunctor(f"[K,{pf.name}]", tc, on0, on1, image), fcs
 
 
+def _outer_guard(
+    probe: FinCat, target: FinCat, images: dict[tuple, Functor], mult: Counter, max_morphisms: int
+) -> None:
+    """The size guard of [probe, target], decided on the skeleton.
+
+    ``images`` holds the distinct r∘F over the functors F : probe -> target
+    and ``mult`` how many F share each.  r is fully faithful, so the
+    transformations F ⇒ G of [probe, target] match those rF ⇒ rG one to one,
+    and the count below is the one ``functor_category(probe, target)`` meets.
+    """
+    count = 0
+    for f, rf in images.items():
+        for g, rg in images.items():
+            for _ in enumerate_nattrans(rf, rg):
+                count += mult[f] * mult[g]
+                if count > max_morphisms:
+                    raise transformations_exceeded(probe, target, max_morphisms)
+
+
 def check_bicompact_against(
     probe: FinCat, pf: CatPseudoFunctor, max_morphisms: int = 100_000
 ) -> Verdict:
     """Analyse the canonical comparison for one probe against one diagram.
 
-    Computes the colimit of mapped functor categories, the functor category
-    into the colimit, and checks the comparison functor between them for
-    essential surjectivity and full faithfulness directly.
+    Computes the colimit of mapped functor categories and checks the
+    comparison functor, composed with [probe, r] into [probe, sk(colim F)],
+    for essential surjectivity and full faithfulness directly (see the
+    module docstring for why the verdict is the one for [probe, colim F]).
     """
     colim = bifiltered_bicolimit(pf)
     mapped, fcs = mapped_diagram(probe, pf, max_morphisms)
     inner = bifiltered_bicolimit(mapped, precheck=False)
-    outer = functor_category(probe, colim.result, max_morphisms)
+    res = colim.result
+    guard_object_maps(probe, res, max_morphisms)
+    sk = skeleton(res)
+    r = sk.retraction
+    images: dict[tuple, Functor] = {}
+    mult: Counter = Counter()
+    for fun in enumerate_functors(probe, res):
+        rf = compose_functors(r, fun)
+        images.setdefault(rf.key(), rf)
+        mult[rf.key()] += 1
+    _outer_guard(probe, res, images, mult, max_morphisms)
+    outer = functor_category(probe, sk.category, max_morphisms)
     outer_fun_name = {f.key(): n for n, f in outer.functors.items()}
     outer_nat_name = {t.key(): n for n, t in outer.transformations.items()}
 
     obj_map = {}
     for (i, gname), oname in inner.obj_name.items():
-        composed = compose_functors(colim.cocone[i], fcs[i].functors[gname])
+        composed = compose_functors(r, compose_functors(colim.cocone[i], fcs[i].functors[gname]))
         obj_map[oname] = outer_fun_name[composed.key()]
     mor_map = {}
     for cname, rep in inner.class_rep.items():
@@ -259,11 +318,13 @@ def check_bicompact_against(
         b1, b2 = fcs[i1].functors[g1], fcs[i2].functors[g2]
         chi = fcs[rep.apex].transformations[rep.cell]
         comps = {
-            k: colim.morphism_of(
-                Premorphism(
-                    (i1, b1.obj_map[k]), (i2, b2.obj_map[k]), rep.apex, rep.left, rep.right, c
+            k: r.mor_map[
+                colim.morphism_of(
+                    Premorphism(
+                        (i1, b1.obj_map[k]), (i2, b2.obj_map[k]), rep.apex, rep.left, rep.right, c
+                    )
                 )
-            )
+            ]
             for k, c in chi.components.items()
         }
         src_fun = outer.functors[obj_map[inner.obj_name[rep.src]]]
@@ -281,7 +342,7 @@ def check_bicompact_against(
                     "probe": probe.name,
                     "diagram": pf.name,
                     "inner_objects": len(inner.result.objects),
-                    "outer_objects": len(outer.category.objects),
+                    "outer_objects": sum(mult.values()),
                 }
             ],
         )
@@ -289,31 +350,3 @@ def check_bicompact_against(
         "bicompact-against",
         {"probe": probe.name, "diagram": pf.name, "analysis": analysis.counterexample},
     )
-
-
-def pseudoretract_transfer(
-    probe: FinCat,
-    retract_of: FinCat,
-    section: Functor,
-    retraction: Functor,
-    comparison: NatTrans,
-    pf: CatPseudoFunctor,
-    max_morphisms: int = 100_000,
-) -> Verdict:
-    """Evidence-level transfer: positivity for the big category plus valid
-    retract data yields positivity for the retract, checked by re-running."""
-    from .fincat import nattrans_violations
-
-    bad = nattrans_violations(comparison)
-    if bad:
-        raise ValidationError("retract", bad)
-    if not comparison.is_invertible():
-        raise ValidationError("retract", ["retract comparison is not invertible"])
-    big = check_bicompact_against(retract_of, pf, max_morphisms)
-    small = check_bicompact_against(probe, pf, max_morphisms)
-    if big.outcome and not small.outcome:
-        return negative(
-            "pseudoretract-transfer",
-            {"reason": "retract failed while the ambient object passed"},
-        )
-    return positive("pseudoretract-transfer", [{"ambient": big.outcome, "retract": small.outcome}])

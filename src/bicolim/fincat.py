@@ -801,9 +801,17 @@ class FunctorCategory:
     transformations: dict[str, NatTrans]
 
 
-def enumerate_functors(c: FinCat, d: FinCat) -> Iterator[Functor]:
-    """All functors c -> d, in deterministic order."""
+def enumerate_functors(
+    c: FinCat, d: FinCat, candidates: Mapping[str, Iterable[str]] | None = None
+) -> Iterator[Functor]:
+    """All functors c -> d, in deterministic order.
+
+    ``candidates`` restricts each object of ``c`` to the listed objects of
+    ``d``, given in ``d.objects`` order; by default every object is allowed.
+    The restricted functors come out in the same relative order.
+    """
     objs = list(c.objects)
+    allowed = [d.objects if candidates is None else tuple(candidates[x]) for x in objs]
     nonid = [m for m in c.morphisms if not c.is_identity(m)]
 
     def mor_assign(obj_map: dict[str, str]) -> Iterator[dict[str, str]]:
@@ -841,7 +849,7 @@ def enumerate_functors(c: FinCat, d: FinCat) -> Iterator[Functor]:
 
         yield from extend(0, {})
 
-    for combo in itertools.product(d.objects, repeat=len(objs)):
+    for combo in itertools.product(*allowed):
         obj_map = dict(zip(objs, combo))
         for mm in mor_assign(obj_map):
             yield Functor("F", c, d, dict(obj_map), mm)
@@ -873,17 +881,29 @@ def enumerate_nattrans(f: Functor, g: Functor) -> Iterator[dict[str, str]]:
     yield from extend(0, {})
 
 
+def guard_object_maps(c: FinCat, d: FinCat, max_morphisms: int) -> None:
+    """The object-map bound of the functor category [c, d]."""
+    if len(c.objects) and len(d.objects) ** len(c.objects) > max_morphisms:
+        raise SizeGuardError(
+            f"functor category [{c.name},{d.name}]: object-map count "
+            f"{len(d.objects)}^{len(c.objects)} exceeds bound {max_morphisms}"
+        )
+
+
+def transformations_exceeded(c: FinCat, d: FinCat, max_morphisms: int) -> SizeGuardError:
+    """The error for a functor category [c, d] with too many transformations."""
+    return SizeGuardError(
+        f"functor category [{c.name},{d.name}] exceeds {max_morphisms} transformations"
+    )
+
+
 def functor_category(c: FinCat, d: FinCat, max_morphisms: int = 100_000) -> FunctorCategory:
     """The category of functors c -> d and natural transformations.
 
     Guarded: raises SizeGuardError before enumerating anything that could
     exceed ``max_morphisms``.
     """
-    if len(c.objects) and len(d.objects) ** len(c.objects) > max_morphisms:
-        raise SizeGuardError(
-            f"functor category [{c.name},{d.name}]: object-map count "
-            f"{len(d.objects)}^{len(c.objects)} exceeds bound {max_morphisms}"
-        )
+    guard_object_maps(c, d, max_morphisms)
     funs = sorted(enumerate_functors(c, d), key=lambda f: f.key())
     functors: dict[str, Functor] = {}
     for idx, fun in enumerate(funs):
@@ -901,10 +921,7 @@ def functor_category(c: FinCat, d: FinCat, max_morphisms: int = 100_000) -> Func
             for comps in enumerate_nattrans(fun, gun):
                 count += 1
                 if count > max_morphisms:
-                    raise SizeGuardError(
-                        f"functor category [{c.name},{d.name}] exceeds "
-                        f"{max_morphisms} transformations"
-                    )
+                    raise transformations_exceeded(c, d, max_morphisms)
                 name = f"t{len(mor_rows):04d}"
                 transformations[name] = NatTrans(name, fun, gun, comps)
                 mor_rows.append((name, fn, gn))
@@ -1034,16 +1051,3 @@ def natural_iso_search(f: Functor, g: Functor) -> NatTrans | None:
         return None
     return NatTrans(f"{f.name}~{g.name}", f, g, comps)
 
-
-def compose_path(cat: FinCat, path: list[str], at: str | None = None) -> str:
-    """Iterated composite of a path (listed first-to-last)."""
-    if not path:
-        if at is None:
-            raise ValueError("empty path needs an anchor object")
-        return cat.identity[at]
-    acc = path[0]
-    for m in path[1:]:
-        if cat.dom[m] != cat.cod[acc]:
-            raise ValueError(f"non-composable adjacency at {m!r}")
-        acc = cat.table[(m, acc)]
-    return acc

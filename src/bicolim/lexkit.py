@@ -15,7 +15,7 @@ from typing import Any
 
 from .colim import ColimitCat, bifiltered_bicolimit
 from .compact import lift_one_cell
-from .fincat import FinCat, Functor, build_functor
+from .fincat import FinCat, Functor
 from .twocat import CatPseudoFunctor
 from .verdict import Verdict, negative, positive
 
@@ -270,10 +270,8 @@ def _sample_diagrams(cat: FinCat, max_objects: int = 3, max_morphisms: int = 4):
                     yield list(objs), list(mors)
 
 
-def _generated_subcategory(cat: FinCat, objs: list[str], mors: list[str]) -> FinCat:
-    """Closure of a graph diagram under identities and composition."""
-    from .fincat import build_fincat
-
+def _composition_closure(cat: FinCat, objs: list[str], mors: list[str]) -> set[str]:
+    """The morphisms generated by a graph diagram: identities and composites."""
     keep = set(mors) | {cat.identity[o] for o in objs}
     changed = True
     while changed:
@@ -285,10 +283,23 @@ def _generated_subcategory(cat: FinCat, objs: list[str], mors: list[str]) -> Fin
                     if nm not in keep:
                         keep.add(nm)
                         changed = True
-    return build_fincat(
+    return keep
+
+
+def _generated_subcategory(cat: FinCat, objs: list[str], keep: set[str]) -> FinCat:
+    """The subcategory on the sorted ``objs`` with the composition-closed
+    morphisms ``keep``.
+
+    A subset of a category's morphisms that holds the identities and is
+    closed under composition is a category with the inherited table, so it
+    is assembled without replaying the axioms.
+    """
+    ordered = sorted(keep)
+    return FinCat(
         f"{cat.name}|gen",
-        objs,
-        [(m, cat.dom[m], cat.cod[m]) for m in sorted(keep)],
+        tuple(objs),
+        {m: cat.dom[m] for m in ordered},
+        {m: cat.cod[m] for m in ordered},
         {o: cat.identity[o] for o in objs},
         {
             (n, m): cat.table[(n, m)]
@@ -322,13 +333,15 @@ def verify_lex_bicolimit(pf: CatPseudoFunctor) -> LexColimitReport:
     sampled = 0
     seen: set[tuple] = set()
     for objs, mors in _sample_diagrams(colim.result):
-        probe = _generated_subcategory(colim.result, objs, mors)
-        key = (tuple(probe.objects), tuple(probe.morphisms))
+        closure = _composition_closure(colim.result, objs, mors)
+        key = (tuple(objs), tuple(sorted(closure)))
         if key in seen:
             continue
         seen.add(key)
         sampled += 1
-        include = build_functor(
+        probe = _generated_subcategory(colim.result, objs, closure)
+        # the inclusion of a subcategory is a functor by construction
+        include = Functor(
             "include",
             probe,
             colim.result,

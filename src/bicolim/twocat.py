@@ -472,6 +472,8 @@ class SigmaClass:
     owner: TwoCat
     members: frozenset[str]
     name: str = "sigma"
+    # set by sigma_closure on the classes it returns, which are closed
+    closed: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
         bad = [f for f in self.members if f not in self.owner.one_home]
@@ -491,7 +493,11 @@ def sigma_closure(s: SigmaClass) -> SigmaClass:
 
     A worklist: each 1-cell that joins is composed on both sides with the
     members that meet it, and tested against its parallel 1-cells for mates.
+    A class that this function returned is closed already and comes back as
+    it is.
     """
+    if s.closed:
+        return s
     tc = s.owner
     closure: set[str] = set()
     out_of: dict[str, list[str]] = {i: [] for i in tc.cells0}  # members by source
@@ -513,20 +519,9 @@ def sigma_closure(s: SigmaClass) -> SigmaClass:
             if d not in closure
             and (tc.invertible_between(d, f) or tc.invertible_between(f, d))
         )
-    return SigmaClass(tc, frozenset(closure), f"{s.name}~")
-
-
-def internal_equivalences(tc: TwoCat) -> frozenset[str]:
-    """Diagnostic: 1-cells f with a quasi-inverse up to invertible 2-cells."""
-    out = set()
-    for f in tc.one_cells:
-        i, j = tc.one_home[f]
-        for g in tc.cells1(j, i):
-            gf, fg = tc.hcomp1[(g, f)], tc.hcomp1[(f, g)]
-            if tc.invertible_between(gf, tc.unit[i]) and tc.invertible_between(fg, tc.unit[j]):
-                out.add(f)
-                break
-    return frozenset(out)
+    out = SigmaClass(tc, frozenset(closure), f"{s.name}~")
+    out.closed = True
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,37 @@
 from __future__ import annotations
 
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from test_indexes import constant_diagrams_over_posets_with_top
+
 from bicolim import corpus, zoo
-from bicolim.colim import bifiltered_bicolimit
+from bicolim.colim import Premorphism, bifiltered_bicolimit
 from bicolim.compact import (
     check_bicompact_against,
     lift_one_cell,
     lift_parallel_pair,
     lift_two_cell,
+    mapped_diagram,
     refine_lifts,
     revalidate_two_cell_lift,
 )
+from bicolim.filtered import check_bifiltered
 from bicolim.fincat import (
     NatTrans,
+    SizeGuardError,
     build_functor,
     compose_functors,
+    functor_category,
+    functor_is_equivalence,
+    identity_functor,
     identity_nattrans,
 )
+from bicolim.fixtures import DiagramFixture, ProbeFixture, load_fixture
+from bicolim.verdict import negative, positive
+
+BUNDLED = Path(corpus.__file__).parent / "corpus"
 
 
 def colim_of(name):
@@ -180,23 +196,135 @@ def test_size_guard_propagates():
         check_bicompact_against(zoo.walking_arrow(), pf, max_morphisms=3)
 
 
-def test_pseudoretract_transfer():
-    from bicolim.compact import pseudoretract_transfer
-    from bicolim.fincat import NatTrans
+# -- the comparison against the skeleton, differential ---------------------------
+#
+# ``check_bicompact_against`` analyses the comparison into [K, sk(colim F)].
+# ``full_check_bicompact_against`` below is the same analysis as it was, into
+# [K, colim F] itself; it is the oracle.  Outcome and positive witnesses must
+# agree, and so must every size-guard trip and its message.
 
-    pt = zoo.terminal()
+
+def full_check_bicompact_against(probe, pf, max_morphisms=100_000):
+    colim = bifiltered_bicolimit(pf)
+    mapped, fcs = mapped_diagram(probe, pf, max_morphisms)
+    inner = bifiltered_bicolimit(mapped, precheck=False)
+    outer = functor_category(probe, colim.result, max_morphisms)
+    outer_fun_name = {f.key(): n for n, f in outer.functors.items()}
+    outer_nat_name = {t.key(): n for n, t in outer.transformations.items()}
+
+    obj_map = {}
+    for (i, gname), oname in inner.obj_name.items():
+        composed = compose_functors(colim.cocone[i], fcs[i].functors[gname])
+        obj_map[oname] = outer_fun_name[composed.key()]
+    mor_map = {}
+    for cname, rep in inner.class_rep.items():
+        (i1, g1), (i2, g2) = rep.src, rep.dst
+        b1, b2 = fcs[i1].functors[g1], fcs[i2].functors[g2]
+        chi = fcs[rep.apex].transformations[rep.cell]
+        comps = {
+            k: colim.morphism_of(
+                Premorphism(
+                    (i1, b1.obj_map[k]), (i2, b2.obj_map[k]), rep.apex, rep.left, rep.right, c
+                )
+            )
+            for k, c in chi.components.items()
+        }
+        src_fun = outer.functors[obj_map[inner.obj_name[rep.src]]]
+        tgt_fun = outer.functors[obj_map[inner.obj_name[rep.dst]]]
+        mor_map[cname] = outer_nat_name[NatTrans("compare", src_fun, tgt_fun, comps).key()]
+    comparison = build_functor("compare", inner.result, outer.category, obj_map, mor_map)
+    analysis = functor_is_equivalence(comparison)
+    if analysis:
+        return positive(
+            "bicompact-against",
+            [
+                {
+                    "probe": probe.name,
+                    "diagram": pf.name,
+                    "inner_objects": len(inner.result.objects),
+                    "outer_objects": len(outer.category.objects),
+                }
+            ],
+        )
+    return negative(
+        "bicompact-against",
+        {"probe": probe.name, "diagram": pf.name, "analysis": analysis.counterexample},
+    )
+
+
+def outcome(check, probe, pf, max_morphisms=100_000):
+    """(outcome, witnesses) of a check, or the size guard's message."""
+    try:
+        verdict = check(probe, pf, max_morphisms)
+    except SizeGuardError as exc:
+        return ("size guard", str(exc))
+    return (verdict.outcome, verdict.witnesses)
+
+
+def assert_reduced_matches_full(probe, pf, max_morphisms=100_000):
+    got = outcome(check_bicompact_against, probe, pf, max_morphisms)
+    assert got == outcome(full_check_bicompact_against, probe, pf, max_morphisms)
+    return got
+
+
+def bundled_probes_and_bifiltered_diagrams():
+    cache: dict = {}
+    fixtures = [load_fixture(p, cache) for p in sorted(BUNDLED.glob("*.json"))]
+    probes = [fx for fx in fixtures if isinstance(fx, ProbeFixture)]
+    diagrams = [
+        fx for fx in fixtures
+        if isinstance(fx, DiagramFixture) and check_bifiltered(fx.index.twocat)
+    ]
+    return probes, diagrams
+
+
+def test_reduced_comparison_matches_full_on_corpus_pairs():
+    probes, diagrams = bundled_probes_and_bifiltered_diagrams()
+    assert len(probes) * len(diagrams) == 26  # the verify suite's bicompact instances
+    for probe in probes:
+        for fx in diagrams:
+            got = assert_reduced_matches_full(probe.category, fx.functor)
+            assert got[0] is True, (probe.name, fx.name)
+
+
+def test_reduced_comparison_matches_full_on_closure_probes():
+    from bicolim.bilim import biequalizer, biproduct
+
     arrow = zoo.walking_arrow()
-    # the point retracts off the walking arrow through its target object
-    section = build_functor("sect", pt, arrow, {"*": "t"}, {"id": "id_t"})
-    retraction = build_functor(
-        "retr", arrow, pt, {"s": "*", "t": "*"}, {m: "id" for m in arrow.dom}
-    )
-    comparison = NatTrans(
-        "round", compose_functors(retraction, section), build_functor(
-            "1pt", pt, pt, {"*": "*"}, {"id": "id"}
-        ), {"*": "id"},
-    )
-    pf = corpus.DIAGRAM_BUILDERS["two_cellular"]()
-    verdict = pseudoretract_transfer(pt, arrow, section, retraction, comparison, pf)
-    assert verdict
-    assert verdict.witnesses[0]["ambient"] and verdict.witnesses[0]["retract"]
+    probes = [
+        biproduct(zoo.terminal(), arrow).category,
+        biequalizer(identity_functor(arrow), identity_functor(arrow)).category,
+    ]
+    for name in ("two_cellular", "endo_proj"):
+        pf = corpus.DIAGRAM_BUILDERS[name]()
+        for probe in probes:
+            assert assert_reduced_matches_full(probe, pf)[0] is True, (probe.name, name)
+
+
+@settings(max_examples=20, deadline=None)
+@given(constant_diagrams_over_posets_with_top(), st.sampled_from(sorted(PROBES)))
+def test_reduced_comparison_matches_full_on_constant_diagrams(pf, probe_name):
+    assert_reduced_matches_full(PROBES[probe_name](), pf)
+
+
+def test_size_guard_parity_across_the_threshold():
+    pf = corpus.DIAGRAM_BUILDERS["const_arrow"]()
+    arrow = zoo.walking_arrow()
+    stage = functor_category(arrow, pf.on0[pf.source.cells0[0]]).category
+    result = bifiltered_bicolimit(pf).result
+    outer = functor_category(arrow, result).category
+    # the bounds of the stage functor categories (object maps, then
+    # transformations) and then those of [K, colim F]
+    thresholds = [
+        len(stage.objects) ** 2,
+        len(stage.dom),
+        len(result.objects) ** len(arrow.objects),
+        len(outer.dom),
+    ]
+    seen = []
+    for bound in sorted({0} | {t + step for t in thresholds for step in (-1, 0, 1)}):
+        seen.append(assert_reduced_matches_full(arrow, pf, bound))
+    assert seen[-1][0] is True
+    messages = [msg for tripped, msg in seen if tripped == "size guard"]
+    assert any("object-map count" in m and f",{result.name}]" in m for m in messages)
+    assert any("transformations" in m and f",{result.name}]" in m for m in messages)

@@ -8,6 +8,9 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from test_associativity import posets, preorders, transformation_monoids
 
 import bicolim
 from bicolim import zoo
@@ -18,7 +21,7 @@ from bicolim.fincat import (
     build_fincat,
     check_equivalence,
     compose_functors,
-    compose_path,
+    enumerate_functors,
     functor_category,
     identity_functor,
     nattrans_violations,
@@ -242,53 +245,22 @@ def test_functor_category_size_guard():
         functor_category(big, big, max_morphisms=1000)
 
 
-# -- compose_path ------------------------------------------------------------
-
-
-def test_compose_path_empty_yields_identity():
-    cat = zoo.walking_arrow()
-    assert compose_path(cat, [], at="s") == "id_s"
-
-
-def test_compose_path_singleton():
-    cat = zoo.walking_arrow()
-    assert compose_path(cat, ["f"]) == "f"
-
-
-def test_compose_path_iso_roundtrip():
-    cat = zoo.walking_iso()
-    # oracle: table lookup
-    assert cat.table[("u_inv", "u")] == "id_x"
-    assert compose_path(cat, ["u", "u_inv"]) == "id_x"
-
-
-def test_compose_path_rejects_bad_adjacency():
-    cat = zoo.walking_arrow()
-    with pytest.raises(ValueError):
-        compose_path(cat, ["f", "f"])
-
-
-def test_compose_path_agrees_with_fold_oracle():
-    from hypothesis import given, settings, strategies as st
-
-    cat = zoo.chain(4)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.sampled_from(sorted(cat.dom)), min_size=1, max_size=5))
-    def run(raw):
-        # repair the path into a composable one by chaining domains
-        path = [raw[0]]
-        for m in raw[1:]:
-            candidates = cat.hom(cat.cod[path[-1]], cat.cod[m])
-            if not candidates:
-                return
-            path.append(candidates[0])
-        expected = path[0]
-        for m in path[1:]:
-            expected = cat.table[(m, expected)]
-        assert compose_path(cat, path) == expected
-
-    run()
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([zoo.terminal(), zoo.walking_arrow(), zoo.parallel_pair()]),
+    st.one_of(posets(), preorders(), transformation_monoids()),
+    st.data(),
+)
+def test_enumerate_functors_with_candidates_is_the_filtered_enumeration(c, d, data):
+    candidates = {
+        x: [y for y in d.objects if data.draw(st.booleans())] for x in c.objects
+    }
+    want = [
+        f.key()
+        for f in enumerate_functors(c, d)
+        if all(f.obj_map[x] in candidates[x] for x in c.objects)
+    ]
+    assert [f.key() for f in enumerate_functors(c, d, candidates)] == want
 
 
 def test_vertical_composition_of_transformations():

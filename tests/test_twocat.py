@@ -22,7 +22,6 @@ from bicolim.twocat import (
     full_sub_on_one_cells,
     full_sub_on_zero_cells,
     inclusion_twofunctor,
-    internal_equivalences,
     locally_discrete,
     op1,
     pseudofunctor_violations,
@@ -137,12 +136,28 @@ def test_sigma_closure_properties_random_subsets(members):
     assert sigma_closure(closed).members == closed.members
 
 
-def test_internal_equivalences_diagnostic():
+def test_sigma_closure_returns_closed_class_as_is():
     tc = walking_iso_hom_twocat()
-    eqs = internal_equivalences(tc)
-    assert "ix" in eqs and "iy" in eqs
-    # p: x -> y has no 1-cell back, so it is not an internal equivalence
-    assert "p" not in eqs
+    given = SigmaClass(tc, frozenset({"p"}))
+    assert not given.closed
+    closed = sigma_closure(given)
+    assert closed.closed and closed.name == "sigma~"
+    assert sigma_closure(closed) is closed
+    # the flag belongs to sigma_closure: equal members alone do not set it
+    fresh = SigmaClass(tc, closed.members)
+    assert not fresh.closed
+    with pytest.raises(TypeError):
+        SigmaClass(tc, closed.members, "c", True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sets(st.sampled_from(["ix", "iy", "p", "q"])))
+def test_sigma_closure_worklist_is_idempotent(members):
+    # re-close the members of a closed class through the worklist itself,
+    # not through the fast return
+    tc = walking_iso_hom_twocat()
+    closed = sigma_closure(SigmaClass(tc, frozenset(members)))
+    assert sigma_closure(SigmaClass(tc, closed.members)).members == closed.members
 
 
 def test_sub_twocat_requires_closure():
