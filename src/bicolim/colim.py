@@ -34,7 +34,7 @@ corrupt downstream answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 from .fincat import (
@@ -48,6 +48,7 @@ from .fincat import (
     generating_set,
     identity_nattrans,
     incidence,
+    iso_classes,
     natural_iso_search,
     nattrans_violations,
     same_category,
@@ -261,9 +262,18 @@ class ColimitCat:
     transitions: dict[str, NatTrans]
     mode: str = "bifiltered"
     core_index: TwoCat | None = None
+    _iso_label: dict[str, str] | None = field(default=None, repr=False)
 
     def object(self, i: str, a: str) -> str:
         return self.obj_name[(i, a)]
+
+    @property
+    def iso_label(self) -> dict[str, str]:
+        """Each object of the result mapped to the least object isomorphic to
+        it: two objects are isomorphic exactly when their labels are equal."""
+        if self._iso_label is None:
+            self._iso_label = iso_classes(self.result)
+        return self._iso_label
 
     def fiber_premorphism(self, i: str, f: str) -> Premorphism:
         """The canonical span of a morphism living inside one fiber."""

@@ -84,14 +84,14 @@ def lift_one_cell(probe: FinCat, colim: ColimitCat, fun: Functor) -> OneCellLift
     the first lift found is the same as over all functors.
     """
     pf = colim.diagram
-    res = colim.result
+    label = colim.iso_label
     for i in sorted(pf.source.cells0):
         q = colim.cocone[i]
         candidates = {
             k: [
                 b
                 for b in pf.on0[i].objects
-                if any(res.is_iso(m) for m in res.hom(fun.obj_map[k], q.obj_map[b]))
+                if label[q.obj_map[b]] == label[fun.obj_map[k]]
             ]
             for k in probe.objects
         }

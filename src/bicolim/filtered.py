@@ -45,11 +45,14 @@ def _parallel_two_cell_pairs(tc: TwoCat) -> Iterator[tuple[str, str]]:
 
 
 def _find_span(tc: TwoCat, i: str, i2: str, allowed: frozenset[str] | None) -> tuple[str, str, str] | None:
-    for j in sorted(tc.cells0):
-        for s in tc.cells1(i, j):
+    reach2 = tc.out_of[i2]
+    for j, cells in tc.out_of[i].items():
+        if j not in reach2:
+            continue
+        for s in cells:
             if allowed is not None and s not in allowed:
                 continue
-            for s2 in tc.cells1(i2, j):
+            for s2 in reach2[j]:
                 if allowed is not None and s2 not in allowed:
                     continue
                 return j, s, s2
@@ -60,13 +63,13 @@ def _find_insertion(
     tc: TwoCat, d: str, s: str, allowed: frozenset[str] | None, invertible: bool
 ) -> tuple[str, str] | None:
     """A 1-cell t (restricted to ``allowed``) and a 2-cell t∘d ⇒ t∘s."""
-    j = tc.one_home[d][1]
-    for k in sorted(tc.cells0):
-        for t in tc.cells1(j, k):
+    i, j = tc.one_home[d]
+    for k, cells in tc.out_of[j].items():
+        for t in cells:
             if allowed is not None and t not in allowed:
                 continue
             td, ts = tc.hcomp1[(t, d)], tc.hcomp1[(t, s)]
-            cat = tc.hom[(tc.one_home[d][0], k)]
+            cat = tc.hom[(i, k)]
             for cell in cat.hom(td, ts):
                 if invertible and not cat.is_iso(cell):
                     continue
@@ -77,10 +80,9 @@ def _find_insertion(
 def _find_equifier(
     tc: TwoCat, a: str, a2: str, allowed: frozenset[str] | None
 ) -> str | None:
-    d = tc.dom2(a)
-    j = tc.one_home[d][1]
-    for k in sorted(tc.cells0):
-        for f in tc.cells1(j, k):
+    j = tc.one_home[tc.dom2(a)][1]
+    for cells in tc.out_of[j].values():
+        for f in cells:
             if allowed is not None and f not in allowed:
                 continue
             if tc.whisker_l(f, a) == tc.whisker_l(f, a2):
@@ -276,10 +278,23 @@ def check_sigma_cofinal(fn: TwoFunctor, sigma: SigmaClass, sigma_target: SigmaCl
     t_cls = sigma_closure(sigma_target).members
     witnesses: list[dict[str, Any]] = []
 
+    over: dict[str, list[str]] = {}  # source 0-cells by image, in source order
+    for i in sorted(src.cells0):
+        over.setdefault(fn.on0[i], []).append(i)
+    # for each target 0-cell j, the source 0-cells i with a 1-cell j -> F(i),
+    # in source order, each with the hom category tgt(j, F(i))
+    reach = {
+        j: sorted(
+            ((i, tgt.hom[(j, k)]) for k in tgt.out_of[j] for i in over.get(k, ())),
+            key=lambda stage: stage[0],
+        )
+        for j in tgt.cells0
+    }
+
     for j in sorted(tgt.cells0):
         found = None
-        for i in sorted(src.cells0):
-            for s in tgt.cells1(j, fn.on0[i]):
+        for i, cat in reach[j]:
+            for s in cat.objects:
                 if s in t_cls:
                     found = {"condition": "target-arrow", "object": j, "via": s, "stage": i}
                     break
@@ -292,8 +307,8 @@ def check_sigma_cofinal(fn: TwoFunctor, sigma: SigmaClass, sigma_target: SigmaCl
         witnesses.append(found)
 
     def insertion(j: str, i: str, d: str, t: str, invertible: bool) -> dict | None:
-        for i2 in sorted(src.cells0):
-            for s in src.cells1(i, i2):
+        for i2, cells in src.out_of[i].items():
+            for s in cells:
                 if s not in s_cls:
                     continue
                 fs = fn.on1[s]
@@ -306,8 +321,8 @@ def check_sigma_cofinal(fn: TwoFunctor, sigma: SigmaClass, sigma_target: SigmaCl
         return None
 
     for j in sorted(tgt.cells0):
-        for i in sorted(src.cells0):
-            cells = tgt.cells1(j, fn.on0[i])
+        for i, cat in reach[j]:
+            cells = cat.objects
             for t in cells:
                 if t not in t_cls:
                     continue
@@ -339,18 +354,15 @@ def check_sigma_cofinal(fn: TwoFunctor, sigma: SigmaClass, sigma_target: SigmaCl
                     witnesses.append(record)
 
     for j in sorted(tgt.cells0):
-        for i in sorted(src.cells0):
-            cat = tgt.hom.get((j, fn.on0[i]))
-            if cat is None:
-                continue
+        for i, cat in reach[j]:
             for a, a2 in itertools.combinations_with_replacement(cat.morphisms, 2):
                 if cat.dom[a] != cat.dom[a2] or cat.cod[a] != cat.cod[a2]:
                     continue
                 if cat.cod[a] not in t_cls:
                     continue
                 found = None
-                for i2 in sorted(src.cells0):
-                    for s in src.cells1(i, i2):
+                for cells in src.out_of[i].values():
+                    for s in cells:
                         if s not in s_cls:
                             continue
                         fs = fn.on1[s]

@@ -569,7 +569,7 @@ class Skeleton:
     to_rep: dict[str, str]
 
 
-def _iso_classes(cat: FinCat) -> dict[str, str]:
+def iso_classes(cat: FinCat) -> dict[str, str]:
     """Map each object to the least object isomorphic to it."""
     rep = {x: x for x in cat.objects}
 
@@ -590,7 +590,7 @@ def _iso_classes(cat: FinCat) -> dict[str, str]:
 
 def skeleton(cat: FinCat) -> Skeleton:
     """One object per isomorphism class, with the equivalence witnesses."""
-    reps = _iso_classes(cat)
+    reps = iso_classes(cat)
     kept = tuple(sorted(set(reps.values())))
     keptset = set(kept)
     kept_mors = [

@@ -1,9 +1,14 @@
 """Finite strict 2-categories, classes of 1-cells, and Cat-valued pseudofunctors.
 
-A :class:`TwoCat` keeps one FinCat per ordered pair of 0-cells (objects of the
-hom category are the 1-cells, morphisms the 2-cells) plus total horizontal
-composition tables on both levels.  1-cell and 2-cell names are required to be
-globally unique, which keeps every lookup flat.
+A :class:`TwoCat` keeps one FinCat per ordered pair of 0-cells that has a
+1-cell between them (objects of the hom category are the 1-cells, morphisms
+the 2-cells) plus total horizontal composition tables on both levels.  An
+absent pair still answers ``tc.hom[(i, j)]`` with an empty category, made
+once and never stored, so ``tc.hom`` iterates over the nonempty homs only.
+``tc.out_of[i]`` indexes the 1-cells out of each 0-cell by target, in target
+order; witness searches walk it and visit only reachable 0-cells.  1-cell
+and 2-cell names are required to be globally unique, which keeps every
+lookup flat.
 
 Validation runs once, at the trust boundary: fixture load and
 ``build_fincat``, ``build_twocat``, ``build_functor`` and
@@ -21,6 +26,10 @@ construction:
   1-cells, checked to hold the units and to be closed under composition,
   keep every composite inside.
 
+``inclusion_twofunctor`` assembles the inclusion of a sub-2-category the
+same way, since the sub-2-category's tables are restrictions of the whole's;
+``build_twofunctor`` checks the 2-functors that fixtures supply.
+
 Pseudo-ness lives entirely in :class:`CatPseudoFunctor`: the underlying
 2-categories are always strict, and functors between bases are strict
 2-functors (:class:`TwoFunctor`).
@@ -29,6 +38,7 @@ Pseudo-ness lives entirely in :class:`CatPseudoFunctor`: the underlying
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 from .fincat import (
@@ -49,6 +59,43 @@ from .fincat import (
     whisker_functor,
     whisker_nattrans,
 )
+
+
+def _empty_cat(name: str) -> FinCat:
+    return FinCat(name, (), {}, {}, {}, {})
+
+
+def _empty_homs_of(name: str) -> Callable[[str, str], FinCat]:
+    """The rule naming an absent hom (i, j) ``{name}[i,j]``."""
+    return lambda i, j: _empty_cat(f"{name}[{i},{j}]")
+
+
+class Homs(dict):
+    """The stored hom categories of a 2-category, keyed by (source, target).
+
+    Looking up an absent pair of known 0-cells returns ``empty(i, j)``, an
+    empty category made on first lookup and kept aside: the same object
+    every time, but never stored, so iteration sees the stored homs only.
+    """
+
+    def __init__(
+        self,
+        homs: Mapping[tuple[str, str], FinCat],
+        cells0: Iterable[str],
+        empty: Callable[[str, str], FinCat],
+    ) -> None:
+        super().__init__(homs)
+        self.cells0 = frozenset(cells0)
+        self.empty = empty
+        self._empties: dict[tuple[str, str], FinCat] = {}
+
+    def __missing__(self, key: tuple[str, str]) -> FinCat:
+        cat = self._empties.get(key)
+        if cat is None:
+            if not self.cells0.issuperset(key):
+                raise KeyError(key)
+            cat = self._empties[key] = self.empty(*key)
+        return cat
 
 
 @dataclass(eq=False)
@@ -89,6 +136,16 @@ class TwoCat:
     def cells1(self, i: str, j: str) -> tuple[str, ...]:
         cat = self.hom.get((i, j))
         return cat.objects if cat is not None else ()
+
+    @cached_property
+    def out_of(self) -> dict[str, dict[str, tuple[str, ...]]]:
+        """For each 0-cell i, the nonempty ``cells1(i, j)`` keyed by j, in j order."""
+        index: dict[str, dict[str, tuple[str, ...]]] = {i: {} for i in self.cells0}
+        for i, j in sorted(self.hom):
+            cells = self.hom[(i, j)].objects
+            if cells:
+                index[i][j] = cells
+        return index
 
     def compose1(self, g: str, f: str) -> str:
         """g∘f for f: i -> j, g: j -> k."""
@@ -147,15 +204,15 @@ def _assemble_twocat(
     hcomp1: Mapping[tuple[str, str], str],
     hcomp2: Mapping[tuple[str, str], str],
     unit: Mapping[str, str],
+    empty: Callable[[str, str], FinCat] | None = None,
 ) -> TwoCat:
-    """A TwoCat on the given tables, unchecked; absent homs are empty."""
+    """A TwoCat on the given tables, unchecked.
+
+    An absent hom (i, j) is ``empty(i, j)``, by default named ``{name}[i,j]``.
+    """
     zero = tuple(sorted(set(cells0)))
-    full_hom = dict(hom)
-    for i in zero:
-        for j in zero:
-            if (i, j) not in full_hom:
-                full_hom[(i, j)] = FinCat(f"{name}[{i},{j}]", (), {}, {}, {}, {})
-    return TwoCat(name, zero, full_hom, dict(hcomp1), dict(hcomp2), dict(unit))
+    homs = Homs(hom, zero, empty or _empty_homs_of(name))
+    return TwoCat(name, zero, homs, dict(hcomp1), dict(hcomp2), dict(unit))
 
 
 def build_twocat(
@@ -344,19 +401,21 @@ def describe_twocat(tc: TwoCat) -> dict:
 
 def locally_discrete(cat: FinCat, name: str | None = None) -> TwoCat:
     """The 2-category with only identity 2-cells over a finite category."""
+    cells_of: dict[tuple[str, str], list[str]] = {}  # nonempty homs, in name order
+    for m in cat.morphisms:
+        cells_of.setdefault((cat.dom[m], cat.cod[m]), []).append(m)
+    pos = {x: n for n, x in enumerate(cat.objects)}
     hom: dict[tuple[str, str], FinCat] = {}
-    for i in cat.objects:
-        for j in cat.objects:
-            cells = cat.hom(i, j)
-            ids = {m: f"v_{m}" for m in cells}
-            hom[(i, j)] = FinCat(
-                f"{cat.name}[{i},{j}]",
-                cells,
-                {v: m for m, v in ids.items()},
-                {v: m for m, v in ids.items()},
-                ids,
-                {(v, v): v for v in ids.values()},
-            )
+    for i, j in sorted(cells_of, key=lambda pair: (pos[pair[0]], pos[pair[1]])):
+        ids = {m: f"v_{m}" for m in cells_of[(i, j)]}
+        hom[(i, j)] = FinCat(
+            f"{cat.name}[{i},{j}]",
+            tuple(ids),
+            {v: m for m, v in ids.items()},
+            {v: m for m, v in ids.items()},
+            ids,
+            {(v, v): v for v in ids.values()},
+        )
     hcomp2 = {
         (f"v_{g}", f"v_{f}"): f"v_{gf}" for (g, f), gf in cat.table.items()
     }
@@ -367,6 +426,7 @@ def locally_discrete(cat: FinCat, name: str | None = None) -> TwoCat:
         cat.table,
         hcomp2,
         cat.identity,
+        _empty_homs_of(cat.name),
     )
 
 
@@ -386,6 +446,7 @@ def op1(tc: TwoCat) -> TwoCat:
         {(g, f): tc.hcomp1[(f, g)] for (f, g) in tc.hcomp1},
         {(b, a): tc.hcomp2[(a, b)] for (a, b) in tc.hcomp2},
         tc.unit,
+        lambda i, j: tc.hom[(j, i)],
     )
 
 
@@ -395,7 +456,7 @@ def full_sub_on_zero_cells(tc: TwoCat, objs: Iterable[str], name: str | None = N
     unknown = [i for i in kept0 if i not in tc.cells0]
     if unknown:
         raise ValidationError(tc.name, [f"unknown 0-cell {i!r}" for i in unknown])
-    hom = {(i, j): tc.hom[(i, j)] for i in kept0 for j in kept0}
+    hom = {(i, j): tc.hom[(i, j)] for i in kept0 for j in kept0 if (i, j) in tc.hom}
     kept1 = {f for cat in hom.values() for f in cat.objects}
     kept2 = {a for cat in hom.values() for a in cat.dom}
     return _assemble_twocat(
@@ -405,6 +466,7 @@ def full_sub_on_zero_cells(tc: TwoCat, objs: Iterable[str], name: str | None = N
         {k: v for k, v in tc.hcomp1.items() if k[0] in kept1 and k[1] in kept1},
         {k: v for k, v in tc.hcomp2.items() if k[0] in kept2 and k[1] in kept2},
         {i: tc.unit[i] for i in kept0},
+        lambda i, j: tc.hom[(i, j)],
     )
 
 
@@ -442,6 +504,8 @@ def full_sub_on_one_cells(tc: TwoCat, keep: Iterable[str], name: str | None = No
     kept2: set[str] = set()
     for (i, j), cat in tc.hom.items():
         objs = tuple(f for f in cat.objects if f in kept)
+        if not objs:
+            continue
         mors = [a for a in cat.morphisms if cat.dom[a] in kept and cat.cod[a] in kept]
         kept2.update(mors)
         morset = set(mors)
@@ -460,6 +524,7 @@ def full_sub_on_one_cells(tc: TwoCat, keep: Iterable[str], name: str | None = No
         {k: v for k, v in tc.hcomp1.items() if k[0] in kept and k[1] in kept},
         {k: v for k, v in tc.hcomp2.items() if k[0] in kept2 and k[1] in kept2},
         tc.unit,
+        lambda i, j: _empty_cat(f"{tc.hom[(i, j)].name}|"),
     )
 
 
@@ -491,18 +556,26 @@ def all_one_cells(tc: TwoCat, name: str = "all") -> SigmaClass:
 def sigma_closure(s: SigmaClass) -> SigmaClass:
     """Least fixed point of: composition, identities, invertible-2-cell mates.
 
-    A worklist: each 1-cell that joins is composed on both sides with the
-    members that meet it, and tested against its parallel 1-cells for mates.
     A class that this function returned is closed already and comes back as
-    it is.
+    it is; a class of every 1-cell is closed too and skips the worklist.
     """
     if s.closed:
         return s
-    tc = s.owner
+    members = s.members
+    if len(members) < len(s.owner.one_home):
+        members = _closure_worklist(s.owner, members)
+    out = SigmaClass(s.owner, members, f"{s.name}~")
+    out.closed = True
+    return out
+
+
+def _closure_worklist(tc: TwoCat, members: Iterable[str]) -> frozenset[str]:
+    """Each 1-cell that joins is composed on both sides with the members that
+    meet it, and tested against its parallel 1-cells for mates."""
     closure: set[str] = set()
     out_of: dict[str, list[str]] = {i: [] for i in tc.cells0}  # members by source
     into: dict[str, list[str]] = {i: [] for i in tc.cells0}  # members by target
-    work = list(s.members) + [tc.unit[i] for i in tc.cells0]
+    work = list(members) + [tc.unit[i] for i in tc.cells0]
     while work:
         f = work.pop()
         if f in closure:
@@ -519,9 +592,7 @@ def sigma_closure(s: SigmaClass) -> SigmaClass:
             if d not in closure
             and (tc.invertible_between(d, f) or tc.invertible_between(f, d))
         )
-    out = SigmaClass(tc, frozenset(closure), f"{s.name}~")
-    out.closed = True
-    return out
+    return frozenset(closure)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +672,12 @@ def build_twofunctor(
 
 
 def inclusion_twofunctor(sub: TwoCat, whole: TwoCat, name: str | None = None) -> TwoFunctor:
-    return build_twofunctor(
+    """The identity on the cells of a sub-2-category of ``whole``.
+
+    Assembled without a replay: ``sub``'s tables are restrictions of
+    ``whole``'s, so mapping every cell to itself preserves them all.
+    """
+    return TwoFunctor(
         name or f"incl({sub.name})",
         sub,
         whole,

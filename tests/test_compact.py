@@ -328,3 +328,25 @@ def test_size_guard_parity_across_the_threshold():
     messages = [msg for tripped, msg in seen if tripped == "size guard"]
     assert any("object-map count" in m and f",{result.name}]" in m for m in messages)
     assert any("transformations" in m and f",{result.name}]" in m for m in messages)
+
+
+def assert_iso_labels_match_scan(res, label):
+    for x in res.objects:
+        for y in res.objects:
+            iso = any(res.is_iso(m) for m in res.hom(x, y))
+            assert (label[x] == label[y]) == iso, (x, y)
+
+
+def test_iso_labels_match_isomorphism_scan():
+    _, diagrams = bundled_probes_and_bifiltered_diagrams()
+    for fx in diagrams:
+        colim = bifiltered_bicolimit(fx.functor)
+        assert colim.iso_label is colim.iso_label  # computed once per colimit
+        assert_iso_labels_match_scan(colim.result, colim.iso_label)
+
+
+@settings(max_examples=20, deadline=None)
+@given(constant_diagrams_over_posets_with_top())
+def test_iso_labels_match_isomorphism_scan_on_constant_diagrams(pf):
+    colim = bifiltered_bicolimit(pf)
+    assert_iso_labels_match_scan(colim.result, colim.iso_label)

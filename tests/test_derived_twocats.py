@@ -78,7 +78,7 @@ def validated_op1(tc: TwoCat) -> TwoCat:
     return build_twocat(
         f"{tc.name}^op",
         tc.cells0,
-        {(i, j): tc.hom[(j, i)] for (j, i) in tc.hom},
+        {(i, j): tc.hom[(j, i)] for (j, i) in dense_homs(tc)},
         {(g, f): tc.hcomp1[(f, g)] for (f, g) in tc.hcomp1},
         {(b, a): tc.hcomp2[(a, b)] for (a, b) in tc.hcomp2},
         dict(tc.unit),
@@ -100,6 +100,13 @@ def validated_full_sub_on_zero_cells(tc: TwoCat, objs, name: str | None = None) 
     )
 
 
+def dense_homs(tc: TwoCat) -> dict[tuple[str, str], FinCat]:
+    """Every hom of ``tc`` as the builders once stored them: the stored homs,
+    then each absent pair in 0-cell order."""
+    absent = [key for key in itertools.product(tc.cells0, repeat=2) if key not in tc.hom]
+    return {**tc.hom, **{key: tc.hom[key] for key in absent}}
+
+
 def all_pairs_closed(tc: TwoCat, kept: set[str]) -> bool:
     """Units kept and every composable pair in ``kept × kept`` composes
     inside ``kept``."""
@@ -118,7 +125,7 @@ def validated_full_sub_on_one_cells(tc: TwoCat, keep, name: str | None = None) -
         raise ValidationError(tc.name, ["1-cell class misses a unit or is not closed"])
     hom: dict[tuple[str, str], FinCat] = {}
     kept2: set[str] = set()
-    for (i, j), cat in tc.hom.items():
+    for (i, j), cat in dense_homs(tc).items():
         objs = [f for f in cat.objects if f in kept]
         objset = set(objs)
         mors = [a for a in cat.morphisms if cat.dom[a] in objset and cat.cod[a] in objset]
@@ -153,9 +160,11 @@ def assert_same_twocat(got: TwoCat, want: TwoCat) -> None:
     assert got.name == want.name
     for field in ("cells0", "unit", "hcomp1", "hcomp2", "one_home", "two_home"):
         assert entries(getattr(got, field)) == entries(getattr(want, field)), field
-    assert list(got.hom) == list(want.hom)
-    for key, cat in got.hom.items():
-        other = want.hom[key]
+    # the stored homs are the nonempty ones, in order; every pair of 0-cells
+    # answers with a hom of the same name and tables, absent pairs included
+    assert list(got.hom) == [key for key, cat in want.hom.items() if cat.objects]
+    for key in itertools.product(got.cells0, repeat=2):
+        cat, other = got.hom[key], want.hom[key]
         assert cat.name == other.name, key
         for field in ("objects", "dom", "cod", "identity", "table"):
             assert entries(getattr(cat, field)) == entries(getattr(other, field)), (key, field)
