@@ -49,7 +49,6 @@ from .fincat import (
     identity_nattrans,
     incidence,
     iso_classes,
-    natural_iso_search,
     nattrans_violations,
     same_category,
     sole_morphisms,
@@ -58,6 +57,8 @@ from .fincat import (
     whisker_nattrans,
 )
 from .filtered import (
+    _find_insertion,
+    _find_span,
     check_bifiltered,
     check_sigma_filtered,
     triangle_completion,
@@ -456,29 +457,19 @@ class _Amalgamator:
 
     def span(self, j: str, k: str) -> tuple[str, str, str]:
         if (j, k) not in self._spans:
-            base = self.base
-            for m in sorted(base.cells0):
-                for u in base.cells1(j, m):
-                    for u2 in base.cells1(k, m):
-                        self._spans[(j, k)] = (m, u, u2)
-                        return self._spans[(j, k)]
-            raise AmalgamationError(f"no span over stages ({j!r}, {k!r})")
+            span = _find_span(self.base, j, k, None)
+            if span is None:
+                raise AmalgamationError(f"no span over stages ({j!r}, {k!r})")
+            self._spans[(j, k)] = span
         return self._spans[(j, k)]
 
     def insertion(self, d1: str, d2: str) -> tuple[str, str]:
         """w and invertible cell w∘d1 ⇒ w∘d2 for a parallel pair."""
         if (d1, d2) not in self._insertions:
-            base = self.base
-            m = base.one_home[d1][1]
-            for n in sorted(base.cells0):
-                for w in base.cells1(m, n):
-                    wd1, wd2 = base.hcomp1[(w, d1)], base.hcomp1[(w, d2)]
-                    cat = base.hom[(base.one_home[d1][0], n)]
-                    for cell in cat.hom(wd1, wd2):
-                        if cat.is_iso(cell):
-                            self._insertions[(d1, d2)] = (w, cell)
-                            return self._insertions[(d1, d2)]
-            raise AmalgamationError(f"no invertible insertion for ({d1!r}, {d2!r})")
+            hit = _find_insertion(self.base, d1, d2, None, invertible=True)
+            if hit is None:
+                raise AmalgamationError(f"no invertible insertion for ({d1!r}, {d2!r})")
+            self._insertions[(d1, d2)] = hit
         return self._insertions[(d1, d2)]
 
     def compose(self, q: Premorphism, p: Premorphism, witness: int = 0) -> Premorphism:
@@ -543,12 +534,13 @@ class _Amalgamator:
         return plan
 
     def _all_spans(self, j: str, k: str) -> list[tuple[str, str, str]]:
-        base = self.base
+        reach = self.base.out_of[k]
         return [
             (m, u, u2)
-            for m in sorted(base.cells0)
-            for u in base.cells1(j, m)
-            for u2 in base.cells1(k, m)
+            for m, cells in self.base.out_of[j].items()
+            if m in reach
+            for u in cells
+            for u2 in reach[m]
         ]
 
 
@@ -856,9 +848,3 @@ def factor_cocone(
         for i in colim.index.cells0
     }
     return Factorization(fun, comparisons)
-
-
-def compare_factorizations(f: Functor, g: Functor) -> NatTrans | None:
-    """Invertible comparison between two mediating functors, if one exists."""
-    return natural_iso_search(f, g)
-

@@ -39,6 +39,7 @@ from .fincat import (
     functor_category,
     functor_is_equivalence,
     guard_object_maps,
+    identity_nattrans,
     natural_iso_search,
     skeleton,
     transformations_exceeded,
@@ -125,6 +126,45 @@ def _pasting_components(
     }
 
 
+def _wanted_pasting(
+    colim: ColimitCat, lift1: OneCellLift, lift2: OneCellLift, phi: NatTrans
+) -> dict[str, str]:
+    """Component at each probe object of lift2.comparison ∘ φ ∘ lift1.comparison⁻¹,
+    the pasting that a stage 2-cell between the two lifts must recover."""
+    res = colim.result
+    want = {}
+    for k, c in lift1.comparison.components.items():
+        moved = res.table[(phi.components[k], res.must_inverse(c))]
+        want[k] = res.table[(lift2.comparison.components[k], moved)]
+    return want
+
+
+def _find_stage_cell(
+    colim: ColimitCat,
+    lift1: OneCellLift,
+    lift2: OneCellLift,
+    want: dict[str, str],
+    invertible: bool,
+) -> tuple[str, str, str, NatTrans] | None:
+    """The first stage j, span d, d2 out of the two stages and 2-cell
+    F(d)∘b1 ⇒ F(d2)∘b2, invertible if asked, whose pasting is ``want``;
+    searched in stage order."""
+    pf = colim.diagram
+    reach = pf.source.out_of[lift2.stage]
+    for j, cells in pf.source.out_of[lift1.stage].items():
+        for d in cells:
+            fd_b1 = compose_functors(pf.on1[d], lift1.functor)
+            for d2 in reach.get(j, ()):
+                fd2_b2 = compose_functors(pf.on1[d2], lift2.functor)
+                for comps in enumerate_nattrans(fd_b1, fd2_b2):
+                    cell = NatTrans(f"paste@{j}", fd_b1, fd2_b2, comps)
+                    if invertible and not cell.is_invertible():
+                        continue
+                    if _pasting_components(colim, lift1, lift2, d, d2, cell) == want:
+                        return j, d, d2, cell
+    return None
+
+
 def refine_lifts(
     probe: FinCat, colim: ColimitCat, lift1: OneCellLift, lift2: OneCellLift
 ) -> Refinement:
@@ -133,27 +173,11 @@ def refine_lifts(
     Searches spans out of the two stages and invertible stage 2-cells whose
     pasting with the colimit transitions recovers the comparison mismatch.
     """
-    pf = colim.diagram
-    base = pf.source
-    res = colim.result
-    want = {}
-    for k in probe.objects:
-        b1k = lift1.comparison.components[k]
-        back = res.must_inverse(b1k)
-        want[k] = res.table[(lift2.comparison.components[k], back)]
-    for j in sorted(base.cells0):
-        for d in base.cells1(lift1.stage, j):
-            fd_b1 = compose_functors(pf.on1[d], lift1.functor)
-            for d2 in base.cells1(lift2.stage, j):
-                fd2_b2 = compose_functors(pf.on1[d2], lift2.functor)
-                for comps in enumerate_nattrans(fd_b1, fd2_b2):
-                    gamma = NatTrans("gamma", fd_b1, fd2_b2, comps)
-                    if not gamma.is_invertible():
-                        continue
-                    pasted = _pasting_components(colim, lift1, lift2, d, d2, gamma)
-                    if pasted == want:
-                        return Refinement(j, d, d2, gamma)
-    raise ValidationError("refine", ["no common refinement found; diagram inconsistent"])
+    want = _wanted_pasting(colim, lift1, lift2, identity_nattrans(lift1.comparison.source))
+    found = _find_stage_cell(colim, lift1, lift2, want, invertible=True)
+    if found is None:
+        raise ValidationError("refine", ["no common refinement found; diagram inconsistent"])
+    return Refinement(*found)
 
 
 def lift_two_cell(
@@ -164,29 +188,16 @@ def lift_two_cell(
 ) -> TwoCellLift:
     """Lift a 2-cell between colimit-valued functors to a stage 2-cell whose
     pasting with the transition isomorphisms recovers it exactly."""
-    res = colim.result
     if lifts is None:
         lift1 = lift_one_cell(probe, colim, phi.source)
         lift2 = lift_one_cell(probe, colim, phi.target)
     else:
         lift1, lift2 = lifts
-    want = {}
-    for k in probe.objects:
-        back = res.must_inverse(lift1.comparison.components[k])
-        moved = res.table[(phi.components[k], back)]
-        want[k] = res.table[(lift2.comparison.components[k], moved)]
-    pf = colim.diagram
-    base = pf.source
-    for j in sorted(base.cells0):
-        for d in base.cells1(lift1.stage, j):
-            fd_b1 = compose_functors(pf.on1[d], lift1.functor)
-            for d2 in base.cells1(lift2.stage, j):
-                fd2_b2 = compose_functors(pf.on1[d2], lift2.functor)
-                for comps in enumerate_nattrans(fd_b1, fd2_b2):
-                    psi = NatTrans("psi", fd_b1, fd2_b2, comps)
-                    if _pasting_components(colim, lift1, lift2, d, d2, psi) == want:
-                        return TwoCellLift(lift1, lift2, j, d, d2, psi)
-    raise ValidationError("lift2", ["no 2-cell lift found; diagram inconsistent"])
+    want = _wanted_pasting(colim, lift1, lift2, phi)
+    found = _find_stage_cell(colim, lift1, lift2, want, invertible=False)
+    if found is None:
+        raise ValidationError("lift2", ["no 2-cell lift found; diagram inconsistent"])
+    return TwoCellLift(lift1, lift2, *found)
 
 
 def lift_parallel_pair(
@@ -196,12 +207,7 @@ def lift_parallel_pair(
     lift1 = lift_one_cell(probe, colim, phi.source)
     lift2 = lift_one_cell(probe, colim, phi.target)
     first = lift_two_cell(probe, colim, phi, (lift1, lift2))
-    res = colim.result
-    want = {}
-    for k in probe.objects:
-        back = res.must_inverse(lift1.comparison.components[k])
-        moved = res.table[(psi.components[k], back)]
-        want[k] = res.table[(lift2.comparison.components[k], moved)]
+    want = _wanted_pasting(colim, lift1, lift2, psi)
     pf = colim.diagram
     fd_b1 = compose_functors(pf.on1[first.left], lift1.functor)
     fd2_b2 = compose_functors(pf.on1[first.right], lift2.functor)
@@ -213,16 +219,8 @@ def lift_parallel_pair(
 
 
 def revalidate_two_cell_lift(colim: ColimitCat, phi: NatTrans, lift: TwoCellLift) -> bool:
-    res = colim.result
-    for k in phi.components:
-        back = res.must_inverse(lift.source.comparison.components[k])
-        want = res.table[(lift.target.comparison.components[k], res.table[(phi.components[k], back)])]
-        got = _pasting_components(
-            colim, lift.source, lift.target, lift.left, lift.right, lift.cell
-        )[k]
-        if got != want:
-            return False
-    return True
+    pasted = _pasting_components(colim, lift.source, lift.target, lift.left, lift.right, lift.cell)
+    return pasted == _wanted_pasting(colim, lift.source, lift.target, phi)
 
 
 # ---------------------------------------------------------------------------

@@ -523,13 +523,6 @@ BILIMIT_INSTANCES = {
     ),
 }
 
-# diagrams paired with each base for preservation checks: flat ones only
-FLAT_OVER_BASE = {
-    "poset_bottom": ["repr_poset_bottom_bot", "flat_const_pt"],
-    "poset_top": ["repr_poset_top_a"],
-    "isohom": ["repr_isohom_x"],
-}
-
 PROBES = {"probe_point": zoo.terminal, "probe_arrow": zoo.walking_arrow}
 
 EXPECTED_FLAT = {

@@ -36,21 +36,25 @@ from .twocat import (
 from .verdict import Verdict, negative, positive
 
 
+def _hom_postcomposition(tc: TwoCat, g: str, c: str, name: str) -> Functor:
+    """(g∘-) : hom(c, j) -> hom(c, k) for g : j -> k, acting by whiskering."""
+    j, k = tc.one_home[g]
+    source = tc.hom[(c, j)]
+    return build_functor(
+        name,
+        source,
+        tc.hom[(c, k)],
+        {f: tc.hcomp1[(g, f)] for f in source.objects},
+        {a: tc.whisker_l(g, a) for a in source.dom},
+    )
+
+
 def representable_pseudofunctor(tc: TwoCat, c: str, name: str | None = None) -> CatPseudoFunctor:
     """The hom 2-functor out of a 0-cell, acting by whiskering; strict."""
     if c not in tc.cells0:
         raise ValidationError("representable", [f"unknown 0-cell {c!r}"])
     on0 = {j: tc.hom[(c, j)] for j in tc.cells0}
-    on1: dict[str, Functor] = {}
-    for g in tc.one_cells:
-        j, k = tc.one_home[g]
-        on1[g] = build_functor(
-            f"({g}o-)",
-            on0[j],
-            on0[k],
-            {f: tc.hcomp1[(g, f)] for f in on0[j].objects},
-            {a: tc.whisker_l(g, a) for a in on0[j].dom},
-        )
+    on1 = {g: _hom_postcomposition(tc, g, c, f"({g}o-)") for g in tc.one_cells}
     on2: dict[str, NatTrans] = {}
     for b in tc.two_cells:
         g, g2 = tc.dom2(b), tc.cod2(b)
@@ -250,15 +254,7 @@ def _postcomposition_functor(
     legs = {}
     cells = {}
     for n in sub.cells0:
-        c, _ = el.obj_of[n]
-        j = base.one_home[s][0]
-        post = build_functor(
-            f"({s}o-)@{n}",
-            base.hom[(c, j)],
-            base.hom[(c, base.one_home[s][1])],
-            {g: base.hcomp1[(s, g)] for g in base.cells1(c, j)},
-            {a: base.whisker_l(s, a) for a in base.hom[(c, j)].dom},
-        )
+        post = _hom_postcomposition(base, s, el.obj_of[n][0], f"({s}o-)@{n}")
         legs[n] = compose_functors(target.cocone[n], post)
     for m in sub.one_home:
         nB, nA = sub.one_home[m]
@@ -306,7 +302,9 @@ def validate_bilimit_instance(tc: TwoCat, instance: BilimitInstance) -> list[str
             prod = biproduct(tc.hom[(j, a)], tc.hom[(j, b)])
             try:
                 probe = prod.pairing(
-                    _postcomp(tc, pr1, j), _postcomp(tc, pr2, j), name=f"probe@{j}"
+                    _hom_postcomposition(tc, pr1, j, f"({pr1}o-)@{j}"),
+                    _hom_postcomposition(tc, pr2, j, f"({pr2}o-)@{j}"),
+                    name=f"probe@{j}",
                 )
             except ValidationError:
                 out.append(f"probe at {j!r} cannot be assembled")
@@ -321,7 +319,10 @@ def validate_bilimit_instance(tc: TwoCat, instance: BilimitInstance) -> list[str
         if not tc.invertible2(xi):
             return ["cone cell is not invertible"]
         for j in tc.cells0:
-            eq = biequalizer(_postcomp(tc, f, j), _postcomp(tc, g, j))
+            eq = biequalizer(
+                _hom_postcomposition(tc, f, j, f"({f}o-)@{j}"),
+                _hom_postcomposition(tc, g, j, f"({g}o-)@{j}"),
+            )
             obj_map = {}
             mor_map = {}
             ok = True
@@ -368,17 +369,6 @@ def _terminal_cat() -> FinCat:
     from .fincat import build_fincat
 
     return build_fincat("unit", ["*"], [("id", "*", "*")], {"*": "id"}, {("id", "id"): "id"})
-
-
-def _postcomp(tc: TwoCat, g: str, j: str) -> Functor:
-    src = tc.one_home[g][0]
-    return build_functor(
-        f"({g}o-)@{j}",
-        tc.hom[(j, src)],
-        tc.hom[(j, tc.one_home[g][1])],
-        {f: tc.hcomp1[(g, f)] for f in tc.cells1(j, src)},
-        {a: tc.whisker_l(g, a) for a in tc.hom[(j, src)].dom},
-    )
 
 
 def check_flat_preserves_bilimits(pf: CatPseudoFunctor, instance: BilimitInstance) -> Verdict:

@@ -1,0 +1,407 @@
+"""The corpus verify suite: the source paper's lemmas replayed over fixtures.
+
+Each task checks one lemma on the instances it owns and records every
+outcome with a replay command.  :meth:`Suite.run` returns the report that
+``bicolim verify`` prints; it embeds the content hash of every fixture and
+nothing run-dependent, and ``seed_order`` permutes the task schedule only.
+
+Instances are read off the fixtures.  Each lemma runs over every fixture of
+the kinds it takes, and a bilimit instance is paired with the diagrams
+indexed by its base whose ``expect`` pins them flat.  Only the lemmas in
+:data:`NAMED_DIAGRAMS` name bundled diagrams; on a corpus that lacks those
+diagrams they record nothing.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import defaultdict
+from functools import cached_property, partial
+from pathlib import Path
+from typing import Any, Callable
+
+from . import zoo
+from .bilim import (
+    biequalizer,
+    biproduct,
+    commute_biequalizer,
+    commute_biproduct,
+    commute_cotensor,
+    split_pseudoidempotent,
+)
+from .colim import bifiltered_bicolimit, premorphism_equal, sigma_bicolimit
+from .compact import check_bicompact_against
+from .filtered import (
+    check_bifiltered,
+    check_sigma_cofinal,
+    check_sigma_filtered,
+    class_subcategory,
+    revalidate_triangle,
+    triangle_completion,
+    trivialization_check,
+)
+from .fincat import (
+    FinCat,
+    SizeGuardError,
+    check_equivalence,
+    compose_functors,
+    identity_functor,
+    nattrans_violations,
+)
+from .fixtures import (
+    DiagramFixture,
+    IdempotentFixture,
+    InstanceFixture,
+    MapFixture,
+    ParallelFixture,
+    ProbeFixture,
+    TwoCatFixture,
+    content_hash,
+    load_fixture,
+)
+from .flat import check_flat, check_flat_preserves_bilimits, decompose_flat
+from .lexkit import verify_lex_bicolimit
+from .twocat import (
+    CatPseudoFunctor,
+    SigmaClass,
+    TwoCat,
+    all_one_cells,
+    precompose_pseudofunctor,
+    restrict_pseudofunctor,
+    sigma_closure,
+)
+
+# lemma -> the bundled diagrams of each instance it checks
+NAMED_DIAGRAMS: dict[str, tuple[tuple[str, ...], ...]] = {
+    "bicompact-closure": (("two_cellular.diagram.json",), ("endo_proj.diagram.json",)),
+    "commutation-biproduct": (
+        ("const_arrow.diagram.json", "par_right.diagram.json"),
+        ("par_left.diagram.json", "par_right.diagram.json"),
+    ),
+    "commutation-cotensor": (
+        ("const_arrow.diagram.json",),
+        ("chain_incl.diagram.json",),
+        ("two_cellular.diagram.json",),
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# Checks: each returns whether the lemma holds on one instance (a bool, or a
+# Verdict from the library), or None for an instance the lemma does not apply
+# to
+
+
+def _coherence(tc: TwoCat) -> bool:
+    lhs = check_bifiltered(tc).outcome
+    return lhs == check_sigma_filtered(tc, all_one_cells(tc)).outcome
+
+
+def _trivialization(tc: TwoCat, sigma: SigmaClass) -> bool:
+    return trivialization_check(tc, sigma).agree
+
+
+def _triangle(tc: TwoCat, sigma: SigmaClass) -> bool | None:
+    closed = sigma_closure(sigma)
+    if not check_sigma_filtered(tc, closed, assume_closed=True):
+        return None
+    ok = True
+    for d in tc.one_cells:
+        w = triangle_completion(tc, closed, d)
+        if not revalidate_triangle(tc, closed, w):
+            ok = False
+    return ok
+
+
+def _trivialization_colimit(fx: DiagramFixture) -> bool:
+    closed = sigma_closure(fx.index.sigma_named(fx.sigma_name))
+    if not check_sigma_filtered(fx.functor.source, closed, assume_closed=True):
+        return False
+    relative = sigma_bicolimit(fx.functor, closed)
+    sub = class_subcategory(fx.functor.source, closed)
+    restricted = bifiltered_bicolimit(restrict_pseudofunctor(fx.functor, sub), precheck=False)
+    return bool(check_equivalence(relative.result, restricted.result))
+
+
+def _coequification(fx: DiagramFixture, sigma_name: str | None) -> bool:
+    pf = fx.functor
+    if sigma_name is None:
+        colim = bifiltered_bicolimit(pf)
+    else:
+        colim = sigma_bicolimit(pf, fx.index.sigma_named(sigma_name))
+    ok = True
+    for i in sorted(pf.source.cells0):
+        fib = pf.on0[i]
+        for f in fib.morphisms:
+            for g in fib.morphisms:
+                if fib.dom[f] != fib.dom[g] or fib.cod[f] != fib.cod[g]:
+                    continue
+                p = colim.fiber_premorphism(i, f)
+                q = colim.fiber_premorphism(i, g)
+                identified = premorphism_equal(colim, p, q)
+                oracle = False
+                for v in sorted(pf.source.one_cells):
+                    if pf.source.one_home[v][0] != i:
+                        continue
+                    if colim.sigma is not None and v not in colim.sigma.members:
+                        continue
+                    if pf.on1[v].mor_map[f] == pf.on1[v].mor_map[g]:
+                        oracle = True
+                        break
+                if identified != oracle:
+                    ok = False
+    return ok
+
+
+def _bicompact(probes: list[FinCat], pf: CatPseudoFunctor) -> bool:
+    return all(check_bicompact_against(p, pf).outcome for p in probes)
+
+
+def _flatness(fx: DiagramFixture) -> bool:
+    verdict = check_flat(fx.functor)
+    ok = "flat" not in fx.expect or verdict.outcome == fx.expect["flat"]
+    if verdict.outcome and not decompose_flat(fx.functor).ok:
+        ok = False
+    return ok
+
+
+def _splitting(fx: IdempotentFixture) -> bool:
+    s = split_pseudoidempotent(fx.value)
+    roundtrip = compose_functors(s.retraction, s.section)
+    return (
+        roundtrip.obj_map == fx.value.endo.obj_map
+        and roundtrip.mor_map == fx.value.endo.mor_map
+        and s.alpha.is_invertible()
+        and s.beta.is_invertible()
+        and not nattrans_violations(s.alpha)
+        and not nattrans_violations(s.beta)
+    )
+
+
+def _lex_closure(fx: DiagramFixture) -> bool:
+    return verify_lex_bicolimit(fx.functor).ok
+
+
+def _cofinality(fx: MapFixture) -> bool:
+    s_src = fx.source.sigma_named(fx.sigma_source)
+    s_tgt = fx.target.sigma_named(fx.sigma_target)
+    verdict = check_sigma_cofinal(fx.functor, s_src, s_tgt)
+    ok = verdict.outcome == fx.expect_cofinal
+    if verdict.outcome:
+        src_filtered = check_sigma_filtered(fx.functor.source, s_src)
+        preserves = all(
+            fx.functor.on1[f] in sigma_closure(s_tgt).members
+            for f in sigma_closure(s_src).members
+        )
+        if src_filtered and preserves:
+            if not check_sigma_filtered(fx.functor.target, s_tgt):
+                ok = False
+        if fx.diagram is not None and src_filtered and preserves:
+            # compare the class-relative colimits on both sides
+            outer = sigma_bicolimit(fx.diagram.functor, sigma_closure(s_tgt))
+            inner = sigma_bicolimit(
+                precompose_pseudofunctor(fx.diagram.functor, fx.functor),
+                sigma_closure(s_src),
+            )
+            if not check_equivalence(outer.result, inner.result):
+                ok = False
+    return ok
+
+
+def _preservation(fx: InstanceFixture, paired: list[DiagramFixture]) -> bool | None:
+    ok = True
+    checked = 0
+    for diagram in paired:
+        pf = diagram.functor
+        if not check_flat(pf):
+            ok = False
+            continue
+        checked += 1
+        if not check_flat_preserves_bilimits(pf, fx.instance):
+            ok = False
+    # a paired diagram that is not flat fails the instance even when none
+    # was left to check
+    return ok if checked or not ok else None
+
+
+# ---------------------------------------------------------------------------
+# The suite
+
+
+class Suite:
+    def __init__(self, corpus: Path):
+        self.corpus = corpus
+        self.cache: dict = {}
+        self.lemmas: dict[str, dict[str, Any]] = {}
+        self.fixtures: dict[str, Any] = {}
+
+    def load_all(self) -> None:
+        for path in sorted(self.corpus.glob("*.json")):
+            self.fixtures[path.name] = load_fixture(path, self.cache)
+
+    def _task(
+        self, lemma: str, instance: str, replay: str, check: Callable[[], Any]
+    ) -> Callable[[], None]:
+        """A task that runs ``check`` and records its outcome under ``lemma``.
+
+        A check that returns None does not apply, and nothing is recorded.
+        An instance the size guard stopped went unchecked, so it is a
+        failure whose replay line carries the guard's message.
+        """
+
+        def run() -> None:
+            try:
+                ok = check()
+            except SizeGuardError as exc:
+                ok, line = False, f"{replay}  # size guard: {exc}"
+            else:
+                line = replay
+            if ok is None:
+                return
+            slot = self.lemmas.setdefault(lemma, {"pass": 0, "fail": 0, "failures": []})
+            if ok:
+                slot["pass"] += 1
+            else:
+                slot["fail"] += 1
+                slot["failures"].append({"instance": instance, "replay": line})
+
+        return run
+
+    def _task_bicompact(
+        self, pname: str, probe: FinCat, dname: str, fx: DiagramFixture
+    ) -> Callable[[], None]:
+        return self._task(
+            "bicompact",
+            f"{pname}:{dname}",
+            f"bicolim compact check {pname} {dname}",
+            partial(_bicompact, [probe], fx.functor),
+        )
+
+    def _named_task(
+        self,
+        lemma: str,
+        diagrams: dict[str, DiagramFixture],
+        replay: str,
+        check: Callable[..., Any],
+    ) -> Callable[[], None]:
+        """A task over the instances of ``lemma`` in :data:`NAMED_DIAGRAMS`
+        whose diagrams are all in ``diagrams``; ``check`` takes their functors."""
+
+        def run() -> None:
+            for names in NAMED_DIAGRAMS[lemma]:
+                if all(n in diagrams for n in names):
+                    functors = [diagrams[n].functor for n in names]
+                    instance = "x".join(names)
+                    self._task(lemma, instance, f"{replay} {names[0]}", partial(check, *functors))()
+
+        return run
+
+    @cached_property
+    def _derived_probes(self) -> list[FinCat]:
+        """Probes made by finite bilimits: point × arrow, and the
+        biequalizer of the identity on the arrow with itself."""
+        product = biproduct(zoo.terminal(), zoo.walking_arrow()).category
+        arrow = zoo.walking_arrow()
+        return [product, biequalizer(identity_functor(arrow), identity_functor(arrow)).category]
+
+    def tasks(self) -> list[tuple[str, Callable[[], None]]]:
+        kinds: dict[type, dict[str, Any]] = defaultdict(dict)
+        for name, fx in sorted(self.fixtures.items()):
+            kinds[type(fx)][name] = fx
+        diagrams: dict[str, DiagramFixture] = kinds[DiagramFixture]
+        sigma_diagrams = {n: fx for n, fx in diagrams.items() if fx.sigma_name}
+        out: list[tuple[str, Callable[[], None]]] = []
+
+        def add(task: str, lemma: str, instance: str, replay: str, check, *args) -> None:
+            out.append((task, self._task(lemma, instance, replay, partial(check, *args))))
+
+        for name, fx in kinds[TwoCatFixture].items():
+            tc = fx.twocat
+            add(f"coherence:{name}", "checker-coherence", name, f"bicolim check bifiltered {name}",
+                _coherence, tc)
+            for cname, sigma in [("all", all_one_cells(tc)), *sorted(fx.sigma.items())]:
+                instance = f"{name}:{cname}"
+                replay = f"bicolim check sigma-filtered {name} --sigma {cname}"
+                add(f"trivialization:{instance}", "trivialization", instance, replay,
+                    _trivialization, tc, sigma)
+                add(f"triangle:{instance}", "triangle", instance, replay, _triangle, tc, sigma)
+
+        bifiltered = {n: fx for n, fx in diagrams.items() if check_bifiltered(fx.index.twocat)}
+        for name, fx in sigma_diagrams.items():
+            add(f"sigma-colimit:{name}", "trivialization-colimit", name,
+                f"bicolim colimit {name} --sigma {fx.sigma_name}", _trivialization_colimit, fx)
+        for name, fx in bifiltered.items():
+            add(f"coequification:{name}", "coequification", f"{name}:bifiltered",
+                f"bicolim colimit {name}", _coequification, fx, None)
+        for name, fx in sigma_diagrams.items():
+            add(f"coequification-sigma:{name}", "coequification", f"{name}:{fx.sigma_name}",
+                f"bicolim colimit {name} --sigma {fx.sigma_name}",
+                _coequification, fx, fx.sigma_name)
+
+        for pname, probe in kinds[ProbeFixture].items():
+            for dname, fx in bifiltered.items():
+                out.append((f"bicompact:{pname}:{dname}",
+                            self._task_bicompact(pname, probe.category, dname, fx)))
+        out.append(("bicompact-closure:derived", self._named_task(
+            "bicompact-closure", bifiltered, "bicolim compact check <derived>",
+            lambda pf: _bicompact(self._derived_probes, pf),
+        )))
+
+        for name, fx in diagrams.items():
+            add(f"flat:{name}", "flatness", name, f"bicolim flat check {name}", _flatness, fx)
+
+        out.append(("commutation:biproduct", self._named_task(
+            "commutation-biproduct", diagrams, "bicolim colimit", commute_biproduct)))
+        out.append(("commutation:cotensor", self._named_task(
+            "commutation-cotensor", bifiltered, "bicolim colimit", commute_cotensor)))
+        for name, fx in kinds[ParallelFixture].items():
+            add(f"commutation:biequalizer:{name}", "commutation-biequalizer", name,
+                f"bicolim colimit {name}", commute_biequalizer,
+                fx.left.functor, fx.right.functor, fx.u, fx.v)
+
+        for name, fx in kinds[IdempotentFixture].items():
+            add(f"splitting:{name}", "splitting", name, f"bicolim bilim split {name}",
+                _splitting, fx)
+
+        for name, fx in diagrams.items():
+            if fx.expect.get("lex"):
+                add(f"lex-closure:{name}", "lex-closure", name,
+                    f"bicolim lex verify-colimit {name}", _lex_closure, fx)
+
+        for name, fx in kinds[MapFixture].items():
+            add(f"cofinality:{name}", "cofinality", name, f"bicolim check cofinal {name}",
+                _cofinality, fx)
+
+        for name, fx in kinds[InstanceFixture].items():
+            # one fixture cache, so every file that names the base holds one object
+            paired = [d for d in diagrams.values() if d.index is fx.base and d.expect.get("flat")]
+            add(f"preservation:{name}", "flat-preserves-bilimits", name,
+                f"bicolim flat check {name}", _preservation, fx, paired)
+        return out
+
+    # -- driving -------------------------------------------------------------
+
+    def run(self, seed_order: int = 0) -> dict[str, Any]:
+        self.load_all()
+        tasks = self.tasks()
+        if seed_order:
+            rng = random.Random(seed_order)
+            rng.shuffle(tasks)
+        for _, task in tasks:
+            task()
+        report = {
+            "corpus": {
+                name: content_hash(self.corpus / name) for name in sorted(self.fixtures)
+            },
+            "lemmas": {
+                name: {
+                    "pass": slot["pass"],
+                    "fail": slot["fail"],
+                    "failures": sorted(slot["failures"], key=lambda r: r["instance"]),
+                }
+                for name, slot in sorted(self.lemmas.items())
+            },
+        }
+        report["ok"] = all(slot["fail"] == 0 for slot in self.lemmas.values())
+        report["fixture_count"] = len(self.fixtures)
+        return report

@@ -20,7 +20,7 @@ from bicolim.bilim import (
     commute_cotensor,
     split_pseudoidempotent,
 )
-from bicolim.cli import default_corpus, verify_suite
+from bicolim.cli import default_corpus
 from bicolim.colim import bifiltered_bicolimit, premorphism_equal, sigma_bicolimit
 from bicolim.compact import check_bicompact_against
 from bicolim.filtered import (
@@ -55,6 +55,7 @@ from bicolim.twocat import (
     restrict_pseudofunctor,
     sigma_closure,
 )
+from bicolim.verify import Suite
 
 CORPUS = default_corpus()
 
@@ -327,9 +328,9 @@ def test_criterion_10_cofinality_transfer(corpus):
 
 
 def test_criterion_11_determinism():
-    first = json.dumps(verify_suite(CORPUS, seed_order=0), sort_keys=True)
-    second = json.dumps(verify_suite(CORPUS, seed_order=0), sort_keys=True)
-    shuffled = json.dumps(verify_suite(CORPUS, seed_order=13), sort_keys=True)
+    first = json.dumps(Suite(CORPUS).run(seed_order=0), sort_keys=True)
+    second = json.dumps(Suite(CORPUS).run(seed_order=0), sort_keys=True)
+    shuffled = json.dumps(Suite(CORPUS).run(seed_order=13), sort_keys=True)
     announce(
         "11 determinism",
         first == second == shuffled,

@@ -5,9 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bicolim import cli
-from bicolim.cli import default_corpus, main, verify_suite
+from bicolim import cli, verify
+from bicolim.cli import default_corpus, main
 from bicolim.verdict import negative
+from bicolim.verify import Suite
 
 CORPUS = default_corpus()
 
@@ -205,7 +206,7 @@ def test_verify_rejects_non_associative_injection(tmp_path, capsys):
 
 
 def test_verify_suite_report_shape():
-    report = verify_suite(CORPUS)
+    report = Suite(CORPUS).run()
     assert report["ok"] is True
     assert report["fixture_count"] >= 12
     for name, slot in report["lemmas"].items():
@@ -215,8 +216,8 @@ def test_verify_suite_report_shape():
 
 
 def test_verify_determinism_across_seed_orders():
-    first = json.dumps(verify_suite(CORPUS, seed_order=0), sort_keys=True)
-    second = json.dumps(verify_suite(CORPUS, seed_order=7), sort_keys=True)
+    first = json.dumps(Suite(CORPUS).run(seed_order=0), sort_keys=True)
+    second = json.dumps(Suite(CORPUS).run(seed_order=7), sort_keys=True)
     assert first == second
 
 
@@ -259,7 +260,7 @@ def test_verify_machine_report_matches_golden(capsys):
 def test_verify_records_non_flat_pairing_as_failure(monkeypatch, capsys):
     # every paired diagram non-flat: nothing is left to check, and each
     # instance must still reach the report as a failure
-    monkeypatch.setattr(cli, "check_flat", lambda pf: negative("flat", {"reason": "forced"}))
+    monkeypatch.setattr(verify, "check_flat", lambda pf: negative("flat", {"reason": "forced"}))
     code, out, _ = run_cli("verify", str(BUNDLED), "--format", "machine", capsys=capsys)
     assert code == 1
     slot = json.loads(out)["lemmas"]["flat-preserves-bilimits"]
@@ -275,7 +276,7 @@ def test_verify_records_size_guard_trip_as_failure(monkeypatch, capsys):
     def trip(probe, pf):
         raise SizeGuardError("functor category bound exceeded (forced)")
 
-    monkeypatch.setattr(cli, "check_bicompact_against", trip)
+    monkeypatch.setattr(verify, "check_bicompact_against", trip)
     code, out, _ = run_cli("verify", str(BUNDLED), "--format", "machine", capsys=capsys)
     assert code == 1
     report = json.loads(out)
@@ -288,3 +289,21 @@ def test_verify_records_size_guard_trip_as_failure(monkeypatch, capsys):
     for failure in slot["failures"] + closure["failures"]:
         assert failure["replay"].startswith("bicolim compact check ")
         assert failure["replay"].endswith("# size guard: functor category bound exceeded (forced)")
+
+
+def test_verify_pairs_instances_with_the_flat_diagrams_over_their_base(tmp_path, capsys):
+    # a diagram over poset_bottom whose expect claims flatness is paired with
+    # both poset_bottom instances; it is not flat, so it fails both
+    for path in BUNDLED.glob("*.json"):
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    doc = json.loads((BUNDLED / "nonflat_empty.diagram.json").read_text())
+    doc["expect"] = {"flat": True}
+    (tmp_path / "claimed_flat.diagram.json").write_text(json.dumps(doc))
+    code, out, _ = run_cli("verify", str(tmp_path), "--format", "machine", capsys=capsys)
+    assert code == 1
+    slot = json.loads(out)["lemmas"]["flat-preserves-bilimits"]
+    assert (slot["pass"], slot["fail"]) == (2, 2)
+    assert [f["instance"] for f in slot["failures"]] == [
+        "inst_biequalizer_bot.instance.json",
+        "inst_biproduct_bot.instance.json",
+    ]

@@ -10,7 +10,6 @@ from bicolim.colim import (
     Premorphism,
     _Amalgamator,
     bifiltered_bicolimit,
-    compare_factorizations,
     elements_category,
     factor_cocone,
     premorphism_equal,
@@ -22,6 +21,7 @@ from bicolim.fincat import (
     check_equivalence,
     compose_functors,
     identity_functor,
+    natural_iso_search,
 )
 from bicolim.twocat import (
     constant_pseudofunctor,
@@ -278,7 +278,7 @@ def test_general_premorphism_with_nonclass_right_leg():
 def test_factor_sigma_cocone_through_own_colimit():
     col = sigma_colim_of("lax_fill", "lax")
     fac = factor_cocone(col, col.result, col.cocone, col.transitions)
-    comparison = compare_factorizations(fac.functor, identity_functor(col.result))
+    comparison = natural_iso_search(fac.functor, identity_functor(col.result))
     assert comparison is not None
 
 
@@ -289,7 +289,7 @@ def test_factor_through_own_cocone_is_identity_like():
     col = colim_of("const_arrow")
     fac = factor_cocone(col, col.result, col.cocone, col.transitions)
     ident = identity_functor(col.result)
-    comparison = compare_factorizations(fac.functor, ident)
+    comparison = natural_iso_search(fac.functor, ident)
     assert comparison is not None
 
 
@@ -322,7 +322,7 @@ def test_factorization_through_postcomposition_is_the_postcomposition():
     legs = {i: compose_functors(h, col.cocone[i]) for i in col.index.cells0}
     cells = col.transitions
     fac = factor_cocone(col, target, legs, cells)
-    comparison = compare_factorizations(fac.functor, h)
+    comparison = natural_iso_search(fac.functor, h)
     assert comparison is not None
 
 
