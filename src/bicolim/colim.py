@@ -3,8 +3,11 @@
 The colimit of a Cat-valued diagram over a 2-dimensionally filtered index is
 computed as a quotient of span-shaped representatives ("premorphisms"): an
 apex stage, two legs into it, and a connecting cell between the transported
-objects.  The quotient is the equivalence closure of three generating moves,
-computed by union-find:
+objects.  The universe of spans walks, for each pair of objects, only the
+apexes that both of their stages reach (``TwoCat.out_of``), in the order a
+loop over every stage gives.  The quotient is the equivalence closure of
+three generating moves, computed by union-find over positions in that
+universe:
 
   R1  push the whole span forward along any arrow out of the apex
       (conjugating the cell by the diagram's comparison isomorphisms);
@@ -19,6 +22,12 @@ pushing along t2∘t1 equals pushing along t1 and then along t2 (associativity
 coherence and naturality of the composition comparison), where both spans lie
 in the universe.  ``build_pseudofunctor`` checks that coherence, and
 restriction and precomposition preserve it.
+
+R2 and R3 skip a 2-cell a : d ⇒ d whose image F(a) has identity components,
+such as every 2-cell of a locally discrete index: each move along it
+composes a span's cell with an identity and keeps its legs, so by the
+identity law of the fiber it returns the span itself.  The test reads the
+cell's data, not its name.
 
 Composition amalgamates two spans over a common stage found via the
 filteredness conditions.  A composite g∘f is some class from f's source to
@@ -307,25 +316,6 @@ class ColimitCat:
         return self.result.table[(theta_d, self.result.table[(mid, back)])]
 
 
-class _DSU:
-    def __init__(self) -> None:
-        self.parent: dict[Premorphism, Premorphism] = {}
-
-    def add(self, x: Premorphism) -> None:
-        self.parent.setdefault(x, x)
-
-    def find(self, x: Premorphism) -> Premorphism:
-        while self.parent[x] is not x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: Premorphism, y: Premorphism) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx is not ry:
-            self.parent[rx] = ry
-
-
 def _transport(pf: CatPseudoFunctor, p: Premorphism, t: str) -> Premorphism:
     """R1: push a premorphism forward along t out of its apex."""
     base = pf.source
@@ -340,39 +330,62 @@ def _transport(pf: CatPseudoFunctor, p: Premorphism, t: str) -> Premorphism:
 
 
 def _premorphism_universe(pf: CatPseudoFunctor) -> list[Premorphism]:
+    """Every span, ordered by source, target, apex, legs and cell.
+
+    An apex carries a span only when both stages reach it, so the loop walks
+    the apexes out of the source's stage (``out_of``, in apex order) and
+    skips those the target's stage does not reach.
+    """
     base = pf.source
-    stages = sorted(base.cells0)
-    objs = [(i, a) for i in stages for a in pf.on0[i].objects]
-    # the legs from each object into each apex, with the objects they carry
+    objs = [(i, a) for i in sorted(base.cells0) for a in pf.on0[i].objects]
+    # the legs from each object into each apex it reaches, with the objects they carry
     legs = {
-        (x, j): [(s, pf.on1[s].obj_map[x[1]]) for s in base.cells1(x[0], j)]
+        x: {
+            j: [(s, pf.on1[s].obj_map[x[1]]) for s in cells]
+            for j, cells in base.out_of[x[0]].items()
+        }
         for x in objs
-        for j in stages
     }
     out: list[Premorphism] = []
     for x1 in objs:
         for x2 in objs:
-            for j in stages:
+            right_of = legs[x2]
+            for j, left in legs[x1].items():
+                right = right_of.get(j)
+                if right is None:
+                    continue
                 hom = pf.on0[j].hom
-                right = legs[(x2, j)]
-                for s, sa in legs[(x1, j)]:
+                for s, sa in left:
                     for d, da in right:
                         for cell in hom(sa, da):
                             out.append(Premorphism(x1, x2, j, s, d, cell))
     return out
 
 
-def _quotient(pf: CatPseudoFunctor, universe: list[Premorphism]) -> dict[Premorphism, Premorphism]:
+def _quotient(pf: CatPseudoFunctor, universe: list[Premorphism]) -> list[int]:
+    """The position of each premorphism's class root, by union-find over
+    positions in the universe."""
     base = pf.source
-    dsu = _DSU()
-    for p in universe:
-        dsu.add(p)
+    position = {p: n for n, p in enumerate(universe)}
+    parent = list(range(len(universe)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, q: Premorphism) -> None:
+        rx, ry = find(x), find(position[q])
+        if rx != ry:
+            parent[rx] = ry
+
     # premorphisms by (apex, leg); a leg i -> j fixes the stages of its end
-    by_left: dict[tuple[str, str], list[Premorphism]] = {}
-    by_right: dict[tuple[str, str], list[Premorphism]] = {}
-    for p in universe:
-        by_left.setdefault((p.apex, p.left), []).append(p)
-        by_right.setdefault((p.apex, p.right), []).append(p)
+    by_left: dict[tuple[str, str], list[int]] = {}
+    by_right: dict[tuple[str, str], list[int]] = {}
+    for n, p in enumerate(universe):
+        by_left.setdefault((p.apex, p.left), []).append(n)
+        by_right.setdefault((p.apex, p.right), []).append(n)
     # R1 along generating 1-cells only; exact for a coherent diagram (module doc)
     dom = {t: i for t, (i, _) in base.one_home.items()}
     cod = {t: j for t, (_, j) in base.one_home.items()}
@@ -380,22 +393,26 @@ def _quotient(pf: CatPseudoFunctor, universe: list[Premorphism]) -> dict[Premorp
     along: dict[str, list[str]] = {j: [] for j in base.cells0}
     for t in generating_set(dom, cod, set(base.unit.values()), base.hcomp1, out_of):
         along[dom[t]].append(t)
-    for p in universe:
+    for n, p in enumerate(universe):
         for t in along[p.apex]:
-            dsu.union(p, _transport(pf, p, t))
+            union(n, _transport(pf, p, t))
     for a in base.two_cells:
         lo, hi = base.dom2(a), base.cod2(a)
         j = base.two_home[a][1]
         fj, comps = pf.on0[j], pf.on2[a].components
+        if lo == hi and all(fj.is_identity(c) for c in comps.values()):
+            continue  # both moves return each premorphism itself (module doc)
         # R2: beta : lo ⇒ hi between left legs; trade hi for lo
-        for p in by_left.get((j, hi), ()):
+        for n in by_left.get((j, hi), ()):
+            p = universe[n]
             cell = fj.table[(p.cell, comps[p.src[1]])]
-            dsu.union(p, Premorphism(p.src, p.dst, j, lo, p.right, cell))
+            union(n, Premorphism(p.src, p.dst, j, lo, p.right, cell))
         # R3: beta : lo ⇒ hi between right legs; trade lo for hi
-        for p in by_right.get((j, lo), ()):
+        for n in by_right.get((j, lo), ()):
+            p = universe[n]
             cell = fj.table[(comps[p.dst[1]], p.cell)]
-            dsu.union(p, Premorphism(p.src, p.dst, j, p.left, hi, cell))
-    return {p: dsu.find(p) for p in universe}
+            union(n, Premorphism(p.src, p.dst, j, p.left, hi, cell))
+    return [find(n) for n in range(len(universe))]
 
 
 @dataclass(eq=False)
@@ -596,16 +613,16 @@ def bifiltered_bicolimit(pf: CatPseudoFunctor, precheck: bool = True) -> Colimit
                 pf.name, [f"index not bifiltered: {verdict.counterexample}"]
             )
     universe = _premorphism_universe(pf)
-    reps = _quotient(pf, universe)
+    roots = _quotient(pf, universe)
 
-    groups: dict[Premorphism, list[Premorphism]] = {}
-    for p, r in reps.items():
+    groups: dict[int, list[Premorphism]] = {}
+    for p, r in zip(universe, roots):
         groups.setdefault(r, []).append(p)
     canon = {r: min(members, key=Premorphism.key) for r, members in groups.items()}
     ordered = sorted(canon.values(), key=Premorphism.key)
     class_name = {rep: f"m{idx:04d}" for idx, rep in enumerate(ordered)}
     classes: dict[Premorphism, str] = {
-        p: class_name[canon[reps[p]]] for p in universe
+        p: class_name[canon[r]] for p, r in zip(universe, roots)
     }
     class_rep = {class_name[c]: c for c in class_name}
 

@@ -85,7 +85,8 @@ def _find_equifier(
         for f in cells:
             if allowed is not None and f not in allowed:
                 continue
-            if tc.whisker_l(f, a) == tc.whisker_l(f, a2):
+            # every 1-cell equifies a 2-cell with itself
+            if a == a2 or tc.whisker_l(f, a) == tc.whisker_l(f, a2):
                 return f
     return None
 

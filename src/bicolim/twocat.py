@@ -539,6 +539,8 @@ class SigmaClass:
     name: str = "sigma"
     # set by sigma_closure on the classes it returns, which are closed
     closed: bool = field(default=False, init=False)
+    # the closed class sigma_closure returned for this one
+    _closure: SigmaClass | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         bad = [f for f in self.members if f not in self.owner.one_home]
@@ -557,16 +559,19 @@ def sigma_closure(s: SigmaClass) -> SigmaClass:
     """Least fixed point of: composition, identities, invertible-2-cell mates.
 
     A class that this function returned is closed already and comes back as
-    it is; a class of every 1-cell is closed too and skips the worklist.
+    it is; a class of every 1-cell is closed too and skips the worklist.  A
+    class not so flagged keeps the class returned for it, so closing it again
+    runs no second worklist.
     """
     if s.closed:
         return s
-    members = s.members
-    if len(members) < len(s.owner.one_home):
-        members = _closure_worklist(s.owner, members)
-    out = SigmaClass(s.owner, members, f"{s.name}~")
-    out.closed = True
-    return out
+    if s._closure is None:
+        members = s.members
+        if len(members) < len(s.owner.one_home):
+            members = _closure_worklist(s.owner, members)
+        s._closure = SigmaClass(s.owner, members, f"{s.name}~")
+        s._closure.closed = True
+    return s._closure
 
 
 def _closure_worklist(tc: TwoCat, members: Iterable[str]) -> frozenset[str]:

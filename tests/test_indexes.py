@@ -4,7 +4,9 @@ Each oracle below is the rescanning implementation that the index-based code
 replaced, kept verbatim in spirit: a linear ``hom`` scan, the all-pairs
 functor-category table, the all-pairs colimit table of unplanned
 ``_Amalgamator.compose`` calls with the key-scanning quotient that runs R1
-along every 1-cell, and the re-scan fixpoint for ``sigma_closure``.
+along every 1-cell, the union-find over premorphisms that skips no 2-cell,
+the premorphism universe over every apex, and the re-scan fixpoint for
+``sigma_closure``.
 """
 
 from __future__ import annotations
@@ -19,19 +21,30 @@ from bicolim import cli, corpus, zoo
 from bicolim.colim import (
     Premorphism,
     _Amalgamator,
-    _DSU,
     _premorphism_universe,
     _quotient,
     _transport,
     bifiltered_bicolimit,
 )
-from bicolim.filtered import class_subcategory
-from bicolim.fincat import FinCat, functor_category, generating_set, vcompose_nattrans
+from bicolim.filtered import check_bifiltered, class_subcategory
+from bicolim.fincat import (
+    FinCat,
+    NatTrans,
+    build_fincat,
+    functor_category,
+    generating_set,
+    identity_functor,
+    identity_nattrans,
+    incidence,
+    vcompose_nattrans,
+)
 from bicolim.fixtures import TwoCatFixture, load_fixture
 from bicolim.twocat import (
     SigmaClass,
     TwoCat,
     all_one_cells,
+    build_pseudofunctor,
+    build_twocat,
     constant_pseudofunctor,
     locally_discrete,
     restrict_pseudofunctor,
@@ -147,6 +160,86 @@ def test_functor_category_table_matches_all_pairs(cname, dname):
 # Colimit kernel
 
 
+class _DSU:
+    def __init__(self) -> None:
+        self.parent: dict[Premorphism, Premorphism] = {}
+
+    def add(self, x: Premorphism) -> None:
+        self.parent.setdefault(x, x)
+
+    def find(self, x: Premorphism) -> Premorphism:
+        while self.parent[x] is not x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x: Premorphism, y: Premorphism) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx is not ry:
+            self.parent[rx] = ry
+
+
+def all_stages_universe(pf) -> list[Premorphism]:
+    """The premorphism universe with a leg list for every object and stage."""
+    base = pf.source
+    stages = sorted(base.cells0)
+    objs = [(i, a) for i in stages for a in pf.on0[i].objects]
+    # the legs from each object into each apex, with the objects they carry
+    legs = {
+        (x, j): [(s, pf.on1[s].obj_map[x[1]]) for s in base.cells1(x[0], j)]
+        for x in objs
+        for j in stages
+    }
+    out: list[Premorphism] = []
+    for x1 in objs:
+        for x2 in objs:
+            for j in stages:
+                hom = pf.on0[j].hom
+                right = legs[(x2, j)]
+                for s, sa in legs[(x1, j)]:
+                    for d, da in right:
+                        for cell in hom(sa, da):
+                            out.append(Premorphism(x1, x2, j, s, d, cell))
+    return out
+
+
+def dsu_quotient(pf, universe) -> dict[Premorphism, Premorphism]:
+    """The quotient by union-find keyed by premorphisms, R2/R3 along every 2-cell."""
+    base = pf.source
+    dsu = _DSU()
+    for p in universe:
+        dsu.add(p)
+    # premorphisms by (apex, leg); a leg i -> j fixes the stages of its end
+    by_left: dict[tuple[str, str], list[Premorphism]] = {}
+    by_right: dict[tuple[str, str], list[Premorphism]] = {}
+    for p in universe:
+        by_left.setdefault((p.apex, p.left), []).append(p)
+        by_right.setdefault((p.apex, p.right), []).append(p)
+    # R1 along generating 1-cells only; exact for a coherent diagram (module doc)
+    dom = {t: i for t, (i, _) in base.one_home.items()}
+    cod = {t: j for t, (_, j) in base.one_home.items()}
+    out_of, _ = incidence(dom, cod)
+    along: dict[str, list[str]] = {j: [] for j in base.cells0}
+    for t in generating_set(dom, cod, set(base.unit.values()), base.hcomp1, out_of):
+        along[dom[t]].append(t)
+    for p in universe:
+        for t in along[p.apex]:
+            dsu.union(p, _transport(pf, p, t))
+    for a in base.two_cells:
+        lo, hi = base.dom2(a), base.cod2(a)
+        j = base.two_home[a][1]
+        fj, comps = pf.on0[j], pf.on2[a].components
+        # R2: beta : lo ⇒ hi between left legs; trade hi for lo
+        for p in by_left.get((j, hi), ()):
+            cell = fj.table[(p.cell, comps[p.src[1]])]
+            dsu.union(p, Premorphism(p.src, p.dst, j, lo, p.right, cell))
+        # R3: beta : lo ⇒ hi between right legs; trade lo for hi
+        for p in by_right.get((j, lo), ()):
+            cell = fj.table[(comps[p.dst[1]], p.cell)]
+            dsu.union(p, Premorphism(p.src, p.dst, j, p.left, hi, cell))
+    return {p: dsu.find(p) for p in universe}
+
+
 def scan_quotient(pf, universe) -> dict[Premorphism, Premorphism]:
     """The quotient with R1 over every 1-cell and R2/R3 over every key."""
     base = pf.source
@@ -181,11 +274,17 @@ def scan_quotient(pf, universe) -> dict[Premorphism, Premorphism]:
     return {p: dsu.find(p) for p in universe}
 
 
-def partition(reps: dict[Premorphism, Premorphism]) -> set[frozenset[Premorphism]]:
-    groups: dict[Premorphism, set[Premorphism]] = {}
-    for p, r in reps.items():
+def partition(universe: list[Premorphism], roots) -> set[frozenset[Premorphism]]:
+    """The classes of a quotient, from each premorphism's root in universe order."""
+    groups: dict[object, set[Premorphism]] = {}
+    for p, r in zip(universe, roots, strict=True):
         groups.setdefault(r, set()).add(p)
     return {frozenset(g) for g in groups.values()}
+
+
+def oracle_partition(universe: list[Premorphism], reps: dict[Premorphism, Premorphism]):
+    assert len(reps) == len(universe)
+    return partition(universe, [reps[p] for p in universe])
 
 
 def all_pairs_colimit_table(colim) -> dict[tuple[str, str], str]:
@@ -241,9 +340,16 @@ COLIMIT_DIAGRAMS = {
 }
 
 
-def assert_colimit_kernel_matches_scans(pf) -> None:
+def assert_quotient_matches_oracles(pf) -> None:
     universe = _premorphism_universe(pf)
-    assert partition(_quotient(pf, universe)) == partition(scan_quotient(pf, universe))
+    assert universe == all_stages_universe(pf)
+    classes = partition(universe, _quotient(pf, universe))
+    assert classes == oracle_partition(universe, dsu_quotient(pf, universe))
+    assert classes == oracle_partition(universe, scan_quotient(pf, universe))
+
+
+def assert_colimit_kernel_matches_scans(pf) -> None:
+    assert_quotient_matches_oracles(pf)
     colim = bifiltered_bicolimit(pf)
     assert list(colim.result.table.items()) == list(all_pairs_colimit_table(colim).items())
 
@@ -266,6 +372,94 @@ def test_plans_match_compose_on_every_span(name):
     pairs = ((p, q) for p in universe for q in starting_at.get(p.dst, ()))
     for p, q in itertools.islice(pairs, 20_000):
         assert planned.plan(p, q).composite(p, q) == unplanned.compose(q, p), (p, q)
+
+
+def identity_image_two_cells(pf) -> list[str]:
+    """The 2-cells that the quotient skips: an endo-2-cell whose image under
+    the diagram has identity components."""
+    base = pf.source
+    return [
+        a
+        for a in base.two_cells
+        if base.dom2(a) == base.cod2(a)
+        and all(
+            pf.on0[base.two_home[a][1]].is_identity(c)
+            for c in pf.on2[a].components.values()
+        )
+    ]
+
+
+def assert_skipped_moves_fix_every_premorphism(pf) -> int:
+    """R2 and R3 along each skipped 2-cell return p itself; the number of
+    moves checked."""
+    base = pf.source
+    skipped = identity_image_two_cells(pf)
+    moves = 0
+    for p in _premorphism_universe(pf):
+        for a in skipped:
+            lo = hi = base.dom2(a)
+            j = base.two_home[a][1]
+            if p.apex != j:
+                continue
+            fj, comps = pf.on0[j], pf.on2[a].components
+            if p.left == hi:
+                cell = fj.table[(p.cell, comps[p.src[1]])]
+                assert Premorphism(p.src, p.dst, j, lo, p.right, cell) == p, (a, p)
+                moves += 1
+            if p.right == lo:
+                cell = fj.table[(comps[p.dst[1]], p.cell)]
+                assert Premorphism(p.src, p.dst, j, p.left, hi, cell) == p, (a, p)
+                moves += 1
+    return moves
+
+
+def involution_diagram():
+    """One 0-cell whose identity 1-cell carries an involution 2-cell, sent to
+    the involution of ``bz2``: an endo-2-cell whose image is no identity, so
+    R2 and R3 along it merge spans that nothing else merges.  The index is
+    not bifiltered, since no 1-cell equifies the involution with the identity."""
+    hom = build_fincat(
+        "inv[*,*]",
+        ["i"],
+        [("v_i", "i", "i"), ("sg", "i", "i")],
+        {"i": "v_i"},
+        {("v_i", "v_i"): "v_i", ("v_i", "sg"): "sg", ("sg", "v_i"): "sg", ("sg", "sg"): "v_i"},
+    )
+    tc = build_twocat("inv", ["*"], {("*", "*"): hom}, {("i", "i"): "i"}, hom.table, {"*": "i"})
+    fiber = zoo.bz2()
+    ident = identity_functor(fiber)
+    on2 = {"v_i": identity_nattrans(ident), "sg": NatTrans("g_img", ident, ident, {"o": "g"})}
+    return build_pseudofunctor("involution", tc, {"*": fiber}, {"i": ident}, on2)
+
+
+# the quotient alone also runs on indexes that are not bifiltered
+UNFILTERED_DIAGRAMS = {"involution": involution_diagram, "lax_fill": corpus.DIAGRAM_BUILDERS["lax_fill"]}
+
+
+@pytest.mark.parametrize("name", sorted(UNFILTERED_DIAGRAMS))
+def test_quotient_matches_oracles_on_unfiltered_diagrams(name):
+    pf = UNFILTERED_DIAGRAMS[name]()
+    assert not check_bifiltered(pf.source)
+    assert_quotient_matches_oracles(pf)
+
+
+def test_involution_merges_its_spans():
+    pf = involution_diagram()
+    universe = _premorphism_universe(pf)
+    assert len(universe) == 2 and len(set(_quotient(pf, universe))) == 1
+
+
+CORPUS_AND_COLIMIT_DIAGRAMS = {
+    **corpus.DIAGRAM_BUILDERS,
+    **COLIMIT_DIAGRAMS,
+    "involution": involution_diagram,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_AND_COLIMIT_DIAGRAMS))
+def test_skipped_two_cells_move_nothing(name):
+    # identity 2-cells are always skipped, so every diagram checks some moves
+    assert assert_skipped_moves_fix_every_premorphism(CORPUS_AND_COLIMIT_DIAGRAMS[name]()) > 0
 
 
 def has_sole_and_computed_entries(cat: FinCat) -> bool:

@@ -640,3 +640,36 @@ def test_inclusion_twofunctor_skips_validation(monkeypatch):
     tc = locally_discrete(cats[0])
     with pytest.raises(ValidationError):
         build_twofunctor("broken", tc, tc, {i: i for i in tc.cells0}, {}, {})
+
+
+# ---------------------------------------------------------------------------
+# A class keeps its closure
+
+
+def test_a_class_is_closed_once_across_checks(monkeypatch):
+    # check_sigma_filtered, then trivialization_check, on one class that is
+    # not closed: the worklist runs once per class
+    calls: list[frozenset[str]] = []
+    worklist = twocat._closure_worklist
+
+    def counting_worklist(tc, members):
+        calls.append(frozenset(members))
+        return worklist(tc, members)
+
+    monkeypatch.setattr(twocat, "_closure_worklist", counting_worklist)
+    rng = random.Random(7)
+    classes = []
+    for k in range(24):
+        tc = locally_discrete(random_poset(rng, 8, top=k % 2 == 0))
+        sigma = SigmaClass(tc, frozenset(rng.sample(tc.one_cells, 6)), f"s{k}")
+        check_sigma_filtered(tc, sigma)
+        trivialization_check(tc, sigma)
+        classes.append(sigma)
+    assert len(calls) == 24
+    assert calls == [sigma.members for sigma in classes]
+    monkeypatch.undo()
+    for sigma in classes:
+        got = sigma_closure(sigma)
+        want = worklist_sigma_closure(SigmaClass(sigma.owner, sigma.members, sigma.name))
+        assert got.closed and sigma_closure(sigma) is got
+        assert (got.members, got.name) == (want.members, want.name)
