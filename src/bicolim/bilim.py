@@ -20,9 +20,7 @@ from .fincat import (
     NatTrans,
     SizeGuardError,
     ValidationError,
-    build_fincat,
-    build_functor,
-    build_nattrans,
+    _assemble_fincat,
     check_equivalence,
     compose_functors,
     identity_functor,
@@ -30,7 +28,7 @@ from .fincat import (
     nattrans_violations,
     same_category,
 )
-from .twocat import CatPseudoFunctor, stagewise_pseudofunctor
+from .twocat import CatPseudoFunctor, pseudofunctor_violations, stagewise_pseudofunctor
 from .verdict import Verdict
 
 
@@ -53,8 +51,9 @@ class Biproduct:
         return f"({m},{n})"
 
     def pairing(self, f: Functor, g: Functor, name: str = "pair") -> Functor:
-        """⟨f, g⟩ for functors with a common source."""
-        return build_functor(
+        """⟨f, g⟩ for functors with a common source; a functor because the
+        product composes componentwise."""
+        return Functor(
             name,
             f.source,
             self.category,
@@ -64,6 +63,9 @@ class Biproduct:
 
 
 def biproduct(c: FinCat, d: FinCat) -> Biproduct:
+    """The product category, assembled without a replay: it composes
+    componentwise, so its axioms are those of c and d, and the projections
+    preserve every composite."""
     objs = [f"({x},{y})" for x in c.objects for y in d.objects]
     mors = [
         (f"({m},{n})", f"({c.dom[m]},{d.dom[n]})", f"({c.cod[m]},{d.cod[n]})")
@@ -79,15 +81,15 @@ def biproduct(c: FinCat, d: FinCat) -> Biproduct:
     for (g1, f1), h1 in c.table.items():
         for (g2, f2), h2 in d.table.items():
             table[(f"({g1},{g2})", f"({f1},{f2})")] = f"({h1},{h2})"
-    cat = build_fincat(f"({c.name}x{d.name})", objs, mors, idents, table)
-    proj1 = build_functor(
+    cat = _assemble_fincat(f"({c.name}x{d.name})", objs, mors, idents, table)
+    proj1 = Functor(
         "pr1",
         cat,
         c,
         {f"({x},{y})": x for x in c.objects for y in d.objects},
         {f"({m},{n})": m for m in c.morphisms for n in d.morphisms},
     )
-    proj2 = build_functor(
+    proj2 = Functor(
         "pr2",
         cat,
         d,
@@ -113,7 +115,12 @@ class Biequalizer:
 
 
 def biequalizer(f: Functor, g: Functor) -> Biequalizer:
-    """Pairs (a, θ: f(a) ≅ g(a)) with morphisms commuting with the isos."""
+    """Pairs (a, θ: f(a) ≅ g(a)) with morphisms commuting with the isos.
+
+    Assembled without a replay: the commuting squares are closed under
+    composition in the source category, whose axioms it inherits; the
+    projection keeps the source morphism, and θ is natural by definition.
+    """
     if not same_category(f.source, g.source) or not same_category(f.target, g.target):
         raise ValidationError("biequalizer", ["functors are not parallel"])
     a_cat, b_cat = f.source, f.target
@@ -143,15 +150,15 @@ def biequalizer(f: Functor, g: Functor) -> Biequalizer:
                 continue
             u2 = m2[1 : m2.index(":")]
             table[(m2, m1)] = f"({a_cat.table[(u2, u1)]}:{s1}>{t2})"
-    cat = build_fincat(f"eq({f.name},{g.name})", objs, mors, idents, table)
-    projection = build_functor(
+    cat = _assemble_fincat(f"eq({f.name},{g.name})", objs, mors, idents, table)
+    projection = Functor(
         "eq_proj",
         cat,
         a_cat,
         {o: obj_of[o][0] for o in objs},
         {m: m[1 : m.index(":")] for m, _, _ in mors},
     )
-    iso = build_nattrans(
+    iso = NatTrans(
         "eq_iso",
         compose_functors(f, projection),
         compose_functors(g, projection),
@@ -177,7 +184,12 @@ class ArrowCotensor:
 
 
 def arrow_cotensor(c: FinCat) -> ArrowCotensor:
-    """The arrow category: objects are morphisms, morphisms are squares."""
+    """The arrow category: objects are morphisms, morphisms are squares.
+
+    Assembled without a replay: squares paste to squares and compose
+    componentwise, so its axioms are c's; dom and cod take a component each,
+    and the evaluation cell is natural because every square commutes.
+    """
     objs = list(c.morphisms)
     mors = []
     for f in objs:
@@ -199,10 +211,10 @@ def arrow_cotensor(c: FinCat) -> ArrowCotensor:
                 continue
             p2, q2 = parse[m2]
             table[(m2, m1)] = f"[{c.table[(p2, p1)]},{c.table[(q2, q1)]}]({f1}>{g2})"
-    cat = build_fincat(f"[2,{c.name}]", objs, mors, idents, table)
-    src = build_functor("dom", cat, c, {f: c.dom[f] for f in objs}, {m: parse[m][0] for m, _, _ in mors})
-    tgt = build_functor("cod", cat, c, {f: c.cod[f] for f in objs}, {m: parse[m][1] for m, _, _ in mors})
-    cell = build_nattrans("eval", src, tgt, {f: f for f in objs})
+    cat = _assemble_fincat(f"[2,{c.name}]", objs, mors, idents, table)
+    src = Functor("dom", cat, c, {f: c.dom[f] for f in objs}, {m: parse[m][0] for m, _, _ in mors})
+    tgt = Functor("cod", cat, c, {f: c.cod[f] for f in objs}, {m: parse[m][1] for m, _, _ in mors})
+    cell = NatTrans("eval", src, tgt, {f: f for f in objs})
     return ArrowCotensor(cat, c, src, tgt, cell)
 
 
@@ -224,6 +236,11 @@ def pseudolimit_cocycle(pf: CatPseudoFunctor, max_families: int = 100_000) -> Ps
     d : i -> j from the transported A_i to A_j, subject to the unit condition,
     the cocycle condition (conjugated by the comparison cells), and
     compatibility with every index 2-cell.
+
+    Assembled without a replay: morphisms of families are families of fiber
+    morphisms commuting with the chosen isomorphisms, closed under
+    componentwise composition, so the axioms are the fibers'; each leg takes
+    one component.
     """
     tc = pf.source
     zero = sorted(tc.cells0)
@@ -231,7 +248,10 @@ def pseudolimit_cocycle(pf: CatPseudoFunctor, max_families: int = 100_000) -> Ps
     for i in zero:
         count *= max(1, len(pf.on0[i].objects))
         if count > max_families:
-            raise SizeGuardError("pseudolimit family bound exceeded")
+            raise SizeGuardError(
+                f"pseudolimit of {pf.name}: object families reach {count} "
+                f"after 0-cell {i!r}, exceeding max_families={max_families}"
+            )
     if any(not pf.on0[i].objects for i in zero):
         families: list[tuple] = []
     else:
@@ -312,7 +332,7 @@ def pseudolimit_cocycle(pf: CatPseudoFunctor, max_families: int = 100_000) -> Ps
                 continue
             comp = {i: pf.on0[i].table[(c2[i], c1[i])] for i in zero_t}
             table[(m2, m1)] = f"({','.join(comp[i] for i in zero_t)}:{s1}>{t2})"
-    cat = build_fincat(
+    cat = _assemble_fincat(
         f"pslim({pf.name})",
         list(names.values()),
         [(n, s, t) for n, s, t, _ in mors],
@@ -321,7 +341,7 @@ def pseudolimit_cocycle(pf: CatPseudoFunctor, max_families: int = 100_000) -> Ps
     )
     legs = {}
     for pos, i in enumerate(zero_t):
-        legs[i] = build_functor(
+        legs[i] = Functor(
             f"pl_{i}",
             cat,
             pf.on0[i],
@@ -396,9 +416,11 @@ def split_pseudoidempotent(p: Pseudoidempotent) -> Splitting:
 
     The underlying category is the biequalizer of (e, 1): it pairs an object
     with an isomorphism e(a) ≅ a, and its projection is the retraction; the
-    section sends a to (e(a), mult_a).  The comparison r∘s ≅ 1 is found
-    by search and re-validated, so degenerate idempotent data that does not
-    actually split is reported rather than papered over.
+    section sends a to (e(a), mult_a).  The section is a functor and
+    s∘r = e on the nose, by naturality of the validated mult, so both are
+    assembled directly.  The comparison r∘s ≅ 1 is found by search, so
+    degenerate idempotent data that does not actually split is reported
+    rather than papered over.
     """
     a_cat, e = p.carrier, p.endo
     eq = biequalizer(e, identity_functor(a_cat))
@@ -412,8 +434,8 @@ def split_pseudoidempotent(p: Pseudoidempotent) -> Splitting:
     for g in a_cat.dom:
         src, tgt = sec_obj[a_cat.dom[g]], sec_obj[a_cat.cod[g]]
         sec_mor[g] = f"({e.mor_map[g]}:{src}>{tgt})"
-    section = build_functor("split_r", a_cat, b_cat, sec_obj, sec_mor)
-    alpha = build_nattrans(
+    section = Functor("split_r", a_cat, b_cat, sec_obj, sec_mor)
+    alpha = NatTrans(
         "split_alpha",
         compose_functors(retraction, section),
         e,
@@ -441,7 +463,7 @@ def biproduct_diagram(f1: CatPseudoFunctor, f2: CatPseudoFunctor, name: str = "p
     def pair_functor(d: str) -> Functor:
         i, j = tc.one_home[d]
         pi, pj = prods[i], prods[j]
-        return build_functor(
+        return Functor(
             f"{name}_{d}",
             pi.category,
             pj.category,
@@ -487,7 +509,7 @@ def cotensor_diagram(f: CatPseudoFunctor, name: str = "sq") -> CatPseudoFunctor:
             src = ci.category.dom[m]
             tgt = ci.category.cod[m]
             mor_map[m] = cj.square(fun.mor_map[p], fun.mor_map[q], fun.mor_map[src], fun.mor_map[tgt])
-        return build_functor(f"{name}_{d}", ci.category, cj.category, obj_map, mor_map)
+        return Functor(f"{name}_{d}", ci.category, cj.category, obj_map, mor_map)
 
     def image(cell, i, j, src, tgt) -> dict[str, str]:
         c = cell(f)
@@ -516,7 +538,9 @@ def biequalizer_diagram(
     """Stagewise biequalizer of two strictly 2-natural transformations.
 
     Requires u_j ∘ F1(d) = F2(d) ∘ u_i on the nose (and likewise for v);
-    this is what the bundled fixtures provide.
+    this is what the bundled fixtures provide.  u and v are caller data, so
+    unlike the other stagewise diagrams this one is checked: their strict
+    naturality first, then the coherence of the assembled diagram.
     """
     tc = f1.source
     for d in tc.one_home:
@@ -540,7 +564,7 @@ def biequalizer_diagram(
             g = m[1 : m.index(":")]
             src, tgt = ei.category.dom[m], ei.category.cod[m]
             mor_map[m] = f"({f1.on1[d].mor_map[g]}:{obj_map[src]}>{obj_map[tgt]})"
-        return build_functor(f"{name}_{d}", ei.category, ej.category, obj_map, mor_map)
+        return Functor(f"{name}_{d}", ei.category, ej.category, obj_map, mor_map)
 
     def image(cell, i, j, src, tgt) -> dict[str, str]:
         c = cell(f1).components
@@ -550,7 +574,11 @@ def biequalizer_diagram(
         }
 
     on1 = {d: eq_functor(d) for d in tc.one_home}
-    return stagewise_pseudofunctor(name, tc, {i: eqs[i].category for i in tc.cells0}, on1, image)
+    pf = stagewise_pseudofunctor(name, tc, {i: eqs[i].category for i in tc.cells0}, on1, image)
+    violations = pseudofunctor_violations(pf)
+    if violations:
+        raise ValidationError(name, violations)
+    return pf
 
 
 # ---------------------------------------------------------------------------

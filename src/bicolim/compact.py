@@ -32,7 +32,6 @@ from .fincat import (
     FunctorCategory,
     NatTrans,
     ValidationError,
-    build_functor,
     compose_functors,
     enumerate_functors,
     enumerate_nattrans,
@@ -230,7 +229,11 @@ def revalidate_two_cell_lift(colim: ColimitCat, phi: NatTrans, lift: TwoCellLift
 def mapped_diagram(
     probe: FinCat, pf: CatPseudoFunctor, max_morphisms: int = 100_000
 ) -> tuple[CatPseudoFunctor, dict[str, FunctorCategory]]:
-    """The diagram of functor categories [probe, F(-)] over the same index."""
+    """The diagram of functor categories [probe, F(-)] over the same index.
+
+    Assembled without a replay: postcomposition with a functor is a functor
+    between functor categories, and [probe, -] is a 2-functor on Cat.
+    """
     tc = pf.source
     fcs = {i: functor_category(probe, pf.on0[i], max_morphisms) for i in tc.cells0}
     fun_name: dict[str, dict[tuple, str]] = {
@@ -248,7 +251,7 @@ def mapped_diagram(
             n: nat_name[j][whisker_functor(post, t).key()]
             for n, t in fcs[i].transformations.items()
         }
-        return build_functor(f"[K,{d}]", fcs[i].category, fcs[j].category, obj_map, mor_map)
+        return Functor(f"[K,{d}]", fcs[i].category, fcs[j].category, obj_map, mor_map)
 
     def image(cell, i, j, src, tgt) -> dict[str, str]:
         c = cell(pf)
@@ -328,9 +331,8 @@ def check_bicompact_against(
         src_fun = outer.functors[obj_map[inner.obj_name[rep.src]]]
         tgt_fun = outer.functors[obj_map[inner.obj_name[rep.dst]]]
         mor_map[cname] = outer_nat_name[NatTrans("compare", src_fun, tgt_fun, comps).key()]
-    comparison = build_functor(
-        "compare", inner.result, outer.category, obj_map, mor_map
-    )
+    # the functor the cocone [probe, q_i] induces, so assembled directly
+    comparison = Functor("compare", inner.result, outer.category, obj_map, mor_map)
     analysis = functor_is_equivalence(comparison)
     if analysis:
         return positive(

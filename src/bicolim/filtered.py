@@ -367,7 +367,8 @@ def check_sigma_cofinal(fn: TwoFunctor, sigma: SigmaClass, sigma_target: SigmaCl
                         if s not in s_cls:
                             continue
                         fs = fn.on1[s]
-                        if tgt.whisker_l(fs, a) == tgt.whisker_l(fs, a2):
+                        # every 1-cell equifies a 2-cell with itself
+                        if a == a2 or tgt.whisker_l(fs, a) == tgt.whisker_l(fs, a2):
                             found = s
                             break
                     if found:

@@ -139,19 +139,35 @@ def build_fincat(
     composable pair (g, f) to g∘f and must be defined on exactly the
     composable pairs.
     """
-    objs = tuple(sorted(set(objects)))
-    dom: dict[str, str] = {}
-    cod: dict[str, str] = {}
+    rows = list(morphisms)
+    cat = _assemble_fincat(name, objects, rows, dict(identities), dict(composition))
     violations: list[str] = []
-    for m, d, c in morphisms:
-        if m in dom:
-            violations.append(f"duplicate morphism name {m!r}")
-        dom[m], cod[m] = d, c
-    cat = FinCat(name, objs, dom, cod, dict(identities), dict(composition))
+    if len(cat.dom) < len(rows):
+        seen: set[str] = set()
+        for m, _, _ in rows:
+            if m in seen:
+                violations.append(f"duplicate morphism name {m!r}")
+            seen.add(m)
     violations.extend(fincat_violations(cat))
     if violations:
         raise ValidationError(name, violations)
     return cat
+
+
+def _assemble_fincat(
+    name: str,
+    objects: Iterable[str],
+    morphisms: Iterable[tuple[str, str, str]],
+    identities: dict[str, str],
+    composition: dict[tuple[str, str], str],
+) -> FinCat:
+    """A FinCat on the given tables, unchecked, laid out as
+    :func:`build_fincat` lays it out; it keeps the two dicts it is given."""
+    dom: dict[str, str] = {}
+    cod: dict[str, str] = {}
+    for m, d, c in morphisms:
+        dom[m], cod[m] = d, c
+    return FinCat(name, tuple(sorted(set(objects))), dom, cod, identities, composition)
 
 
 def fincat_violations(cat: FinCat) -> list[str]:
@@ -589,7 +605,14 @@ def iso_classes(cat: FinCat) -> dict[str, str]:
 
 
 def skeleton(cat: FinCat) -> Skeleton:
-    """One object per isomorphism class, with the equivalence witnesses."""
+    """One object per isomorphism class, with the equivalence witnesses.
+
+    Assembled without a replay, since each part is correct by construction:
+    the skeleton is the full subcategory on the representatives, so its
+    composites stay inside; the inclusion maps every cell to itself; the
+    retraction conjugates by the chosen isomorphisms t, r(f) = t_y∘f∘t_x⁻¹
+    for f : x -> y, so r(g)∘r(f) = t_z∘g∘f∘t_x⁻¹ = r(g∘f) and r(1_x) = 1.
+    """
     reps = iso_classes(cat)
     kept = tuple(sorted(set(reps.values())))
     keptset = set(kept)
@@ -597,10 +620,11 @@ def skeleton(cat: FinCat) -> Skeleton:
         m for m in cat.morphisms if cat.dom[m] in keptset and cat.cod[m] in keptset
     ]
     kept_morset = set(kept_mors)
-    skel = build_fincat(
+    skel = FinCat(
         f"sk({cat.name})",
         kept,
-        [(m, cat.dom[m], cat.cod[m]) for m in kept_mors],
+        {m: cat.dom[m] for m in kept_mors},
+        {m: cat.cod[m] for m in kept_mors},
         {x: cat.identity[x] for x in kept},
         {
             (g, f): gf
@@ -608,7 +632,7 @@ def skeleton(cat: FinCat) -> Skeleton:
             if g in kept_morset and f in kept_morset
         },
     )
-    inclusion = build_functor(
+    inclusion = Functor(
         f"incl({cat.name})", skel, cat, {x: x for x in kept}, {m: m for m in kept_mors}
     )
     # Deterministic isomorphism x -> rep(x): least-named iso, identity on reps.
@@ -623,9 +647,7 @@ def skeleton(cat: FinCat) -> Skeleton:
         x, y = cat.dom[m], cat.cod[m]
         back = cat.must_inverse(to_rep[x])
         mor_map[m] = cat.table[(cat.table[(to_rep[y], m)], back)]
-    retraction = build_functor(
-        f"retr({cat.name})", cat, skel, dict(reps), mor_map
-    )
+    retraction = Functor(f"retr({cat.name})", cat, skel, dict(reps), mor_map)
     return Skeleton(skel, inclusion, retraction, to_rep)
 
 
@@ -637,7 +659,11 @@ def _object_signature(cat: FinCat, x: str) -> tuple:
 
 
 def _iso_search(a: FinCat, b: FinCat) -> tuple[dict[str, str], dict[str, str]] | None:
-    """Backtracking isomorphism-of-categories search (objects then morphisms)."""
+    """Backtracking isomorphism-of-categories search (objects then morphisms).
+
+    A returned pair is an isomorphism: bijective on objects and on morphisms,
+    identities to identities, and checked on every composable pair.
+    """
     if len(a.objects) != len(b.objects) or len(a.morphisms) != len(b.morphisms):
         return None
     sig_a = {x: _object_signature(a, x) for x in a.objects}
@@ -654,7 +680,12 @@ def _iso_search(a: FinCat, b: FinCat) -> tuple[dict[str, str], dict[str, str]] |
 
         def extend(k: int) -> bool:
             if k == len(mors):
-                return True
+                # a pair is checked incrementally only when its composite was
+                # assigned first, so the full table decides
+                return all(
+                    b.table.get((mor_map[g], mor_map[f])) == mor_map[gf]
+                    for (g, f), gf in a.table.items()
+                )
             m = mors[k]
             if a.is_identity(m):
                 candidates = [b.identity[obj_map[a.dom[m]]]]
@@ -719,7 +750,11 @@ def check_equivalence(c: FinCat, d: FinCat) -> Verdict:
 
     Finite categories are equivalent exactly when their skeletons are
     isomorphic, so we skeletonize and run a backtracking isomorphism search
-    constrained by hom-set cardinality profiles.
+    constrained by hom-set cardinality profiles.  The witnesses are
+    assembled without a replay: the search returns an isomorphism, so its
+    inverse is a functor too, and the unit and counit are the chosen
+    isomorphisms to representatives, natural because the retractions
+    conjugate by them.
     """
     sk_c, sk_d = skeleton(c), skeleton(d)
     if len(sk_c.category.objects) != len(sk_d.category.objects):
@@ -752,8 +787,8 @@ def check_equivalence(c: FinCat, d: FinCat) -> Verdict:
             },
         )
     obj_map, mor_map = iso
-    phi = build_functor("phi", sk_c.category, sk_d.category, obj_map, mor_map)
-    phi_inv = build_functor(
+    phi = Functor("phi", sk_c.category, sk_d.category, obj_map, mor_map)
+    phi_inv = Functor(
         "phi~",
         sk_d.category,
         sk_c.category,
@@ -765,13 +800,13 @@ def check_equivalence(c: FinCat, d: FinCat) -> Verdict:
     fwd.name, bwd.name = f"{c.name}->{d.name}", f"{d.name}->{c.name}"
     # bwd∘fwd sends x to rep(x); the chosen isos to representatives give the
     # unit, and dually for the counit.
-    unit = build_nattrans(
+    unit = NatTrans(
         "unit",
         compose_functors(bwd, fwd),
         identity_functor(c),
         {x: c.must_inverse(sk_c.to_rep[x]) for x in c.objects},
     )
-    counit = build_nattrans(
+    counit = NatTrans(
         "counit",
         compose_functors(fwd, bwd),
         identity_functor(d),
@@ -901,7 +936,9 @@ def functor_category(c: FinCat, d: FinCat, max_morphisms: int = 100_000) -> Func
     """The category of functors c -> d and natural transformations.
 
     Guarded: raises SizeGuardError before enumerating anything that could
-    exceed ``max_morphisms``.
+    exceed ``max_morphisms``.  Assembled without a replay: the enumeration
+    lists every transformation and a vertical composite of two is one, with
+    units and associativity those of d, componentwise.
     """
     guard_object_maps(c, d, max_morphisms)
     funs = sorted(enumerate_functors(c, d), key=lambda f: f.key())
@@ -948,12 +985,11 @@ def functor_category(c: FinCat, d: FinCat, max_morphisms: int = 100_000) -> Func
             # c.objects is sorted, so this is the sorted component tuple
             key = tuple((x, d.table[(beta[x], alpha[x])]) for x in c.objects)
             table[(beta_name, alpha_name)] = comp_key[(af, bg, key)]
-    # freed before build_fincat indexes the table, so they add nothing to the peak
-    del comp_key, ending_at, sole
-    cat = build_fincat(
+    cat = FinCat(
         f"[{c.name},{d.name}]",
-        functors,
-        [(n, f, g) for n, f, g in mor_rows],
+        tuple(sorted(functors)),
+        {n: f for n, f, _ in mor_rows},
+        {n: g for n, _, g in mor_rows},
         identities,
         table,
     )

@@ -11,24 +11,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .colim import ColimitCat, ElementsCat, bifiltered_bicolimit, elements_category, factor_cocone
+from .colim import (
+    ColimitCat,
+    ElementsCat,
+    _mediating_functor,
+    bifiltered_bicolimit,
+    elements_category,
+)
 from .fincat import (
     FinCat,
     Functor,
     NatTrans,
     ValidationError,
-    build_functor,
     check_equivalence,
     compose_functors,
     functor_is_equivalence,
     nattrans_violations,
 )
+from . import zoo
 from .bilim import arrow_cotensor, biequalizer, biproduct
 from .twocat import (
     CatPseudoFunctor,
     SigmaClass,
     TwoCat,
-    build_pseudofunctor,
+    _assemble_pseudofunctor,
     full_sub_on_one_cells,
     op1,
     sigma_closure,
@@ -37,10 +43,11 @@ from .verdict import Verdict, negative, positive
 
 
 def _hom_postcomposition(tc: TwoCat, g: str, c: str, name: str) -> Functor:
-    """(g∘-) : hom(c, j) -> hom(c, k) for g : j -> k, acting by whiskering."""
+    """(g∘-) : hom(c, j) -> hom(c, k) for g : j -> k, acting by whiskering;
+    a functor by the interchange law, which the 2-category satisfies."""
     j, k = tc.one_home[g]
     source = tc.hom[(c, j)]
-    return build_functor(
+    return Functor(
         name,
         source,
         tc.hom[(c, k)],
@@ -50,7 +57,11 @@ def _hom_postcomposition(tc: TwoCat, g: str, c: str, name: str) -> Functor:
 
 
 def representable_pseudofunctor(tc: TwoCat, c: str, name: str | None = None) -> CatPseudoFunctor:
-    """The hom 2-functor out of a 0-cell, acting by whiskering; strict."""
+    """The hom 2-functor out of a 0-cell, acting by whiskering; strict.
+
+    Assembled without a replay: its functoriality on 1-cells and 2-cells is
+    the associativity, unit and interchange laws of ``tc``.
+    """
     if c not in tc.cells0:
         raise ValidationError("representable", [f"unknown 0-cell {c!r}"])
     on0 = {j: tc.hom[(c, j)] for j in tc.cells0}
@@ -65,7 +76,7 @@ def representable_pseudofunctor(tc: TwoCat, c: str, name: str | None = None) -> 
             on1[g2],
             {f: tc.whisker_r(b, f) for f in on0[j].objects},
         )
-    return build_pseudofunctor(name or f"hom({c},-)", tc, on0, on1, on2)
+    return _assemble_pseudofunctor(name or f"hom({c},-)", tc, on0, on1, on2)
 
 
 def opcartesian_class(el: ElementsCat) -> tuple[TwoCat, SigmaClass]:
@@ -125,7 +136,12 @@ class DecompositionReport:
 
 
 def _restriction_diagram(pf: CatPseudoFunctor, sub: TwoCat, el: ElementsCat, j: str) -> CatPseudoFunctor:
-    """The hom-valued diagram over the opcartesian index, evaluated at j."""
+    """The hom-valued diagram over the opcartesian index, evaluated at j.
+
+    Assembled without a replay: it is hom(-, j) of the base composed with the
+    projection of the elements, strict by associativity of the base, and its
+    2-cell action is natural by interchange.
+    """
     base = pf.source
     on0 = {}
     for n in sub.cells0:
@@ -135,7 +151,7 @@ def _restriction_diagram(pf: CatPseudoFunctor, sub: TwoCat, el: ElementsCat, j: 
     for m in sub.one_home:
         f, _ = el.cell1_of[m]
         nB, nA = sub.one_home[m]
-        on1[m] = build_functor(
+        on1[m] = Functor(
             f"(-o{f})@{j}",
             on0[nB],
             on0[nA],
@@ -153,13 +169,17 @@ def _restriction_diagram(pf: CatPseudoFunctor, sub: TwoCat, el: ElementsCat, j: 
             on1[m_cod],
             {g: base.whisker_l(g, alpha) for g in on0[nB].objects},
         )
-    return build_pseudofunctor(f"{pf.name}@{j}", sub, on0, on1, on2)
+    return _assemble_pseudofunctor(f"{pf.name}@{j}", sub, on0, on1, on2)
 
 
 def _stage_comparison(
     pf: CatPseudoFunctor, el: ElementsCat, j: str, colim: ColimitCat
 ) -> Functor:
-    """Canonical functor from the reconstructed stage to the actual fiber."""
+    """Canonical functor from the reconstructed stage to the actual fiber.
+
+    Assembled without a replay: it is the functor that the evaluation cocone
+    into the fiber induces, read off each class representative.
+    """
     base = pf.source
     fib = pf.on0[j]
     obj_map = {}
@@ -182,7 +202,7 @@ def _stage_comparison(
         chain = fib.table[(back, chain)]
         chain = fib.table[(pf.on1[g2].mor_map[phi_d], chain)]
         mor_map[cname] = chain
-    return build_functor(f"eval@{j}", colim.result, fib, obj_map, mor_map)
+    return Functor(f"eval@{j}", colim.result, fib, obj_map, mor_map)
 
 
 def fib_of(pf: CatPseudoFunctor, cell1: str, el: ElementsCat) -> FinCat:
@@ -249,7 +269,11 @@ def _postcomposition_functor(
     source: ColimitCat,
     target: ColimitCat,
 ) -> Functor:
-    """Functor between stage reconstructions induced by a base 1-cell."""
+    """Functor between stage reconstructions induced by a base 1-cell.
+
+    The cocone is postcomposition with the base 1-cell followed by the target
+    colimit's own cocone, valid by construction, so it factors unchecked.
+    """
     base = pf.source
     legs = {}
     cells = {}
@@ -269,7 +293,7 @@ def _postcomposition_functor(
             legs[nB],
             comps,
         )
-    return factor_cocone(source, target.result, legs, cells).functor
+    return _mediating_functor(source, target.result, legs, cells).functor
 
 
 # ---------------------------------------------------------------------------
@@ -286,29 +310,29 @@ def validate_bilimit_instance(tc: TwoCat, instance: BilimitInstance) -> list[str
     """Check that the supplied cone really is a bilimit cone in the base.
 
     For each probe 0-cell the canonical comparison out of the hom category
-    must be an equivalence; this is checked exhaustively.
+    must be an equivalence; this is checked exhaustively.  Once the cone's
+    legs and cell are checked to be typed, each probe is assembled directly:
+    it acts by whiskering, which the interchange law makes functorial.
     """
     out = []
     kind, data = instance.kind, instance.data
     if kind == "biterminal":
         t = data["apex"]
         for j in tc.cells0:
-            if not check_equivalence(tc.hom[(j, t)], _terminal_cat()):
+            if not check_equivalence(tc.hom[(j, t)], zoo.terminal()):
                 out.append(f"hom({j!r},{t!r}) is not trivial")
     elif kind == "biproduct":
         p, pr1, pr2 = data["apex"], data["left_leg"], data["right_leg"]
+        if tc.one_home[pr1][0] != p or tc.one_home[pr2][0] != p:
+            return ["cone legs do not start at the apex"]
         a, b = tc.one_home[pr1][1], tc.one_home[pr2][1]
         for j in tc.cells0:
             prod = biproduct(tc.hom[(j, a)], tc.hom[(j, b)])
-            try:
-                probe = prod.pairing(
-                    _hom_postcomposition(tc, pr1, j, f"({pr1}o-)@{j}"),
-                    _hom_postcomposition(tc, pr2, j, f"({pr2}o-)@{j}"),
-                    name=f"probe@{j}",
-                )
-            except ValidationError:
-                out.append(f"probe at {j!r} cannot be assembled")
-                continue
+            probe = prod.pairing(
+                _hom_postcomposition(tc, pr1, j, f"({pr1}o-)@{j}"),
+                _hom_postcomposition(tc, pr2, j, f"({pr2}o-)@{j}"),
+                name=f"probe@{j}",
+            )
             if not functor_is_equivalence(probe):
                 out.append(f"probe at {j!r} is not an equivalence")
     elif kind == "biequalizer":
@@ -338,11 +362,13 @@ def validate_bilimit_instance(tc: TwoCat, instance: BilimitInstance) -> list[str
                 h1 = tc.hom[(j, w)].dom[alpha]
                 h2 = tc.hom[(j, w)].cod[alpha]
                 mor_map[alpha] = f"({tc.whisker_l(u, alpha)}:{obj_map[h1]}>{obj_map[h2]})"
-            probe = build_functor(f"probe@{j}", tc.hom[(j, w)], eq.category, obj_map, mor_map)
+            probe = Functor(f"probe@{j}", tc.hom[(j, w)], eq.category, obj_map, mor_map)
             if not functor_is_equivalence(probe):
                 out.append(f"probe at {j!r} is not an equivalence")
     elif kind == "arrow_cotensor":
         t, e0, e1, tau = data["apex"], data["dom_leg"], data["cod_leg"], data["cell"]
+        if tc.one_home[e0][0] != t or tc.dom2(tau) != e0 or tc.cod2(tau) != e1:
+            return ["cone cell has wrong boundary"]
         a = tc.one_home[e0][1]
         for j in tc.cells0:
             cot = arrow_cotensor(tc.hom[(j, a)])
@@ -357,7 +383,7 @@ def validate_bilimit_instance(tc: TwoCat, instance: BilimitInstance) -> list[str
                     tc.whisker_l(e0, alpha), tc.whisker_l(e1, alpha),
                     obj_map[h1], obj_map[h2],
                 )
-            probe = build_functor(f"probe@{j}", tc.hom[(j, t)], cot.category, obj_map, mor_map)
+            probe = Functor(f"probe@{j}", tc.hom[(j, t)], cot.category, obj_map, mor_map)
             if not functor_is_equivalence(probe):
                 out.append(f"probe at {j!r} is not an equivalence")
     else:
@@ -365,21 +391,19 @@ def validate_bilimit_instance(tc: TwoCat, instance: BilimitInstance) -> list[str
     return out
 
 
-def _terminal_cat() -> FinCat:
-    from .fincat import build_fincat
-
-    return build_fincat("unit", ["*"], [("id", "*", "*")], {"*": "id"}, {("id", "id"): "id"})
-
-
 def check_flat_preserves_bilimits(pf: CatPseudoFunctor, instance: BilimitInstance) -> Verdict:
-    """Whether the image of a bilimit cone in the base is again one in Cat."""
+    """Whether the image of a bilimit cone in the base is again one in Cat.
+
+    The instance is validated first; each comparison is then assembled
+    directly, a functor by the naturality of F's cells on the cone.
+    """
     tc = pf.source
     bad = validate_bilimit_instance(tc, instance)
     if bad:
         raise ValidationError("bilimit-instance", bad)
     kind, data = instance.kind, instance.data
     if kind == "biterminal":
-        return check_equivalence(pf.on0[data["apex"]], _terminal_cat())
+        return check_equivalence(pf.on0[data["apex"]], zoo.terminal())
     if kind == "biproduct":
         prod = biproduct(pf.on0[tc.one_home[data["left_leg"]][1]], pf.on0[tc.one_home[data["right_leg"]][1]])
         comparison = prod.pairing(pf.on1[data["left_leg"]], pf.on1[data["right_leg"]], name="image_probe")
@@ -405,7 +429,7 @@ def check_flat_preserves_bilimits(pf: CatPseudoFunctor, instance: BilimitInstanc
         for m in fibw.dom:
             src, tgt = obj_map[fibw.dom[m]], obj_map[fibw.cod[m]]
             mor_map[m] = f"({pf.on1[u].mor_map[m]}:{src}>{tgt})"
-        comparison = build_functor("image_probe", fibw, eq.category, obj_map, mor_map)
+        comparison = Functor("image_probe", fibw, eq.category, obj_map, mor_map)
         return functor_is_equivalence(comparison)
     if kind == "arrow_cotensor":
         e0, e1, tau = data["dom_leg"], data["cod_leg"], data["cell"]
@@ -420,6 +444,6 @@ def check_flat_preserves_bilimits(pf: CatPseudoFunctor, instance: BilimitInstanc
                 obj_map[fib_t.dom[m]],
                 obj_map[fib_t.cod[m]],
             )
-        comparison = build_functor("image_probe", fib_t, cot.category, obj_map, mor_map)
+        comparison = Functor("image_probe", fib_t, cot.category, obj_map, mor_map)
         return functor_is_equivalence(comparison)
     raise ValidationError("bilimit-instance", [f"unknown kind {kind!r}"])

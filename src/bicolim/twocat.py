@@ -28,7 +28,20 @@ construction:
 
 ``inclusion_twofunctor`` assembles the inclusion of a sub-2-category the
 same way, since the sub-2-category's tables are restrictions of the whole's;
-``build_twofunctor`` checks the 2-functors that fixtures supply.
+``build_twofunctor`` checks the 2-functors that fixtures supply.  Two
+diagram builders here assemble directly too:
+
+- ``constant_pseudofunctor``: every functor and cell is an identity;
+- ``stagewise_pseudofunctor``: a 2-functor on Cat applied at every stage of a
+  coherent diagram gives a coherent diagram.
+
+So do the other derived values of the package, each with its argument in
+its docstring: colimits and their cocones (``colim``), categories of
+elements, skeletons and equivalence witnesses, functor categories, finite
+bilimits in Cat (``bilim``), representable and restricted hom diagrams
+(``flat``).  The checks left after fixture load guard the data a caller
+passes in: ``factor_cocone`` validates its cocone, and
+``bilim.biequalizer_diagram`` checks its u and v and the diagram they give.
 
 Pseudo-ness lives entirely in :class:`CatPseudoFunctor`: the underlying
 2-categories are always strict, and functors between bases are strict
@@ -835,6 +848,44 @@ def pseudofunctor_violations(pf: CatPseudoFunctor) -> list[str]:
     return out
 
 
+def _assemble_pseudofunctor(
+    name: str,
+    source: TwoCat,
+    on0: Mapping[str, FinCat],
+    on1: Mapping[str, Functor],
+    on2: Mapping[str, NatTrans],
+    comp: Mapping[tuple[str, str], NatTrans] | None = None,
+    unit_c: Mapping[str, NatTrans] | None = None,
+) -> CatPseudoFunctor:
+    """A CatPseudoFunctor on the given data, unchecked; omitted comparison
+    data defaults to strict."""
+    comp = dict(comp) if comp is not None else {}
+    unit_c = dict(unit_c) if unit_c is not None else {}
+    ones_from: dict[str, list[str]] = {i: [] for i in source.cells0}  # in name order
+    for g in source.one_cells:
+        ones_from[source.one_home[g][0]].append(g)
+    for f in source.one_cells:
+        for g in ones_from[source.one_home[f][1]]:
+            if (g, f) in comp:
+                continue
+            gf = source.hcomp1[(g, f)]
+            comp[(g, f)] = NatTrans(
+                f"c({g},{f})",
+                compose_functors(on1[g], on1[f]),
+                on1[gf],
+                identity_nattrans(on1[gf]).components,
+            )
+    for i in source.cells0:
+        if i not in unit_c:
+            unit_c[i] = NatTrans(
+                f"u({i})",
+                identity_functor(on0[i]),
+                on1[source.unit[i]],
+                identity_nattrans(on1[source.unit[i]]).components,
+            )
+    return CatPseudoFunctor(name, source, dict(on0), dict(on1), dict(on2), comp, unit_c)
+
+
 def build_pseudofunctor(
     name: str,
     source: TwoCat,
@@ -844,30 +895,9 @@ def build_pseudofunctor(
     comp: Mapping[tuple[str, str], NatTrans] | None = None,
     unit_c: Mapping[str, NatTrans] | None = None,
 ) -> CatPseudoFunctor:
-    """Assemble a pseudofunctor; omitted comparison data defaults to strict."""
-    comp = dict(comp) if comp is not None else {}
-    unit_c = dict(unit_c) if unit_c is not None else {}
-    for f in source.one_cells:
-        for g in source.one_cells:
-            if source.one_home[g][0] != source.one_home[f][1]:
-                continue
-            if (g, f) not in comp:
-                gf = source.hcomp1[(g, f)]
-                comp[(g, f)] = NatTrans(
-                    f"c({g},{f})",
-                    compose_functors(on1[g], on1[f]),
-                    on1[gf],
-                    identity_nattrans(on1[gf]).components,
-                )
-    for i in source.cells0:
-        if i not in unit_c:
-            unit_c[i] = NatTrans(
-                f"u({i})",
-                identity_functor(on0[i]),
-                on1[source.unit[i]],
-                identity_nattrans(on1[source.unit[i]]).components,
-            )
-    pf = CatPseudoFunctor(name, source, dict(on0), dict(on1), dict(on2), comp, unit_c)
+    """Assemble and validate a pseudofunctor; omitted comparison data
+    defaults to strict."""
+    pf = _assemble_pseudofunctor(name, source, on0, on1, on2, comp, unit_c)
     violations = pseudofunctor_violations(pf)
     if violations:
         raise ValidationError(name, violations)
@@ -888,6 +918,12 @@ def stagewise_pseudofunctor(
     gets its components from the one rule ``image(cell, i, j, src, tgt)``;
     ``cell`` picks the old 2-cell out of a diagram (``lambda p: p.on2[b]``),
     so one rule can read the cells of several diagrams.
+
+    Assembled without a replay: the callers' constructions (product with a
+    second diagram, [2, -], [K, -]) are 2-functors on Cat, and a 2-functor
+    applied stagewise to a coherent diagram gives a coherent one.
+    ``bilim.biequalizer_diagram``, whose functors depend on its caller's u
+    and v, checks what this returns.
     """
 
     def cell(label: str, pick, i: str, j: str, src: Functor, tgt: Functor) -> NatTrans:
@@ -904,7 +940,7 @@ def stagewise_pseudofunctor(
     for i in source.cells0:
         src = identity_functor(on0[i])
         unit_c[i] = cell(f"u({i})", lambda p: p.unit_c[i], i, i, src, on1[source.unit[i]])
-    return build_pseudofunctor(name, source, on0, on1, on2, comp, unit_c)
+    return _assemble_pseudofunctor(name, source, on0, on1, on2, comp, unit_c)
 
 
 def validate_pseudofunctor(data: Mapping, index: TwoCat) -> CatPseudoFunctor:
@@ -964,8 +1000,11 @@ def validate_pseudofunctor(data: Mapping, index: TwoCat) -> CatPseudoFunctor:
 
 
 def constant_pseudofunctor(tc: TwoCat, value: FinCat, name: str | None = None) -> CatPseudoFunctor:
+    """The diagram with one value at every 0-cell, assembled without a
+    replay: every functor and transformation is an identity, so each
+    coherence law compares identities."""
     ident = identity_functor(value)
-    return build_pseudofunctor(
+    return _assemble_pseudofunctor(
         name or f"const({value.name})",
         tc,
         {i: value for i in tc.cells0},

@@ -15,6 +15,7 @@ from bicolim.bilim import (
     validate_pseudoidempotent,
 )
 from bicolim.fincat import (
+    SizeGuardError,
     build_functor,
     check_equivalence,
     compose_functors,
@@ -163,6 +164,18 @@ def test_pseudolimit_with_no_compatible_families_is_empty():
     lim = pseudolimit_cocycle(pf)
     # families must send the point into a; pairs with A_1 = b are excluded
     assert len(lim.category.objects) == 1
+
+
+def test_pseudolimit_guard_names_the_diagram_and_bound():
+    # twisted_iso has two objects at each of three 0-cells: the running
+    # count of families reaches 4 at the second 0-cell
+    pf = corpus.twisted_iso_diagram()
+    with pytest.raises(SizeGuardError) as err:
+        pseudolimit_cocycle(pf, max_families=3)
+    assert str(err.value) == (
+        "pseudolimit of twisted_iso: object families reach 4 after 0-cell '1', "
+        "exceeding max_families=3"
+    )
 
 
 # -- idempotent splitting ----------------------------------------------------------

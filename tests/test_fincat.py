@@ -280,7 +280,8 @@ def test_must_inverse_returns_inverse_or_raises():
 
 def test_invariant_checks_survive_python_O():
     # Validation and must_inverse use explicit raises, not asserts, so they
-    # must still fire when the interpreter strips assert statements.
+    # must still fire when the interpreter strips assert statements: at the
+    # category, diagram and cocone trust boundaries alike.
     code = textwrap.dedent(
         """
         import sys
@@ -305,6 +306,46 @@ def test_invariant_checks_survive_python_O():
             sys.exit("non-invertible morphism inverted")
         except NotInvertibleError:
             pass
+
+        # the trust boundary of diagrams: a unit comparison of g, the
+        # involution of bz2, breaks the unit coherence triangle
+        from bicolim.fixtures import fincat_doc
+        from bicolim.twocat import describe_twocat, terminal_twocat, validate_pseudofunctor, validate_twocat
+
+        index = validate_twocat(describe_twocat(terminal_twocat()))
+        doc = {
+            "name": "noncoherent",
+            "fibers": {".": fincat_doc(zoo.bz2())},
+            "on1": {"one": {"objects": {"o": "o"}, "morphisms": {"one": "one", "g": "g"}}},
+            "on2": {"v_one": {"components": {"o": "one"}}},
+            "comparisons": {
+                "comp": {"one|one": {"components": {"o": "one"}}},
+                "unit": {".": {"components": {"o": "g"}}},
+            },
+        }
+        try:
+            validate_pseudofunctor(doc, index)
+            sys.exit("non-coherent diagram accepted")
+        except ValidationError as err:
+            if not any("unit coherence" in v for v in err.violations):
+                sys.exit(f"wrong violations: {err.violations}")
+
+        # the trust boundary of factorization: a transition of g is natural
+        # and invertible, but breaks unit compatibility
+        from bicolim.colim import bifiltered_bicolimit, factor_cocone
+        from bicolim.fincat import NatTrans, compose_functors
+        from bicolim.twocat import constant_pseudofunctor
+
+        pf = constant_pseudofunctor(index, zoo.bz2())
+        colim = bifiltered_bicolimit(pf)
+        leg = colim.cocone["."]
+        bad = NatTrans("bad", compose_functors(leg, pf.on1["one"]), leg, {"o": leg.mor_map["g"]})
+        try:
+            factor_cocone(colim, colim.result, {".": leg}, {"one": bad})
+            sys.exit("invalid cocone factored")
+        except ValidationError as err:
+            if not any("unit compatibility" in v for v in err.violations):
+                sys.exit(f"wrong violations: {err.violations}")
         print("ok")
         """
     )

@@ -159,6 +159,22 @@ def test_bad_instance_rejected():
         check_flat_preserves_bilimits(corpus.flat_constant_terminal(), bad)
 
 
+def test_mistyped_instance_rejected():
+    # the probes are assembled unchecked, so the cone is typed first
+    wrong_cell = BilimitInstance(
+        "arrow_cotensor", {"apex": "y", "dom_leg": "iy", "cod_leg": "iy", "cell": "w"}
+    )
+    assert validate_bilimit_instance(zoo.iso_hom_twocat(), wrong_cell) == [
+        "cone cell has wrong boundary"
+    ]
+    wrong_apex = BilimitInstance(
+        "biproduct", {"apex": "a", "left_leg": "le_bot_a", "right_leg": "le_bot_b"}
+    )
+    assert validate_bilimit_instance(corpus.poset_bottom_twocat(), wrong_apex) == [
+        "cone legs do not start at the apex"
+    ]
+
+
 def test_representable_preserves_biproduct():
     tc = corpus.poset_bottom_twocat()
     pf = representable_pseudofunctor(tc, "bot")
