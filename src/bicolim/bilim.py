@@ -20,6 +20,7 @@ from .fincat import (
     NatTrans,
     SizeGuardError,
     ValidationError,
+    _assemble_composed,
     _assemble_fincat,
     check_equivalence,
     compose_functors,
@@ -36,6 +37,10 @@ from .verdict import Verdict
 # Biproducts
 
 
+def _pair(x: str, y: str) -> str:
+    return f"({x},{y})"
+
+
 @dataclass(eq=False)
 class Biproduct:
     category: FinCat
@@ -44,11 +49,8 @@ class Biproduct:
     proj1: Functor
     proj2: Functor
 
-    def pair_obj(self, x: str, y: str) -> str:
-        return f"({x},{y})"
-
-    def pair_mor(self, m: str, n: str) -> str:
-        return f"({m},{n})"
+    # objects and morphisms are paired alike
+    pair_obj = pair_mor = staticmethod(_pair)
 
     def pairing(self, f: Functor, g: Functor, name: str = "pair") -> Functor:
         """⟨f, g⟩ for functors with a common source; a functor because the
@@ -57,8 +59,8 @@ class Biproduct:
             name,
             f.source,
             self.category,
-            {x: self.pair_obj(f.obj_map[x], g.obj_map[x]) for x in f.source.objects},
-            {m: self.pair_mor(f.mor_map[m], g.mor_map[m]) for m in f.source.dom},
+            {x: _pair(f.obj_map[x], g.obj_map[x]) for x in f.source.objects},
+            {m: _pair(f.mor_map[m], g.mor_map[m]) for m in f.source.dom},
         )
 
 
@@ -66,36 +68,21 @@ def biproduct(c: FinCat, d: FinCat) -> Biproduct:
     """The product category, assembled without a replay: it composes
     componentwise, so its axioms are those of c and d, and the projections
     preserve every composite."""
-    objs = [f"({x},{y})" for x in c.objects for y in d.objects]
-    mors = [
-        (f"({m},{n})", f"({c.dom[m]},{d.dom[n]})", f"({c.cod[m]},{d.cod[n]})")
-        for m in c.morphisms
-        for n in d.morphisms
-    ]
-    idents = {
-        f"({x},{y})": f"({c.identity[x]},{d.identity[y]})"
-        for x in c.objects
-        for y in d.objects
-    }
+    objs = [(x, y) for x in c.objects for y in d.objects]
+    mors = [(m, n) for m in c.morphisms for n in d.morphisms]
     table = {}
     for (g1, f1), h1 in c.table.items():
         for (g2, f2), h2 in d.table.items():
-            table[(f"({g1},{g2})", f"({f1},{f2})")] = f"({h1},{h2})"
-    cat = _assemble_fincat(f"({c.name}x{d.name})", objs, mors, idents, table)
-    proj1 = Functor(
-        "pr1",
-        cat,
-        c,
-        {f"({x},{y})": x for x in c.objects for y in d.objects},
-        {f"({m},{n})": m for m in c.morphisms for n in d.morphisms},
+            table[(_pair(g1, g2), _pair(f1, f2))] = _pair(h1, h2)
+    cat = _assemble_fincat(
+        f"({c.name}x{d.name})",
+        [_pair(x, y) for x, y in objs],
+        [(_pair(m, n), _pair(c.dom[m], d.dom[n]), _pair(c.cod[m], d.cod[n])) for m, n in mors],
+        {_pair(x, y): _pair(c.identity[x], d.identity[y]) for x, y in objs},
+        table,
     )
-    proj2 = Functor(
-        "pr2",
-        cat,
-        d,
-        {f"({x},{y})": y for x in c.objects for y in d.objects},
-        {f"({m},{n})": n for m in c.morphisms for n in d.morphisms},
-    )
+    proj1 = Functor("pr1", cat, c, {_pair(x, y): x for x, y in objs}, {_pair(m, n): m for m, n in mors})
+    proj2 = Functor("pr2", cat, d, {_pair(x, y): y for x, y in objs}, {_pair(m, n): n for m, n in mors})
     return Biproduct(cat, c, d, proj1, proj2)
 
 
@@ -108,10 +95,17 @@ class Biequalizer:
     category: FinCat
     projection: Functor
     iso: NatTrans              # F∘projection ≅ G∘projection
-    obj_of: dict[str, tuple[str, str]]
+    obj_of: dict[str, tuple[str, str]]           # object -> (a, θ)
+    object_at: dict[tuple[str, str], str]        # (a, θ) -> object
+    mor_of: dict[str, str]                       # morphism -> source morphism
 
     def obj(self, a: str, theta: str) -> str:
-        return f"({a}|{theta})"
+        return self.object_at[(a, theta)]
+
+    @staticmethod
+    def mor(m: str, src: str, tgt: str) -> str:
+        """The morphism src -> tgt over the source morphism m."""
+        return f"({m}:{src}>{tgt})"
 
 
 def biequalizer(f: Functor, g: Functor) -> Biequalizer:
@@ -124,47 +118,37 @@ def biequalizer(f: Functor, g: Functor) -> Biequalizer:
     if not same_category(f.source, g.source) or not same_category(f.target, g.target):
         raise ValidationError("biequalizer", ["functors are not parallel"])
     a_cat, b_cat = f.source, f.target
-    objs = []
-    obj_of = {}
-    for a in a_cat.objects:
-        for theta in b_cat.hom(f.obj_map[a], g.obj_map[a]):
-            if b_cat.is_iso(theta):
-                name = f"({a}|{theta})"
-                objs.append(name)
-                obj_of[name] = (a, theta)
+    object_at = {
+        (a, theta): f"({a}|{theta})"
+        for a in a_cat.objects
+        for theta in b_cat.hom(f.obj_map[a], g.obj_map[a])
+        if b_cat.is_iso(theta)
+    }
     mors = []
-    for src in objs:
-        a, theta = obj_of[src]
-        for tgt in objs:
-            a2, theta2 = obj_of[tgt]
+    mor_of = {}
+    for (a, theta), src in object_at.items():
+        for (a2, theta2), tgt in object_at.items():
             for m in a_cat.hom(a, a2):
-                if b_cat.table[(theta2, f.mor_map[m])] != b_cat.table[(g.mor_map[m], theta)]:
-                    continue
-                mors.append((f"({m}:{src}>{tgt})", src, tgt))
-    idents = {o: f"({a_cat.identity[obj_of[o][0]]}:{o}>{o})" for o in objs}
-    table = {}
-    for (m1, s1, t1) in mors:
-        u1 = m1[1 : m1.index(":")]
-        for (m2, s2, t2) in mors:
-            if s2 != t1:
-                continue
-            u2 = m2[1 : m2.index(":")]
-            table[(m2, m1)] = f"({a_cat.table[(u2, u1)]}:{s1}>{t2})"
-    cat = _assemble_fincat(f"eq({f.name},{g.name})", objs, mors, idents, table)
-    projection = Functor(
-        "eq_proj",
-        cat,
-        a_cat,
-        {o: obj_of[o][0] for o in objs},
-        {m: m[1 : m.index(":")] for m, _, _ in mors},
+                if b_cat.table[(theta2, f.mor_map[m])] == b_cat.table[(g.mor_map[m], theta)]:
+                    name = Biequalizer.mor(m, src, tgt)
+                    mors.append((name, src, tgt))
+                    mor_of[name] = m
+    obj_of = {o: key for key, o in object_at.items()}
+    cat = _assemble_composed(
+        f"eq({f.name},{g.name})",
+        list(object_at.values()),
+        mors,
+        {o: Biequalizer.mor(a_cat.identity[a], o, o) for (a, _), o in object_at.items()},
+        lambda m2, m1, s, t: Biequalizer.mor(a_cat.table[(mor_of[m2], mor_of[m1])], s, t),
     )
+    projection = Functor("eq_proj", cat, a_cat, {o: a for o, (a, _) in obj_of.items()}, mor_of)
     iso = NatTrans(
         "eq_iso",
         compose_functors(f, projection),
         compose_functors(g, projection),
-        {o: obj_of[o][1] for o in objs},
+        {o: theta for o, (_, theta) in obj_of.items()},
     )
-    return Biequalizer(cat, projection, iso, obj_of)
+    return Biequalizer(cat, projection, iso, obj_of, object_at, mor_of)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +162,11 @@ class ArrowCotensor:
     src: Functor
     tgt: Functor
     cell: NatTrans             # src ⇒ tgt, component at an object f is f itself
+    square_of: dict[str, tuple[str, str]]   # square f -> g -> its sides (p, q)
 
-    def square(self, p: str, q: str, f: str, g: str) -> str:
+    @staticmethod
+    def square(p: str, q: str, f: str, g: str) -> str:
+        """The square from f to g with sides p on the domains, q on the codomains."""
         return f"[{p},{q}]({f}>{g})"
 
 
@@ -192,30 +179,26 @@ def arrow_cotensor(c: FinCat) -> ArrowCotensor:
     """
     objs = list(c.morphisms)
     mors = []
+    square_of = {}
     for f in objs:
         for g in objs:
             for p in c.hom(c.dom[f], c.dom[g]):
                 for q in c.hom(c.cod[f], c.cod[g]):
-                    if c.table[(q, f)] != c.table[(g, p)]:
-                        continue
-                    mors.append((f"[{p},{q}]({f}>{g})", f, g))
-    idents = {
-        f: f"[{c.identity[c.dom[f]]},{c.identity[c.cod[f]]}]({f}>{f})" for f in objs
-    }
-    parse = {name: (name[1 : name.index(",")], name[name.index(",") + 1 : name.index("]")]) for name, _, _ in mors}
-    table = {}
-    for (m1, f1, g1) in mors:
-        p1, q1 = parse[m1]
-        for (m2, f2, g2) in mors:
-            if f2 != g1:
-                continue
-            p2, q2 = parse[m2]
-            table[(m2, m1)] = f"[{c.table[(p2, p1)]},{c.table[(q2, q1)]}]({f1}>{g2})"
-    cat = _assemble_fincat(f"[2,{c.name}]", objs, mors, idents, table)
-    src = Functor("dom", cat, c, {f: c.dom[f] for f in objs}, {m: parse[m][0] for m, _, _ in mors})
-    tgt = Functor("cod", cat, c, {f: c.cod[f] for f in objs}, {m: parse[m][1] for m, _, _ in mors})
+                    if c.table[(q, f)] == c.table[(g, p)]:
+                        name = ArrowCotensor.square(p, q, f, g)
+                        mors.append((name, f, g))
+                        square_of[name] = (p, q)
+
+    def compose(m2: str, m1: str, f: str, g: str) -> str:
+        (p2, q2), (p1, q1) = square_of[m2], square_of[m1]
+        return ArrowCotensor.square(c.table[(p2, p1)], c.table[(q2, q1)], f, g)
+
+    idents = {f: ArrowCotensor.square(c.identity[c.dom[f]], c.identity[c.cod[f]], f, f) for f in objs}
+    cat = _assemble_composed(f"[2,{c.name}]", objs, mors, idents, compose)
+    src = Functor("dom", cat, c, {f: c.dom[f] for f in objs}, {m: p for m, (p, _) in square_of.items()})
+    tgt = Functor("cod", cat, c, {f: c.cod[f] for f in objs}, {m: q for m, (_, q) in square_of.items()})
     cell = NatTrans("eval", src, tgt, {f: f for f in objs})
-    return ArrowCotensor(cat, c, src, tgt, cell)
+    return ArrowCotensor(cat, c, src, tgt, cell, square_of)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +271,12 @@ def pseudolimit_cocycle(pf: CatPseudoFunctor, max_families: int = 100_000) -> Ps
     one_t = tuple(sorted(tc.one_home))
     names = {fam: f"P{idx:03d}" for idx, fam in enumerate(families)}
     family_of = {fam_name: fam for fam, fam_name in names.items()}
+
+    def mor_name(comp: dict[str, str], s: str, t: str) -> str:
+        return f"({','.join(comp[i] for i in zero_t)}:{s}>{t})"
+
     mors = []
+    comp_of: dict[str, dict[str, str]] = {}
     for fam in families:
         src_objs = dict(zip(zero_t, fam[0]))
         src_alpha = dict(zip(one_t, fam[1]))
@@ -299,46 +287,27 @@ def pseudolimit_cocycle(pf: CatPseudoFunctor, max_families: int = 100_000) -> Ps
                 *[pf.on0[i].hom(src_objs[i], tgt_objs[i]) for i in zero_t]
             ):
                 comp = dict(zip(zero_t, combo))
-                ok = True
                 for d in one_t:
                     i, j = tc.one_home[d]
                     fj = pf.on0[j]
                     lhs = fj.table[(tgt_alpha[d], pf.on1[d].mor_map[comp[i]])]
                     rhs = fj.table[(comp[j], src_alpha[d])]
                     if lhs != rhs:
-                        ok = False
                         break
-                if ok:
-                    mors.append(
-                        (
-                            f"({','.join(combo)}:{names[fam]}>{names[fam2]})",
-                            names[fam],
-                            names[fam2],
-                            comp,
-                        )
-                    )
-    idents = {}
-    table = {}
-    byst: dict[tuple[str, str], list] = {}
-    for name, s, t, comp in mors:
-        byst.setdefault((s, t), []).append((name, comp))
-    for fam in families:
-        n = names[fam]
-        src_objs = dict(zip(zero_t, fam[0]))
-        idents[n] = f"({','.join(pf.on0[i].identity[src_objs[i]] for i in zero_t)}:{n}>{n})"
-    for (m1, s1, t1, c1) in mors:
-        for (m2, s2, t2, c2) in mors:
-            if s2 != t1:
-                continue
-            comp = {i: pf.on0[i].table[(c2[i], c1[i])] for i in zero_t}
-            table[(m2, m1)] = f"({','.join(comp[i] for i in zero_t)}:{s1}>{t2})"
-    cat = _assemble_fincat(
-        f"pslim({pf.name})",
-        list(names.values()),
-        [(n, s, t) for n, s, t, _ in mors],
-        idents,
-        table,
-    )
+                else:
+                    name = mor_name(comp, names[fam], names[fam2])
+                    mors.append((name, names[fam], names[fam2]))
+                    comp_of[name] = comp
+    idents = {
+        n: mor_name({i: pf.on0[i].identity[x] for i, x in zip(zero_t, fam[0])}, n, n)
+        for fam, n in names.items()
+    }
+
+    def compose(m2: str, m1: str, s: str, t: str) -> str:
+        c2, c1 = comp_of[m2], comp_of[m1]
+        return mor_name({i: pf.on0[i].table[(c2[i], c1[i])] for i in zero_t}, s, t)
+
+    cat = _assemble_composed(f"pslim({pf.name})", list(names.values()), mors, idents, compose)
     legs = {}
     for pos, i in enumerate(zero_t):
         legs[i] = Functor(
@@ -346,7 +315,7 @@ def pseudolimit_cocycle(pf: CatPseudoFunctor, max_families: int = 100_000) -> Ps
             cat,
             pf.on0[i],
             {names[fam]: fam[0][pos] for fam in families},
-            {m: c[i] for m, _, _, c in mors},
+            {m: c[i] for m, c in comp_of.items()},
         )
     return Pseudolimit(cat, legs, family_of)
 
@@ -427,13 +396,11 @@ def split_pseudoidempotent(p: Pseudoidempotent) -> Splitting:
     b_cat, retraction = eq.category, eq.projection
     b_cat.name = f"split({e.name})"
     retraction.name = "split_s"
-    sec_obj = {}
-    sec_mor = {}
-    for a in a_cat.objects:
-        sec_obj[a] = f"({e.obj_map[a]}|{p.mult.components[a]})"
-    for g in a_cat.dom:
-        src, tgt = sec_obj[a_cat.dom[g]], sec_obj[a_cat.cod[g]]
-        sec_mor[g] = f"({e.mor_map[g]}:{src}>{tgt})"
+    sec_obj = {a: eq.obj(e.obj_map[a], p.mult.components[a]) for a in a_cat.objects}
+    sec_mor = {
+        g: eq.mor(e.mor_map[g], sec_obj[a_cat.dom[g]], sec_obj[a_cat.cod[g]])
+        for g in a_cat.dom
+    }
     section = Functor("split_r", a_cat, b_cat, sec_obj, sec_mor)
     alpha = NatTrans(
         "split_alpha",
@@ -504,8 +471,7 @@ def cotensor_diagram(f: CatPseudoFunctor, name: str = "sq") -> CatPseudoFunctor:
         obj_map = {m: fun.mor_map[m] for m in fib_i.morphisms}
         mor_map = {}
         for m in ci.category.morphisms:
-            p = m[1 : m.index(",")]
-            q = m[m.index(",") + 1 : m.index("]")]
+            p, q = ci.square_of[m]
             src = ci.category.dom[m]
             tgt = ci.category.cod[m]
             mor_map[m] = cj.square(fun.mor_map[p], fun.mor_map[q], fun.mor_map[src], fun.mor_map[tgt])
@@ -561,15 +527,14 @@ def biequalizer_diagram(
             obj_map[o] = ej.obj(f1.on1[d].obj_map[a], f2.on1[d].mor_map[theta])
         mor_map = {}
         for m in ei.category.morphisms:
-            g = m[1 : m.index(":")]
             src, tgt = ei.category.dom[m], ei.category.cod[m]
-            mor_map[m] = f"({f1.on1[d].mor_map[g]}:{obj_map[src]}>{obj_map[tgt]})"
+            mor_map[m] = ej.mor(f1.on1[d].mor_map[ei.mor_of[m]], obj_map[src], obj_map[tgt])
         return Functor(f"{name}_{d}", ei.category, ej.category, obj_map, mor_map)
 
     def image(cell, i, j, src, tgt) -> dict[str, str]:
         c = cell(f1).components
         return {
-            o: f"({c[a]}:{src.obj_map[o]}>{tgt.obj_map[o]})"
+            o: eqs[j].mor(c[a], src.obj_map[o], tgt.obj_map[o])
             for o, (a, _) in eqs[i].obj_of.items()
         }
 

@@ -56,6 +56,7 @@ from .fincat import (
     Functor,
     NatTrans,
     ValidationError,
+    _assemble_composed,
     _assemble_fincat,
     compose_functors,
     generating_set,
@@ -82,6 +83,7 @@ from .twocat import (
     TwoCat,
     TwoFunctor,
     _assemble_twocat,
+    _empty_homs_of,
     restrict_pseudofunctor,
     sigma_closure,
 )
@@ -107,12 +109,16 @@ def _el_obj(i: str, a: str) -> str:
     return f"{i}.{a}"
 
 
+def _el_cell2(n1: str, alpha: str, n2: str) -> str:
+    return f"[{n1}={alpha}={n2}]"
+
+
 def elements_category(pf: CatPseudoFunctor) -> ElementsCat:
     """Total 2-category of the diagram, with projection and opcartesian flags.
 
     0-cells are pairs (stage, fiber object); a 1-cell is a base 1-cell with a
     fiber morphism out of the transported object; 2-cells are base 2-cells
-    whose fiber triangle commutes.
+    whose fiber triangle commutes.  Only the nonempty homs are stored.
 
     Assembled without a replay: F is locally functorial, so vertical
     composites keep fiber triangles and each hom is a category; horizontal
@@ -121,97 +127,87 @@ def elements_category(pf: CatPseudoFunctor) -> ElementsCat:
     data, so it preserves every composite.
     """
     base = pf.source
-    objs: list[tuple[str, str]] = []
-    for i in sorted(base.cells0):
-        for a in pf.on0[i].objects:
-            objs.append((i, a))
-    obj_of = {_el_obj(i, a): (i, a) for i, a in objs}
-    if len(obj_of) != len(objs):
-        raise ValidationError("elements", ["object name clash in total category"])
+    objs = [(i, a) for i in sorted(base.cells0) for a in pf.on0[i].objects]
+    names = [_el_obj(i, a) for i, a in objs]
+    obj_of = dict(zip(names, objs))
 
     cell1_of: dict[str, tuple[str, str]] = {}
     cell2_of: dict[str, str] = {}
     one_name: dict[tuple[str, str, str, str], str] = {}
     hom: dict[tuple[str, str], FinCat] = {}
-    on0 = {_el_obj(i, a): i for i, a in objs}
-    on1: dict[str, str] = {}
-    on2: dict[str, str] = {}
 
-    for (i, a) in objs:
-        for (j, b) in objs:
-            cells: list[tuple[str, str, str, str]] = []  # (name, f, phi, ...)
+    for (i, a), x in zip(objs, names):
+        for (j, b), y in zip(objs, names):
+            cells: list[tuple[str, str, str]] = []  # (name, f, phi)
             fib = pf.on0[j]
             for f in base.cells1(i, j):
                 fa = pf.on1[f].obj_map[a]
                 for phi in fib.hom(fa, b):
-                    name = f"<{i}.{a}|{f}|{phi}>"
-                    cells.append((name, f, phi, b))
+                    name = f"<{x}|{f}|{phi}>"
+                    cells.append((name, f, phi))
+                    cell1_of[name] = (f, phi)
                     one_name[(i, a, f, phi)] = name
+            if not cells:
+                continue
             mors = []
             idents = {}
             base_hom = base.hom[(i, j)]
-            for (n1, f, phi, _) in cells:
-                for (n2, f2, phi2, _) in cells:
+            for (n1, f, phi) in cells:
+                for (n2, f2, phi2) in cells:
                     for alpha in base_hom.hom(f, f2):
                         # fiber triangle: phi2 ∘ F(alpha)_a = phi
                         if fib.table[(phi2, pf.on2[alpha].components[a])] != phi:
                             continue
-                        name2 = f"[{n1}={alpha}={n2}]"
+                        name2 = _el_cell2(n1, alpha, n2)
                         mors.append((name2, n1, n2))
                         cell2_of[name2] = alpha
                         if n1 == n2 and alpha == base.id2(f):
                             idents[n1] = name2
-            table = {}
-            for (m1, src1, tgt1) in mors:
-                for (m2, src2, tgt2) in mors:
-                    if src2 != tgt1:
-                        continue
-                    comp_alpha = base.vcomp(cell2_of[m2], cell2_of[m1])
-                    table[(m2, m1)] = f"[{src1}={comp_alpha}={tgt2}]"
-            hom[(_el_obj(i, a), _el_obj(j, b))] = _assemble_fincat(
-                f"el[{i}.{a},{j}.{b}]", [c[0] for c in cells], mors, idents, table
+            hom[(x, y)] = _assemble_composed(
+                f"el[{x},{y}]",
+                [c[0] for c in cells],
+                mors,
+                idents,
+                lambda m2, m1, s, t: _el_cell2(s, base.vcomp(cell2_of[m2], cell2_of[m1]), t),
             )
-            for (n1, f, phi, _) in cells:
-                cell1_of[n1] = (f, phi)
-                on1[n1] = f
-            for (name2, _, _) in mors:
-                on2[name2] = cell2_of[name2]
 
-    # horizontal composition of 1-cells via the comparison cells
-    hcomp1: dict[tuple[str, str], str] = {}
-    units: dict[str, str] = {}
-    for (i, a) in objs:
-        u = pf.unit_c[i].components[a]
-        u_inv = pf.on0[i].must_inverse(u)
-        units[_el_obj(i, a)] = one_name[(i, a, base.unit[i], u_inv)]
-    for (i, a) in objs:
-        for (j, b) in objs:
-            for n1 in hom[(_el_obj(i, a), _el_obj(j, b))].objects:
+    units = {}
+    for (i, a), x in zip(objs, names):
+        u_inv = pf.on0[i].must_inverse(pf.unit_c[i].components[a])
+        units[x] = one_name[(i, a, base.unit[i], u_inv)]
+    # every name is checked here, before the composites read the side tables
+    total = _assemble_twocat(f"el({pf.name})", names, hom, {}, {}, units, _empty_homs_of("el"))
+
+    # horizontal composition of 1-cells via the comparison cells, and of
+    # 2-cells as in the base, over the homs that meet
+    out_of: dict[str, list[tuple[str, FinCat]]] = {}
+    for (x, y), cat in hom.items():
+        out_of.setdefault(x, []).append((y, cat))
+    for x, homs in out_of.items():
+        i, a = obj_of[x]
+        for y, cat1 in homs:
+            for n1 in cat1.objects:
                 f, phi = cell1_of[n1]
-                for (k, c) in objs:
-                    for n2 in hom[(_el_obj(j, b), _el_obj(k, c))].objects:
+                for z, cat2 in out_of.get(y, ()):
+                    fk = pf.on0[obj_of[z][0]]
+                    for n2 in cat2.objects:
                         g, psi = cell1_of[n2]
                         gf = base.hcomp1[(g, f)]
-                        fk = pf.on0[k]
                         comp_inv = fk.must_inverse(pf.comp[(g, f)].components[a])
                         cell = fk.table[(psi, fk.table[(pf.on1[g].mor_map[phi], comp_inv)])]
-                        hcomp1[(n2, n1)] = one_name[(i, a, gf, cell)]
-
-    # horizontal composition of 2-cells is inherited from the base
-    hcomp2: dict[tuple[str, str], str] = {}
-    for (src1, tgt1), cat1 in hom.items():
+                        total.hcomp1[(n2, n1)] = one_name[(i, a, gf, cell)]
+    for (x, y), cat1 in hom.items():
         for m1 in cat1.morphisms:
-            for (src2, tgt2), cat2 in hom.items():
-                if src2 != tgt1:
-                    continue
+            for z, cat2 in out_of.get(y, ()):
                 for m2 in cat2.morphisms:
                     alpha = base.hcomp2[(cell2_of[m2], cell2_of[m1])]
-                    d1 = hcomp1[(cat2.dom[m2], cat1.dom[m1])]
-                    c1 = hcomp1[(cat2.cod[m2], cat1.cod[m1])]
-                    hcomp2[(m2, m1)] = f"[{d1}={alpha}={c1}]"
+                    d1 = total.hcomp1[(cat2.dom[m2], cat1.dom[m1])]
+                    c1 = total.hcomp1[(cat2.cod[m2], cat1.cod[m1])]
+                    total.hcomp2[(m2, m1)] = _el_cell2(d1, alpha, c1)
 
-    total = _assemble_twocat(f"el({pf.name})", obj_of, hom, hcomp1, hcomp2, units)
-    projection = TwoFunctor(f"pi({pf.name})", total, base, on0, on1, on2)
+    on0 = {x: i for x, (i, _) in obj_of.items()}
+    on1 = {n: f for n, (f, _) in cell1_of.items()}
+    projection = TwoFunctor(f"pi({pf.name})", total, base, on0, on1, dict(cell2_of))
     opcart = frozenset(
         n for n, (f, phi) in cell1_of.items()
         if pf.on0[base.one_home[f][1]].is_iso(phi)

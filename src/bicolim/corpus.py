@@ -605,10 +605,9 @@ def write_corpus(outdir) -> list[str]:
             ),
         )
     for dname, pf in representable_diagrams().items():
-        base = dname.split("_", 1)[1].rsplit("_", 1)[0]
         emit(
             f"{dname}.diagram.json",
-            diagram_doc(pf, index_path[base], expect={"flat": True}),
+            diagram_doc(pf, index_path[pf.source.name], expect={"flat": True}),
         )
     for dname, make in FLATNESS_BUILDERS.items():
         pf = make()

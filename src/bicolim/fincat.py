@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .verdict import Verdict, negative, positive
 
@@ -139,16 +139,8 @@ def build_fincat(
     composable pair (g, f) to g∘f and must be defined on exactly the
     composable pairs.
     """
-    rows = list(morphisms)
-    cat = _assemble_fincat(name, objects, rows, dict(identities), dict(composition))
-    violations: list[str] = []
-    if len(cat.dom) < len(rows):
-        seen: set[str] = set()
-        for m, _, _ in rows:
-            if m in seen:
-                violations.append(f"duplicate morphism name {m!r}")
-            seen.add(m)
-    violations.extend(fincat_violations(cat))
+    cat = _assemble_fincat(name, list(objects), list(morphisms), dict(identities), dict(composition))
+    violations = fincat_violations(cat)
     if violations:
         raise ValidationError(name, violations)
     return cat
@@ -156,18 +148,55 @@ def build_fincat(
 
 def _assemble_fincat(
     name: str,
-    objects: Iterable[str],
-    morphisms: Iterable[tuple[str, str, str]],
+    objects: Collection[str],
+    morphisms: Collection[tuple[str, str, str]],
     identities: dict[str, str],
     composition: dict[tuple[str, str], str],
 ) -> FinCat:
     """A FinCat on the given tables, unchecked, laid out as
-    :func:`build_fincat` lays it out; it keeps the two dicts it is given."""
+    :func:`build_fincat` lays it out; it keeps the two dicts it is given.
+    A repeated object or morphism name, which would merge two cells, raises
+    :class:`ValidationError` naming the category and the name."""
     dom: dict[str, str] = {}
     cod: dict[str, str] = {}
     for m, d, c in morphisms:
         dom[m], cod[m] = d, c
-    return FinCat(name, tuple(sorted(set(objects))), dom, cod, identities, composition)
+    kept = tuple(sorted(set(objects)))
+    if len(kept) != len(objects):
+        _refuse_repeat(name, "object", objects)
+    if len(dom) != len(morphisms):
+        _refuse_repeat(name, "morphism", [m for m, _, _ in morphisms])
+    return FinCat(name, kept, dom, cod, identities, composition)
+
+
+def _refuse_repeat(subject: str, kind: str, names: Iterable[str]) -> None:
+    """Raise the ValidationError naming the first repeated name."""
+    seen: set[str] = set()
+    for n in names:
+        if n in seen:
+            raise ValidationError(subject, [f"repeated {kind} name {n!r}"])
+        seen.add(n)
+
+
+def _assemble_composed(
+    name: str,
+    objects: Collection[str],
+    morphisms: list[tuple[str, str, str]],
+    identities: dict[str, str],
+    compose: Callable[[str, str, str, str], str],
+) -> FinCat:
+    """:func:`_assemble_fincat` with g∘f = ``compose(g, f, x, z)`` for every
+    pair of rows f: x -> y, g: y -> z, in row order, visiting only the pairs
+    that meet.  The names are checked first, so ``compose`` may read the
+    caller's tables keyed by name."""
+    cat = _assemble_fincat(name, objects, morphisms, identities, {})
+    starting_at: dict[str, list[tuple[str, str]]] = {}
+    for g, y, z in morphisms:
+        starting_at.setdefault(y, []).append((g, z))
+    for f, x, y in morphisms:
+        for g, z in starting_at.get(y, ()):
+            cat.table[(g, f)] = compose(g, f, x, z)
+    return cat
 
 
 def fincat_violations(cat: FinCat) -> list[str]:

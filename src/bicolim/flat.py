@@ -347,21 +347,18 @@ def validate_bilimit_instance(tc: TwoCat, instance: BilimitInstance) -> list[str
                 _hom_postcomposition(tc, f, j, f"({f}o-)@{j}"),
                 _hom_postcomposition(tc, g, j, f"({g}o-)@{j}"),
             )
-            obj_map = {}
-            mor_map = {}
-            ok = True
-            for h in tc.cells1(j, w):
-                theta = tc.whisker_r(xi, h)
-                obj_map[h] = f"({tc.hcomp1[(u, h)]}|{theta})"
-                if obj_map[h] not in set(eq.category.objects):
-                    ok = False
-            if not ok:
+            obj_map = {
+                h: eq.object_at.get((tc.hcomp1[(u, h)], tc.whisker_r(xi, h)))
+                for h in tc.cells1(j, w)
+            }
+            if None in obj_map.values():
                 out.append(f"probe at {j!r} misses the equalizer")
                 continue
+            mor_map = {}
             for alpha in tc.hom[(j, w)].dom:
                 h1 = tc.hom[(j, w)].dom[alpha]
                 h2 = tc.hom[(j, w)].cod[alpha]
-                mor_map[alpha] = f"({tc.whisker_l(u, alpha)}:{obj_map[h1]}>{obj_map[h2]})"
+                mor_map[alpha] = eq.mor(tc.whisker_l(u, alpha), obj_map[h1], obj_map[h2])
             probe = Functor(f"probe@{j}", tc.hom[(j, w)], eq.category, obj_map, mor_map)
             if not functor_is_equivalence(probe):
                 out.append(f"probe at {j!r} is not an equivalence")
@@ -419,16 +416,15 @@ def check_flat_preserves_bilimits(pf: CatPseudoFunctor, instance: BilimitInstanc
             theta = fib_b.table[(pf.on2[xi].components[x], pf.comp[(f, u)].components[x])]
             back = fib_b.must_inverse(pf.comp[(g, u)].components[x])
             theta = fib_b.table[(back, theta)]
-            ux = pf.on1[u].obj_map[x]
-            obj_map[x] = f"({ux}|{theta})"
-            if obj_map[x] not in set(eq.category.objects):
+            obj_map[x] = eq.object_at.get((pf.on1[u].obj_map[x], theta))
+            if obj_map[x] is None:
                 return negative(
                     "preserves-bilimit",
                     {"reason": "image cone misses the equalizer", "object": x},
                 )
         for m in fibw.dom:
             src, tgt = obj_map[fibw.dom[m]], obj_map[fibw.cod[m]]
-            mor_map[m] = f"({pf.on1[u].mor_map[m]}:{src}>{tgt})"
+            mor_map[m] = eq.mor(pf.on1[u].mor_map[m], src, tgt)
         comparison = Functor("image_probe", fibw, eq.category, obj_map, mor_map)
         return functor_is_equivalence(comparison)
     if kind == "arrow_cotensor":

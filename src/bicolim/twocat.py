@@ -52,13 +52,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Mapping
 
 from .fincat import (
     FinCat,
     Functor,
     NatTrans,
     ValidationError,
+    _refuse_repeat,
     associative_over_generators,
     build_fincat,
     compose_functors,
@@ -212,7 +213,7 @@ class TwoCat:
 
 def _assemble_twocat(
     name: str,
-    cells0: Iterable[str],
+    cells0: Collection[str],
     hom: Mapping[tuple[str, str], FinCat],
     hcomp1: Mapping[tuple[str, str], str],
     hcomp2: Mapping[tuple[str, str], str],
@@ -222,10 +223,18 @@ def _assemble_twocat(
     """A TwoCat on the given tables, unchecked.
 
     An absent hom (i, j) is ``empty(i, j)``, by default named ``{name}[i,j]``.
+    A repeated name of a cell of any dimension raises :class:`ValidationError`.
     """
     zero = tuple(sorted(set(cells0)))
+    if len(zero) != len(cells0):
+        _refuse_repeat(name, "0-cell", cells0)
     homs = Homs(hom, zero, empty or _empty_homs_of(name))
-    return TwoCat(name, zero, homs, dict(hcomp1), dict(hcomp2), dict(unit))
+    tc = TwoCat(name, zero, homs, dict(hcomp1), dict(hcomp2), dict(unit))
+    if len(tc.one_home) != sum(len(cat.objects) for cat in homs.values()):
+        _refuse_repeat(name, "1-cell", (f for cat in homs.values() for f in cat.objects))
+    if len(tc.two_home) != sum(len(cat.dom) for cat in homs.values()):
+        _refuse_repeat(name, "2-cell", (a for cat in homs.values() for a in cat.dom))
+    return tc
 
 
 def build_twocat(
@@ -237,7 +246,7 @@ def build_twocat(
     unit: Mapping[str, str],
 ) -> TwoCat:
     """Assemble and validate a 2-category from caller-supplied tables."""
-    cat = _assemble_twocat(name, cells0, hom, hcomp1, hcomp2, unit)
+    cat = _assemble_twocat(name, list(cells0), hom, hcomp1, hcomp2, unit)
     violations = twocat_violations(cat)
     if violations:
         raise ValidationError(name, violations)
@@ -976,7 +985,10 @@ def validate_pseudofunctor(data: Mapping, index: TwoCat) -> CatPseudoFunctor:
         unit_c: dict[str, NatTrans] = {}
         if comparisons != "strict":
             for key, body in comparisons.get("comp", {}).items():
-                g, f = key.split("|")
+                pair = key.split("|")
+                if len(pair) != 2:
+                    raise ValidationError(label, [f"comparison key {key!r} is not one 'g|f' pair"])
+                g, f = pair
                 comp[(g, f)] = NatTrans(
                     f"{label}.c({g},{f})",
                     compose_functors(on1[g], on1[f]),

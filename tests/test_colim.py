@@ -5,6 +5,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from support import colim_of
+
 from bicolim import corpus, zoo
 from bicolim.colim import (
     Premorphism,
@@ -30,10 +32,6 @@ from bicolim.twocat import (
     terminal_twocat,
 )
 from bicolim.filtered import class_subcategory
-
-
-def colim_of(name):
-    return bifiltered_bicolimit(corpus.DIAGRAM_BUILDERS[name]())
 
 
 def sigma_colim_of(dname, cname):

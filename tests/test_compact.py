@@ -4,6 +4,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from support import colim_of
 from test_indexes import constant_diagrams_over_posets_with_top
 
 from bicolim import corpus, zoo
@@ -32,10 +33,6 @@ from bicolim.fixtures import DiagramFixture, ProbeFixture, load_fixture
 from bicolim.verdict import negative, positive
 
 BUNDLED = Path(corpus.__file__).parent / "corpus"
-
-
-def colim_of(name):
-    return bifiltered_bicolimit(corpus.DIAGRAM_BUILDERS[name]())
 
 
 # -- 1-cell lifting ------------------------------------------------------------

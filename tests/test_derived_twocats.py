@@ -17,11 +17,11 @@ from __future__ import annotations
 import itertools
 import random
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from support import corpus_fixtures
 from test_associativity import posets, preorders, transformation_monoids
 
 from bicolim import fincat, twocat, zoo
@@ -41,8 +41,6 @@ from bicolim.twocat import (
     twocat_violations,
     validate_twocat,
 )
-
-BUNDLED = Path(twocat.__file__).parent / "corpus"
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +215,6 @@ def test_indexed_closure_check_matches_all_pairs_scan(cat, data):
 
 # ---------------------------------------------------------------------------
 # The bundled corpus
-
-
-def corpus_fixtures(suffix: str) -> list[Path]:
-    return sorted(BUNDLED.glob(f"*.{suffix}.json"))
 
 
 @pytest.mark.parametrize("path", corpus_fixtures("twocat"), ids=lambda p: p.name)

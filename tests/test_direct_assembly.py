@@ -20,6 +20,7 @@ loaded.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import sys
 from collections import Counter
@@ -44,6 +45,7 @@ from bicolim.fincat import (
     FinCat,
     Functor,
     NatTrans,
+    ValidationError,
     build_fincat,
     build_functor,
     build_nattrans,
@@ -336,6 +338,192 @@ def test_bicompact_comparisons_are_valid_functors(monkeypatch):
     for name in ("const_arrow.diagram.json", "twisted_iso.diagram.json"):
         for probe in probes:
             assert compact.check_bicompact_against(probe, corpus()[name].functor)
+
+
+# ---------------------------------------------------------------------------
+# Names spelled with the characters that derived names are built from
+
+RESERVED = ".,:|()[]<>"
+
+
+def built_or_refused(build, *args):
+    """The builder's output, or None when it refuses a repeated name."""
+    try:
+        return build(*args)
+    except ValidationError as err:
+        assert err.violations[0].startswith("repeated "), err
+        return None
+
+
+def relabel(cat: FinCat, objs: list[str], mors: list[str]) -> FinCat:
+    obj, mor = dict(zip(cat.objects, objs)), dict(zip(cat.morphisms, mors))
+    return build_fincat(
+        cat.name,
+        objs,
+        [(mor[m], obj[cat.dom[m]], obj[cat.cod[m]]) for m in cat.morphisms],
+        {obj[x]: mor[m] for x, m in cat.identity.items()},
+        {(mor[g], mor[f]): mor[gf] for (g, f), gf in cat.table.items()},
+    )
+
+
+SMALL = st.sampled_from(
+    [zoo.walking_arrow(), zoo.walking_iso(), zoo.parallel_pair(), zoo.bz2(), zoo.discrete(["x", "y"])]
+)
+
+
+@st.composite
+def posets_with_top(draw) -> FinCat:
+    names = [f"p{i}" for i in range(draw(st.integers(1, 3)))]
+    relation = [pair for pair in itertools.combinations(names, 2) if draw(st.booleans())]
+    return zoo.poset("P", relation + [(x, names[-1]) for x in names])
+
+
+def isos_between(cat: FinCat, x: str, y: str) -> int:
+    return sum(cat.is_iso(m) for m in cat.hom(x, y))
+
+
+@st.composite
+def reserved_inputs(draw) -> tuple[FinCat, FinCat, FinCat]:
+    """Two categories and a poset with a top, every cell renamed over RESERVED.
+
+    Half the names are "a" or "a" + sep + "a" for one separator sep, so that
+    derived names that join two names with sep often collide.
+    """
+    sep = draw(st.sampled_from(RESERVED))
+    names = st.one_of(
+        st.sampled_from(["a", f"a{sep}a"]), st.text("a" + RESERVED, min_size=1, max_size=3)
+    )
+    out = []
+    for cat in (draw(st.one_of(SMALL, posets())), draw(SMALL), draw(posets_with_top())):
+        objs = draw(st.lists(names, min_size=len(cat.objects), max_size=len(cat.objects), unique=True))
+        mors = draw(st.lists(names, min_size=len(cat.dom), max_size=len(cat.dom), unique=True))
+        out.append(relabel(cat, objs, mors))
+    return tuple(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(reserved_inputs())
+def test_reserved_characters_give_right_counts_or_a_refusal(cats):
+    c, d, index_cat = cats
+    prod = built_or_refused(bilim.biproduct, c, d)
+    if prod is not None:
+        assert len(prod.category.objects) == len(c.objects) * len(d.objects)
+        assert len(prod.category.dom) == len(c.dom) * len(d.dom)
+        assert_same_fincat(prod.category)
+        assert_valid_functor(prod.proj1)
+        assert_valid_functor(prod.proj2)
+    cot = built_or_refused(bilim.arrow_cotensor, c)
+    if cot is not None:
+        squares = sum(
+            c.table[(q, f)] == c.table[(g, p)]
+            for f in c.dom for g in c.dom
+            for p in c.hom(c.dom[f], c.dom[g]) for q in c.hom(c.cod[f], c.cod[g])
+        )
+        assert (len(cot.category.objects), len(cot.category.dom)) == (len(c.dom), squares)
+        assert_same_fincat(cot.category)
+        assert_valid_functor(cot.src)
+        assert_valid_functor(cot.tgt)
+        eq = built_or_refused(bilim.biequalizer, cot.src, cot.tgt)
+        if eq is not None:
+            assert len(eq.category.objects) == sum(isos_between(c, c.dom[f], c.cod[f]) for f in c.dom)
+            assert_same_fincat(eq.category)
+            assert_valid_functor(eq.projection)
+            assert_valid_nattrans(eq.iso)
+    ident = fincat.identity_functor(c)
+    eq = built_or_refused(bilim.biequalizer, ident, ident)
+    if eq is not None:
+        assert len(eq.category.objects) == sum(isos_between(c, x, x) for x in c.objects)
+        assert_same_fincat(eq.category)
+        assert_valid_functor(eq.projection)
+    pf = constant_pseudofunctor(locally_discrete(index_cat), d)
+    pairs = len(index_cat.objects) * len(d.objects)
+    el = built_or_refused(elements_category, pf)
+    if el is not None:
+        assert len(el.total.cells0) == pairs
+        assert_same_twocat(el.total)
+    colimit = built_or_refused(bifiltered_bicolimit, pf)
+    if colimit is not None:
+        assert len(colimit.result.objects) == len(set(colimit.obj_name.values())) == pairs
+        assert_valid_colimit(colimit)
+
+
+def with_arrows(name: str, objs: list[str], arrows: list[tuple[str, str, str]]) -> FinCat:
+    """The category on ``objs`` and the non-composable ``arrows``."""
+    ids = {x: f"id{x}" for x in objs}
+    table = {(ids[x], ids[x]): ids[x] for x in objs}
+    for m, x, y in arrows:
+        table[(m, ids[x])] = table[(ids[y], m)] = m
+    return build_fincat(name, objs, [(ids[x], x, x) for x in objs] + arrows, ids, table)
+
+
+def colliding_colimit():
+    chain = locally_discrete(zoo.poset("I", [("x", "x.y")]))
+    return bifiltered_bicolimit(constant_pseudofunctor(chain, zoo.discrete(["z", "y.z"], "C")))
+
+
+def colliding_elements():
+    # (u, v|w) and (u|v, w) both spell <i.x|u|v|w>
+    base = locally_discrete(with_arrows("I", ["i", "j"], [("u", "i", "j"), ("u|v", "i", "j")]))
+    fiber = with_arrows("C", ["x", "y"], [("w", "x", "y"), ("v|w", "x", "y")])
+    return elements_category(constant_pseudofunctor(base, fiber))
+
+
+def colliding_biequalizer():
+    # (x, y|z) and (x|y, z) both spell (x|y|z)
+    c = build_fincat(
+        "C", ["x", "x|y"], [("y|z", "x", "x"), ("z", "x|y", "x|y")],
+        {"x": "y|z", "x|y": "z"}, {("y|z", "y|z"): "y|z", ("z", "z"): "z"},
+    )
+    ident = fincat.identity_functor(c)
+    return bilim.biequalizer(ident, ident)
+
+
+COLLISIONS = {
+    "colimit": (colliding_colimit, "colim(const(C))", "repeated object name 'x.y.z'"),
+    "biproduct": (
+        lambda: bilim.biproduct(zoo.discrete(["a", "a,b"], "C"), zoo.discrete(["c", "b,c"], "D")),
+        "(CxD)",
+        "repeated object name '(a,b,c)'",
+    ),
+    "elements": (colliding_elements, "el[i.x,j.y]", "repeated object name '<i.x|u|v|w>'"),
+    "biequalizer": (colliding_biequalizer, "eq(1_C,1_C)", "repeated object name '(x|y|z)'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLLISIONS))
+def test_colliding_derived_names_are_refused(case):
+    build, subject, violation = COLLISIONS[case]
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert (err.value.subject, err.value.violations) == (subject, [violation])
+
+
+def test_arrow_cotensor_of_a_biproduct():
+    # its morphisms hold commas, which a name-slicing builder cut at
+    square = bilim.biproduct(zoo.walking_arrow(), zoo.walking_arrow()).category
+    cot = bilim.arrow_cotensor(square)
+    assert (len(cot.category.objects), len(cot.category.dom)) == (9, 36)
+    assert_same_fincat(cot.category)
+    assert_valid_functor(cot.src)
+    assert_valid_functor(cot.tgt)
+
+
+def test_biequalizer_over_a_morphism_named_with_a_colon():
+    c = build_fincat("C", ["x"], [("i:x", "x", "x")], {"x": "i:x"}, {("i:x", "i:x"): "i:x"})
+    ident = fincat.identity_functor(c)
+    eq = bilim.biequalizer(ident, ident)
+    assert eq.category.objects == ("(x|i:x)",)
+    assert eq.projection.mor_map == {"(i:x:(x|i:x)>(x|i:x))": "i:x"}
+    assert_same_fincat(eq.category)
+    assert_valid_functor(eq.projection)
+
+
+def test_elements_store_only_nonempty_homs():
+    for fx in of_kind(DiagramFixture).values():
+        total = elements_category(fx.functor).total
+        assert all(cat.objects for cat in total.hom.values())
+        for x, y in itertools.product(total.cells0, repeat=2):
+            assert total.hom[(x, y)].name == f"el[{x},{y}]"
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,17 @@ def test_invariant_checks_survive_python_O():
         except ValidationError as err:
             if not any("unit compatibility" in v for v in err.violations):
                 sys.exit(f"wrong violations: {err.violations}")
+
+        # derived names: the pairs (x, y.z) and (x.y, z) both spell x.y.z
+        from bicolim.twocat import locally_discrete
+
+        chain = locally_discrete(zoo.poset("I", [("x", "x.y")]))
+        try:
+            bifiltered_bicolimit(constant_pseudofunctor(chain, zoo.discrete(["z", "y.z"])))
+            sys.exit("colliding colimit objects accepted")
+        except ValidationError as err:
+            if err.violations != ["repeated object name 'x.y.z'"]:
+                sys.exit(f"wrong violations: {err.violations}")
         print("ok")
         """
     )

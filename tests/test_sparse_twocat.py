@@ -18,13 +18,13 @@ from __future__ import annotations
 import itertools
 import random
 import sys
-from pathlib import Path
 from typing import Any, Iterable, Mapping
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from support import corpus_fixtures
 from test_associativity import posets, preorders, transformation_monoids
 from test_derived_twocats import assert_same_twocat
 
@@ -54,7 +54,6 @@ from bicolim.twocat import (
 )
 from bicolim.verdict import Verdict, negative, positive
 
-BUNDLED = Path(twocat.__file__).parent / "corpus"
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +495,6 @@ def test_closure_of_every_one_cell_matches_worklist(cat):
 
 # ---------------------------------------------------------------------------
 # The bundled corpus
-
-
-def corpus_fixtures(suffix: str) -> list[Path]:
-    return sorted(BUNDLED.glob(f"*.{suffix}.json"))
 
 
 @pytest.mark.parametrize("path", corpus_fixtures("twocat"), ids=lambda p: p.name)

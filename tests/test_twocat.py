@@ -314,3 +314,22 @@ def test_twofunctor_validation():
     assert ident.map1("le_a_top") == "le_a_top"
     with pytest.raises(ValidationError):
         build_twofunctor("broken", tc, tc, {i: i for i in tc.cells0}, {}, {})
+
+
+def test_comparison_key_with_a_bar_in_a_one_cell_is_refused_by_name():
+    from bicolim.fixtures import fincat_doc
+    from bicolim.twocat import validate_pseudofunctor
+
+    # the 1-cell le_a_b|c makes the key of (le_b|c_b|c, le_a_b|c) ambiguous
+    index = locally_discrete(zoo.poset("I", [("a", "b|c")]))
+    key = "le_b|c_b|c|le_a_b|c"
+    doc = {
+        "name": "barred",
+        "fibers": {i: fincat_doc(zoo.terminal()) for i in index.cells0},
+        "on1": {f: {"objects": {"*": "*"}, "morphisms": {"id": "id"}} for f in index.one_cells},
+        "on2": {a: {"components": {"*": "id"}} for a in index.two_cells},
+        "comparisons": {"comp": {key: {"components": {"*": "id"}}}, "unit": {}},
+    }
+    with pytest.raises(ValidationError) as err:
+        validate_pseudofunctor(doc, index)
+    assert err.value.violations == [f"comparison key {key!r} is not one 'g|f' pair"]
