@@ -42,7 +42,7 @@ from .fixtures import (
     nattrans_body,
 )
 from .flat import check_flat, decompose_flat
-from .lexkit import finite_limit_witnesses, verify_lex_bicolimit
+from .lexkit import NotLexError, finite_limit_witnesses, verify_lex_bicolimit
 from .verdict import Verdict
 from .verify import Suite
 
@@ -313,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FixtureError, ValidationError, SizeGuardError) as exc:
+    except (FixtureError, ValidationError, SizeGuardError, NotLexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

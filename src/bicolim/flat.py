@@ -85,18 +85,22 @@ def opcartesian_class(el: ElementsCat) -> tuple[TwoCat, SigmaClass]:
     return dual, SigmaClass(dual, el.opcartesian, "opcartesian")
 
 
-def check_flat(pf: CatPseudoFunctor) -> Verdict:
-    """Class-filteredness of the dualized total category at opcartesians."""
-    el = elements_category(pf)
-    if not el.total.cells0:
+def _flat_verdict(dual: TwoCat, opcart: SigmaClass) -> Verdict:
+    """Flatness decided on the 1-cell dual of the total category and its
+    opcartesian class, as :func:`opcartesian_class` returns them."""
+    if not dual.cells0:
         return negative("flat", {"reason": "empty category of elements"})
-    dual, opcart = opcartesian_class(el)
     from .filtered import check_sigma_filtered
 
     inner = check_sigma_filtered(dual, opcart)
     if inner:
         return positive("flat", inner.witnesses)
     return negative("flat", inner.counterexample)
+
+
+def check_flat(pf: CatPseudoFunctor) -> Verdict:
+    """Class-filteredness of the dualized total category at opcartesians."""
+    return _flat_verdict(*opcartesian_class(elements_category(pf)))
 
 
 @dataclass(eq=False)
@@ -220,11 +224,11 @@ def decompose_flat(pf: CatPseudoFunctor) -> DecompositionReport:
     direct analysis of the canonical evaluation functor; all base 1-cells
     get a pseudonaturality check of the evaluation squares.
     """
-    flat = check_flat(pf)
-    if not flat:
-        raise ValidationError(pf.name, [f"not flat: {flat.counterexample}"])
     el = elements_category(pf)
     dual, opcart = opcartesian_class(el)
+    flat = _flat_verdict(dual, opcart)
+    if not flat:
+        raise ValidationError(pf.name, [f"not flat: {flat.counterexample}"])
     closed = sigma_closure(opcart)
     sub = full_sub_on_one_cells(dual, closed.members, name=f"{dual.name}|opcart")
     base = pf.source

@@ -11,56 +11,95 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from .colim import ColimitCat, bifiltered_bicolimit
-from .compact import lift_one_cell
-from .fincat import FinCat, Functor
+from .compact import OneCellLift, lift_one_cell
+from .fincat import FinCat, Functor, _assemble_composed
 from .twocat import CatPseudoFunctor
 from .verdict import Verdict, negative, positive
+
+
+class NotLexError(ValueError):
+    """A fiber or a transition of a diagram given as lex is not lex."""
 
 
 # ---------------------------------------------------------------------------
 # Limits of finite diagrams by exhaustive search
 
+# apex -> the cones with that apex, each a tuple of legs by position
+Cones = dict[str, list[tuple[str, ...]]]
 
-def cone_over(cat: FinCat, apex: str, objs: list[str], mors: list[str]) -> list[dict[str, str]]:
-    """All cones with the given apex over a graph-shaped diagram."""
-    cones = []
-    for combo in itertools.product(*[cat.hom(apex, o) for o in objs]):
-        legs = dict(zip(objs, combo))
-        if all(cat.table[(m, legs[cat.dom[m]])] == legs[cat.cod[m]] for m in mors):
-            cones.append(legs)
-    return cones
+
+def _hom_product(cat: FinCat, x: str, objs: list[str]) -> list[tuple[str, ...]]:
+    """Every family of arrows x -> o, one for each o in ``objs``, in product order."""
+    return list(itertools.product(*[cat.hom(x, o) for o in objs]))
+
+
+def _cones(cat: FinCat, objs: list[str], mors: list[str], families: Cones) -> Cones:
+    """For each apex x, the families out of x, legs in ``objs`` order, that
+    commute with every arrow of ``mors``: the cones over that graph."""
+    at = {o: k for k, o in enumerate(objs)}
+    arrows = [(m, at[cat.dom[m]], at[cat.cod[m]]) for m in mors]
+    table = cat.table
+    return {
+        x: [legs for legs in out if all(table[(m, legs[s])] == legs[t] for m, s, t in arrows)]
+        for x, out in families.items()
+    }
+
+
+def _is_limiting(cat: FinCat, apex: str, legs: tuple[str, ...], cones: Cones) -> bool:
+    """Whether m ↦ legs∘m is a bijection hom(x, apex) -> cones[x] for every x.
+
+    ``legs`` is a cone, so each legs∘m is one too; the map is then a
+    bijection exactly when it is injective and both sides have one size.
+    """
+    table = cat.table
+    for x, over in cones.items():
+        hom = cat.hom(x, apex)
+        if len(hom) != len(over):
+            return False
+        if len({tuple(table[(leg, m)] for leg in legs) for m in hom}) != len(hom):
+            return False
+    return True
+
+
+def _first_limit(cat: FinCat, cones: Cones) -> tuple[str, tuple[str, ...]] | None:
+    """The first cone, apex by apex in object order and in list order at
+    each apex, through which every cone of ``cones`` factors uniquely."""
+    for apex in cat.objects:
+        for legs in cones[apex]:
+            if _is_limiting(cat, apex, legs, cones):
+                return apex, legs
+    return None
 
 
 def limit_of_diagram(
     cat: FinCat, objs: list[str], mors: list[str]
 ) -> tuple[str, dict[str, str]] | None:
-    """A limiting cone over a finite diagram, or None.
+    """A limiting cone over a finite graph diagram, or None.
 
-    A cone is limiting when every cone factors through it uniquely; all of it
-    is checked by enumeration.
+    Cones are tried apex by apex in object order, legs in product order over
+    the sorted objects; the first limiting one is returned.
     """
     objs = sorted(set(objs))
-    mors = sorted(set(mors))
-    all_cones = [
-        (apex, legs) for apex in cat.objects for legs in cone_over(cat, apex, objs, mors)
-    ]
-    for apex, legs in all_cones:
-        good = True
-        for x, mu in all_cones:
-            mediators = [
-                m
-                for m in cat.hom(x, apex)
-                if all(cat.table[(legs[o], m)] == mu[o] for o in objs)
-            ]
-            if len(mediators) != 1:
-                good = False
-                break
-        if good:
-            return apex, legs
-    return None
+    families = {x: _hom_product(cat, x, objs) for x in cat.objects}
+    hit = _first_limit(cat, _cones(cat, objs, mors, families))
+    return None if hit is None else (hit[0], dict(zip(objs, hit[1])))
+
+
+def _product_cones(cat: FinCat, a: str, b: str) -> Cones:
+    """For each x, every pair of arrows (x -> a, x -> b); the legs are
+    independent, so a = b gives pairs too."""
+    return {x: _hom_product(cat, x, [a, b]) for x in cat.objects}
+
+
+def _equalizing_cones(cat: FinCat, f: str, g: str) -> Cones:
+    """For each x, the arrows h: x -> dom f with f∘h = g∘h, as one-leg cones."""
+    a, table = cat.dom[f], cat.table
+    return {
+        x: [(h,) for h in cat.hom(x, a) if table[(f, h)] == table[(g, h)]] for x in cat.objects
+    }
 
 
 @dataclass
@@ -90,79 +129,20 @@ def finite_limit_witnesses(cat: FinCat) -> LexReport:
     terminal = hit[0]
     products = {}
     for a, b in itertools.combinations_with_replacement(cat.objects, 2):
-        if a == b:
-            # the two legs are independent, so this is not a one-object cone
-            got = _binary_product_equal_pair(cat, a)
-            if got is None:
-                return LexReport(False, failure={"shape": "product", "pair": [a, b]})
-            products[(a, b)] = got
-        else:
-            got = limit_of_diagram(cat, [a, b], [])
-            if got is None:
-                return LexReport(False, failure={"shape": "product", "pair": [a, b]})
-            apex, legs = got
-            products[(a, b)] = (apex, legs[a], legs[b])
+        got = _first_limit(cat, _product_cones(cat, a, b))
+        if got is None:
+            return LexReport(False, failure={"shape": "product", "pair": [a, b]})
+        products[(a, b)] = (got[0], *got[1])
     equalizers = {}
     for f in cat.morphisms:
         for g in cat.morphisms:
             if f > g or cat.dom[f] != cat.dom[g] or cat.cod[f] != cat.cod[g]:
                 continue
-            got = _equalizer(cat, f, g)
+            got = _first_limit(cat, _equalizing_cones(cat, f, g))
             if got is None:
                 return LexReport(False, failure={"shape": "equalizer", "pair": [f, g]})
-            equalizers[(f, g)] = got
+            equalizers[(f, g)] = (got[0], got[1][0])
     return LexReport(True, terminal, products, equalizers)
-
-
-def _binary_product_equal_pair(cat: FinCat, a: str) -> tuple[str, str, str] | None:
-    """Product of the pair (a, a): cones carry two independent legs."""
-    candidates = []
-    for apex in cat.objects:
-        for l1 in cat.hom(apex, a):
-            for l2 in cat.hom(apex, a):
-                candidates.append((apex, l1, l2))
-    for apex, l1, l2 in candidates:
-        good = True
-        for x in cat.objects:
-            for m1 in cat.hom(x, a):
-                for m2 in cat.hom(x, a):
-                    mediators = [
-                        m
-                        for m in cat.hom(x, apex)
-                        if cat.table[(l1, m)] == m1 and cat.table[(l2, m)] == m2
-                    ]
-                    if len(mediators) != 1:
-                        good = False
-                        break
-                if not good:
-                    break
-            if not good:
-                break
-        if good:
-            return apex, l1, l2
-    return None
-
-
-def _equalizer(cat: FinCat, f: str, g: str) -> tuple[str, str] | None:
-    a = cat.dom[f]
-    for apex in cat.objects:
-        for eq in cat.hom(apex, a):
-            if cat.table[(f, eq)] != cat.table[(g, eq)]:
-                continue
-            good = True
-            for x in cat.objects:
-                for h in cat.hom(x, a):
-                    if cat.table[(f, h)] != cat.table[(g, h)]:
-                        continue
-                    mediators = [m for m in cat.hom(x, apex) if cat.table[(eq, m)] == h]
-                    if len(mediators) != 1:
-                        good = False
-                        break
-                if not good:
-                    break
-            if good:
-                return apex, eq
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +181,7 @@ def is_lex_functor(fun: Functor) -> Verdict:
 def _is_product_cone(cat: FinCat, apex: str, l1: str, l2: str, a: str, b: str) -> bool:
     if cat.dom[l1] != apex or cat.cod[l1] != a or cat.dom[l2] != apex or cat.cod[l2] != b:
         return False
-    for x in cat.objects:
-        for m1 in cat.hom(x, a):
-            for m2 in cat.hom(x, b):
-                mediators = [
-                    m for m in cat.hom(x, apex)
-                    if cat.table[(l1, m)] == m1 and cat.table[(l2, m)] == m2
-                ]
-                if len(mediators) != 1:
-                    return False
-    return True
+    return _is_limiting(cat, apex, (l1, l2), _product_cones(cat, a, b))
 
 
 def _is_equalizer_cone(cat: FinCat, apex: str, eq: str, f: str, g: str) -> bool:
@@ -218,14 +189,7 @@ def _is_equalizer_cone(cat: FinCat, apex: str, eq: str, f: str, g: str) -> bool:
         return False
     if cat.table[(f, eq)] != cat.table[(g, eq)]:
         return False
-    for x in cat.objects:
-        for h in cat.hom(x, cat.dom[f]):
-            if cat.table[(f, h)] != cat.table[(g, h)]:
-                continue
-            mediators = [m for m in cat.hom(x, apex) if cat.table[(eq, m)] == h]
-            if len(mediators) != 1:
-                return False
-    return True
+    return _is_limiting(cat, apex, (eq,), _equalizing_cones(cat, f, g))
 
 
 # ---------------------------------------------------------------------------
@@ -271,22 +235,27 @@ def _sample_diagrams(cat: FinCat, max_objects: int = 3, max_morphisms: int = 4):
 
 
 def _composition_closure(cat: FinCat, objs: list[str], mors: list[str]) -> set[str]:
-    """The morphisms generated by a graph diagram: identities and composites."""
+    """The morphisms generated by a graph diagram: identities and composites.
+
+    A morphism leaving the work list is composed, on both sides, with every
+    morphism kept so far, so each pair is composed once its later member
+    leaves the list.  Identities, whose composites are known, never enter it.
+    """
     keep = set(mors) | {cat.identity[o] for o in objs}
-    changed = True
-    while changed:
-        changed = False
-        for m in list(keep):
-            for n in list(keep):
-                if cat.dom[n] == cat.cod[m]:
-                    nm = cat.table[(n, m)]
-                    if nm not in keep:
-                        keep.add(nm)
-                        changed = True
+    todo = list(mors)
+    while todo:
+        m = todo.pop()
+        for n in list(keep):
+            for g, f in ((n, m), (m, n)):
+                if cat.dom[g] == cat.cod[f]:
+                    gf = cat.table[(g, f)]
+                    if gf not in keep:
+                        keep.add(gf)
+                        todo.append(gf)
     return keep
 
 
-def _generated_subcategory(cat: FinCat, objs: list[str], keep: set[str]) -> FinCat:
+def _generated_subcategory(cat: FinCat, objs: list[str], keep: Iterable[str]) -> FinCat:
     """The subcategory on the sorted ``objs`` with the composition-closed
     morphisms ``keep``.
 
@@ -294,20 +263,81 @@ def _generated_subcategory(cat: FinCat, objs: list[str], keep: set[str]) -> FinC
     closed under composition is a category with the inherited table, so it
     is assembled without replaying the axioms.
     """
-    ordered = sorted(keep)
-    return FinCat(
+    return _assemble_composed(
         f"{cat.name}|gen",
-        tuple(objs),
-        {m: cat.dom[m] for m in ordered},
-        {m: cat.cod[m] for m in ordered},
+        objs,
+        [(m, cat.dom[m], cat.cod[m]) for m in sorted(keep)],
         {o: cat.identity[o] for o in objs},
-        {
-            (n, m): cat.table[(n, m)]
-            for n in keep
-            for m in keep
-            if cat.dom[n] == cat.cod[m]
-        },
+        lambda g, f, x, z: cat.table[(g, f)],
     )
+
+
+def _distinct_samples(cat: FinCat) -> Iterator[tuple[tuple, list[str]]]:
+    """The sampled diagrams, one per composition closure, as (key, generating
+    arrows) pairs; the key is the objects and the sorted closure."""
+    seen: set[tuple] = set()
+    for objs, mors in _sample_diagrams(cat):
+        key = (tuple(objs), tuple(sorted(_composition_closure(cat, objs, mors))))
+        if key not in seen:
+            seen.add(key)
+            yield key, mors
+
+
+def _lift_objects(colim: ColimitCat, objs: list[str]) -> OneCellLift:
+    """A lift to a stage of the full subcategory of the colimit on ``objs``.
+
+    Every sample on ``objs`` is a subcategory of it, so the lift's
+    restriction lifts the sample, with the same comparison components.
+    """
+    res = colim.result
+    objset = set(objs)
+    full = _generated_subcategory(
+        res, objs, [m for m in res.morphisms if res.dom[m] in objset and res.cod[m] in objset]
+    )
+    # the inclusion of a subcategory is a functor by construction
+    include = Functor("include", full, res, {o: o for o in objs}, {m: m for m in full.dom})
+    return lift_one_cell(full, colim, include)
+
+
+def _sample_verdicts(colim: ColimitCat) -> Iterator[tuple[tuple, str, str | None]]:
+    """(key, stage, reason) for each distinct sampled diagram in the colimit,
+    in sample order; ``reason`` names how the stage-wise limit formula
+    fails, or is None where it holds.
+
+    The samples on one object set share one lift of the full subcategory on
+    it, and each is mapped into that lift's stage.  The limit there, pushed
+    to the colimit along the cocone and the inverse comparison, must be
+    limiting.  Cones are decided over the generating arrows, whose cones are
+    those over their composition closure.  Stage limits and the families
+    Π_o hom(x, o) are shared between samples.
+    """
+    res = colim.result
+    stage_limits: dict[tuple, tuple[str, dict[str, str]] | None] = {}
+    for objs, samples in itertools.groupby(_distinct_samples(res), key=lambda s: s[0][0]):
+        objs = list(objs)
+        lift = _lift_objects(colim, objs)
+        stage, b, q = lift.stage, lift.functor, colim.cocone[lift.stage]
+        back = {o: res.must_inverse(c) for o, c in lift.comparison.components.items()}
+        families = {x: _hom_product(res, x, objs) for x in res.objects}
+        for key, mors in samples:
+            image_objs = sorted({b.obj_map[o] for o in objs})
+            image_mors = sorted({b.mor_map[m] for m in mors})
+            limit_key = (stage, tuple(image_objs), tuple(image_mors))
+            if limit_key not in stage_limits:
+                stage_limits[limit_key] = limit_of_diagram(
+                    colim.diagram.on0[stage], image_objs, image_mors
+                )
+            if stage_limits[limit_key] is None:
+                yield key, stage, "no stage limit"
+                continue
+            apex, legs = stage_limits[limit_key]
+            pushed_apex = q.obj_map[apex]
+            pushed = tuple(res.table[(back[o], q.mor_map[legs[b.obj_map[o]]])] for o in objs)
+            cones = _cones(res, objs, mors, families)
+            if pushed in cones[pushed_apex] and _is_limiting(res, pushed_apex, pushed, cones):
+                yield key, stage, None
+            else:
+                yield key, stage, "pushed cone not limiting"
 
 
 def verify_lex_bicolimit(pf: CatPseudoFunctor) -> LexColimitReport:
@@ -315,72 +345,24 @@ def verify_lex_bicolimit(pf: CatPseudoFunctor) -> LexColimitReport:
 
     (a) the colimit has the witness triple; (b) every inclusion is a lex
     functor; (c) for each sampled diagram in the colimit, lifting it to a
-    stage, taking the limit there, and pushing back yields a limit.
+    stage, taking the limit there, and pushing back yields a limit.  A fiber
+    or transition that is not lex raises :class:`NotLexError`.
     """
     for i in sorted(pf.source.cells0):
         rep = finite_limit_witnesses(pf.on0[i])
         if not rep.ok:
-            raise ValueError(f"fiber at {i!r} is not lex: {rep.failure}")
+            raise NotLexError(f"fiber at {i!r} is not lex: {rep.failure}")
     for d in sorted(pf.source.one_home):
         verdict = is_lex_functor(pf.on1[d])
         if not verdict:
-            raise ValueError(f"leg at {d!r} is not lex: {verdict.counterexample}")
+            raise NotLexError(f"leg at {d!r} is not lex: {verdict.counterexample}")
     colim = bifiltered_bicolimit(pf)
     colimit_lex = finite_limit_witnesses(colim.result)
     legs_lex = {i: is_lex_functor(colim.cocone[i]) for i in sorted(pf.source.cells0)}
-
-    failures: list[dict[str, Any]] = []
-    sampled = 0
-    seen: set[tuple] = set()
-    for objs, mors in _sample_diagrams(colim.result):
-        closure = _composition_closure(colim.result, objs, mors)
-        key = (tuple(objs), tuple(sorted(closure)))
-        if key in seen:
-            continue
-        seen.add(key)
-        sampled += 1
-        probe = _generated_subcategory(colim.result, objs, closure)
-        # the inclusion of a subcategory is a functor by construction
-        include = Functor(
-            "include",
-            probe,
-            colim.result,
-            {o: o for o in probe.objects},
-            {m: m for m in probe.dom},
-        )
-        lift = lift_one_cell(probe, colim, include)
-        stage_cat = pf.on0[lift.stage]
-        image_objs = [lift.functor.obj_map[o] for o in probe.objects]
-        image_mors = [lift.functor.mor_map[m] for m in probe.dom]
-        stage_limit = limit_of_diagram(stage_cat, image_objs, image_mors)
-        if stage_limit is None:
-            failures.append({"diagram": key, "stage": lift.stage, "reason": "no stage limit"})
-            continue
-        apex, legs = stage_limit
-        pushed_apex = colim.cocone[lift.stage].obj_map[apex]
-        pushed_legs = {}
-        for o in probe.objects:
-            img = lift.functor.obj_map[o]
-            down = colim.cocone[lift.stage].mor_map[legs[img]]
-            back = colim.result.must_inverse(lift.comparison.components[o])
-            pushed_legs[o] = colim.result.table[(back, down)]
-        if not _is_limit_cone(colim.result, pushed_apex, pushed_legs, list(probe.objects), list(probe.dom)):
-            failures.append({"diagram": key, "stage": lift.stage, "reason": "pushed cone not limiting"})
-    return LexColimitReport(colimit_lex, legs_lex, sampled, failures, colim)
-
-
-def _is_limit_cone(
-    cat: FinCat, apex: str, legs: dict[str, str], objs: list[str], mors: list[str]
-) -> bool:
-    for m in mors:
-        if cat.table[(m, legs[cat.dom[m]])] != legs[cat.cod[m]]:
-            return False
-    for x in cat.objects:
-        for mu in cone_over(cat, x, sorted(objs), sorted(mors)):
-            mediators = [
-                m for m in cat.hom(x, apex)
-                if all(cat.table[(legs[o], m)] == mu[o] for o in objs)
-            ]
-            if len(mediators) != 1:
-                return False
-    return True
+    verdicts = list(_sample_verdicts(colim))
+    failures = [
+        {"diagram": key, "stage": stage, "reason": reason}
+        for key, stage, reason in verdicts
+        if reason is not None
+    ]
+    return LexColimitReport(colimit_lex, legs_lex, len(verdicts), failures, colim)

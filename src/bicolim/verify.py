@@ -60,7 +60,7 @@ from .fixtures import (
     load_fixture,
 )
 from .flat import check_flat, check_flat_preserves_bilimits, decompose_flat
-from .lexkit import verify_lex_bicolimit
+from .lexkit import NotLexError, verify_lex_bicolimit
 from .twocat import (
     CatPseudoFunctor,
     SigmaClass,
@@ -245,8 +245,9 @@ class Suite:
         """A task that runs ``check`` and records its outcome under ``lemma``.
 
         A check that returns None does not apply, and nothing is recorded.
-        An instance the size guard stopped went unchecked, so it is a
-        failure whose replay line carries the guard's message.
+        An instance the size guard stopped, or whose diagram fails the
+        lemma's lex precondition, went unchecked, so it is a failure whose
+        replay line carries the reason.
         """
 
         def run() -> None:
@@ -254,6 +255,8 @@ class Suite:
                 ok = check()
             except SizeGuardError as exc:
                 ok, line = False, f"{replay}  # size guard: {exc}"
+            except NotLexError as exc:
+                ok, line = False, f"{replay}  # {exc}"
             else:
                 line = replay
             if ok is None:

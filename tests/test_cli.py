@@ -307,3 +307,32 @@ def test_verify_pairs_instances_with_the_flat_diagrams_over_their_base(tmp_path,
         "inst_biequalizer_bot.instance.json",
         "inst_biproduct_bot.instance.json",
     ]
+
+
+def test_verify_records_a_diagram_claimed_lex_that_is_not(tmp_path, capsys):
+    # the discrete category on {a, b} has no terminal object; the suite
+    # records the lex-closure instance as a failure instead of raising
+    for name in ("terminal.twocat.json", "nonflat_discrete.diagram.json"):
+        (tmp_path / name).write_bytes((BUNDLED / name).read_bytes())
+    doc = json.loads((BUNDLED / "nonflat_discrete.diagram.json").read_text())
+    doc["expect"] = {"lex": True}
+    (tmp_path / "claimed_lex.diagram.json").write_text(json.dumps(doc))
+    report = Suite(tmp_path).run()
+    assert report["ok"] is False
+    assert report["lemmas"]["lex-closure"] == {
+        "pass": 0,
+        "fail": 1,
+        "failures": [
+            {
+                "instance": "claimed_lex.diagram.json",
+                "replay": "bicolim lex verify-colimit claimed_lex.diagram.json"
+                "  # fiber at '.' is not lex: {'shape': 'terminal'}",
+            }
+        ],
+    }
+    # the replay line names a command that reports the same reason
+    code, _, err = run_cli(
+        "lex", "verify-colimit", str(tmp_path / "claimed_lex.diagram.json"), capsys=capsys
+    )
+    assert code == 2
+    assert "fiber at '.' is not lex" in err

@@ -6,13 +6,15 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_associativity import posets, preorders, transformation_monoids
+from test_associativity import posets, preorders, transformation_monoids, valid_categories
 from test_indexes import constant_diagrams_over_posets_with_top
 
 from bicolim import corpus, fincat, lexkit, zoo
 from bicolim.colim import bifiltered_bicolimit
 from bicolim.compact import OneCellLift, lift_one_cell
 from bicolim.fincat import (
+    Functor,
+    NatTrans,
     ValidationError,
     build_fincat,
     build_functor,
@@ -20,14 +22,23 @@ from bicolim.fincat import (
     compose_functors,
     enumerate_functors,
     fincat_violations,
+    functor_violations,
     identity_functor,
+    nattrans_violations,
     natural_iso_search,
 )
 from bicolim.lexkit import (
     _composition_closure,
+    _cones,
+    _distinct_samples,
+    _equalizing_cones,
     _generated_subcategory,
+    _hom_product,
+    _is_limiting,
+    _lift_objects,
+    _product_cones,
     _sample_diagrams,
-    cone_over,
+    _sample_verdicts,
     finite_limit_witnesses,
     is_lex_functor,
     limit_of_diagram,
@@ -48,6 +59,51 @@ def brute_force_meet(cat, a, b):
         if all(cat.hom(y, x) for y in lower)
     ]
     return meets[0] if meets else None
+
+
+# Limits decided by counting, for every cone, the mediators into a candidate:
+# the oracles of ``lexkit``'s test that hom(x, apex) -> cones(x) is a
+# bijection, and of the verdict differential below.
+
+
+def cone_over(cat, apex, objs, mors):
+    """All cones with the given apex over a graph-shaped diagram."""
+    cones = []
+    for combo in itertools.product(*[cat.hom(apex, o) for o in objs]):
+        legs = dict(zip(objs, combo))
+        if all(cat.table[(m, legs[cat.dom[m]])] == legs[cat.cod[m]] for m in mors):
+            cones.append(legs)
+    return cones
+
+
+def counts_one_mediator(cat, apex, legs, objs, mors):
+    """Every cone over the diagram factors through (apex, legs) exactly once."""
+    for x in cat.objects:
+        for mu in cone_over(cat, x, sorted(objs), sorted(mors)):
+            mediators = [
+                m for m in cat.hom(x, apex)
+                if all(cat.table[(legs[o], m)] == mu[o] for o in objs)
+            ]
+            if len(mediators) != 1:
+                return False
+    return True
+
+
+def counting_limit_of_diagram(cat, objs, mors):
+    objs = sorted(set(objs))
+    mors = sorted(set(mors))
+    for apex in cat.objects:
+        for legs in cone_over(cat, apex, objs, mors):
+            if counts_one_mediator(cat, apex, legs, objs, mors):
+                return apex, legs
+    return None
+
+
+def counting_is_limit_cone(cat, apex, legs, objs, mors):
+    for m in mors:
+        if cat.table[(m, legs[cat.dom[m]])] != legs[cat.cod[m]]:
+            return False
+    return counts_one_mediator(cat, apex, legs, objs, mors)
 
 
 # -- witnesses ---------------------------------------------------------------
@@ -94,6 +150,7 @@ def test_limit_of_diagram_matches_cone_oracle():
     cat = diamond()
     got = limit_of_diagram(cat, ["l", "r"], [])
     assert got is not None
+    assert got == counting_limit_of_diagram(cat, ["l", "r"], [])
     apex, legs = got
     assert apex == "bot"
     # oracle: every cone factors through it uniquely, by enumeration
@@ -104,6 +161,62 @@ def test_limit_of_diagram_matches_cone_oracle():
                 if all(cat.table[(legs[o], m)] == mu[o] for o in ["l", "r"])
             ]
             assert len(mediators) == 1
+
+
+@st.composite
+def small_graph_diagrams(draw):
+    """A small category and a graph diagram in it: up to 3 objects and up to
+    3 arrows between them."""
+    cat = draw(st.one_of(valid_categories, preorders()))
+    objs = sorted(draw(st.sets(st.sampled_from(cat.objects), min_size=0, max_size=3)))
+    inner = [m for m in cat.morphisms if cat.dom[m] in objs and cat.cod[m] in objs]
+    mors = draw(st.lists(st.sampled_from(inner), max_size=3, unique=True)) if inner else []
+    return cat, objs, mors
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graph_diagrams())
+def test_bijection_test_agrees_with_mediator_counting(diagram):
+    cat, objs, mors = diagram
+    cones = _cones(cat, objs, mors, {x: _hom_product(cat, x, objs) for x in cat.objects})
+    for x in cat.objects:
+        assert [dict(zip(objs, legs)) for legs in cones[x]] == cone_over(cat, x, objs, mors)
+        for legs in cones[x]:
+            assert _is_limiting(cat, x, legs, cones) == counts_one_mediator(
+                cat, x, dict(zip(objs, legs)), objs, mors
+            )
+    assert limit_of_diagram(cat, objs, mors) == counting_limit_of_diagram(cat, objs, mors)
+
+
+def counts_one_mediator_at(cat, apex, legs, cones):
+    """Every cone of ``cones``, legs by position, factors through (apex,
+    legs) by exactly one arrow."""
+    return all(
+        len([m for m in cat.hom(x, apex) if all(cat.table[(l, m)] == c for l, c in zip(legs, cone))])
+        == 1
+        for x, over in cones.items()
+        for cone in over
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(valid_categories, preorders()), st.data())
+def test_product_and_equalizer_tests_agree_with_mediator_counting(cat, data):
+    # products of a pair (a, a) have two independent legs, so they are not
+    # graph diagrams; equalizers have one leg
+    shapes = [_product_cones(cat, a, b) for a, b in itertools.combinations_with_replacement(cat.objects, 2)]
+    shapes += [
+        _equalizing_cones(cat, f, g)
+        for f in cat.morphisms
+        for g in cat.morphisms
+        if cat.dom[f] == cat.dom[g] and cat.cod[f] == cat.cod[g]
+    ]
+    for cones in data.draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=6)):
+        for apex, over in cones.items():
+            for legs in over:
+                assert _is_limiting(cat, apex, legs, cones) == counts_one_mediator_at(
+                    cat, apex, legs, cones
+                )
 
 
 # -- lex functors --------------------------------------------------------------
@@ -219,17 +332,13 @@ def validated_generated_subcategory(cat, objs, mors):
                     if nm not in keep:
                         keep.add(nm)
                         changed = True
+    rows = sorted(keep)
     return build_fincat(
         f"{cat.name}|gen",
         objs,
-        [(m, cat.dom[m], cat.cod[m]) for m in sorted(keep)],
+        [(m, cat.dom[m], cat.cod[m]) for m in rows],
         {o: cat.identity[o] for o in objs},
-        {
-            (n, m): cat.table[(n, m)]
-            for n in keep
-            for m in keep
-            if cat.dom[n] == cat.cod[m]
-        },
+        {(n, m): cat.table[(n, m)] for m in rows for n in rows if cat.dom[n] == cat.cod[m]},
     )
 
 
@@ -262,14 +371,15 @@ def assert_same_fincat(got, want):
 
 
 def distinct_samples(cat):
-    """Generated subcategories of the sampled diagrams, as verify dedups them."""
+    """Keys, generators and generated subcategories of the sampled diagrams,
+    as verify dedups them."""
     seen = set()
     for objs, mors in _sample_diagrams(cat):
         closure = _composition_closure(cat, objs, mors)
         key = (tuple(objs), tuple(sorted(closure)))
         if key not in seen:
             seen.add(key)
-            yield objs, mors, _generated_subcategory(cat, objs, closure)
+            yield key, objs, mors, _generated_subcategory(cat, objs, closure)
 
 
 def inclusion(probe, cat):
@@ -282,12 +392,13 @@ def inclusion(probe, cat):
 def test_restricted_lift_matches_enumerating_oracle_on_lex_samples(name):
     pf = corpus.LEX_DIAGRAM_BUILDERS[name]()
     colim = bifiltered_bicolimit(pf)
-    count = 0
-    for objs, mors, probe in distinct_samples(colim.result):
+    keys = []
+    for key, objs, mors, probe in distinct_samples(colim.result):
         assert_same_fincat(probe, validated_generated_subcategory(colim.result, objs, mors))
         assert_lift_matches_oracle(probe, colim, inclusion(probe, colim.result))
-        count += 1
-    assert count == verify_lex_bicolimit(pf).sampled_diagrams
+        keys.append(key)
+    assert keys == [key for key, _ in _distinct_samples(colim.result)]
+    assert len(keys) == verify_lex_bicolimit(pf).sampled_diagrams
 
 
 @st.composite
@@ -304,12 +415,124 @@ def constant_diagrams(draw):
 def test_restricted_lift_matches_enumerating_oracle_on_constant_diagrams(pf, data):
     colim = bifiltered_bicolimit(pf)
     samples = list(itertools.islice(distinct_samples(colim.result), 200))
-    for objs, mors, probe in data.draw(st.lists(st.sampled_from(samples), max_size=8)):
+    for _, _, _, probe in data.draw(st.lists(st.sampled_from(samples), max_size=8)):
         assert_lift_matches_oracle(probe, colim, inclusion(probe, colim.result))
     # functors that are not inclusions, so comparisons need not be identities
     for probe in (zoo.terminal(), zoo.walking_arrow()):
         for fun in itertools.islice(enumerate_functors(probe, colim.result), 40):
             assert_lift_matches_oracle(probe, colim, fun)
+
+
+# -- one lift per object set, differential ---------------------------------------
+#
+# ``_sample_verdicts`` lifts the full subcategory on each sampled object set
+# once, restricts that lift to each sample on the set, and decides cones over
+# the sample's generators by comparing hom(x, apex) with the cones at x.  The
+# oracle is the per-sample path: a lift of each sample's generated
+# subcategory, then limits decided by counting mediators over its
+# composition closure.
+#
+# The stage diagram is the image graph of the lift, so a lift that sends two
+# sample objects to one stage object decides a diagram whose cones have one
+# leg there.  In a thin category that changes no verdict, and every finite
+# lex category is thin: |hom(x, aⁿ)| = |hom(x, a)|ⁿ takes finitely many
+# values only if it is at most 1.  On the non-thin fibers the hypothesis
+# strategy draws, two valid lifts can collapse objects differently; there
+# the oracle decides each sample on the restriction of the object set's lift.
+
+
+def restricted_lifts(colim, samples):
+    """Each sample's restriction of its object set's lift, checked to be a
+    functor on the sample with a natural invertible comparison."""
+    res = colim.result
+    by_objects = {}
+    out = []
+    for key, objs, _, probe in samples:
+        if key[0] not in by_objects:
+            by_objects[key[0]] = _lift_objects(colim, objs)
+        lift = by_objects[key[0]]
+        restricted = Functor(
+            "restricted",
+            probe,
+            lift.functor.target,
+            {o: lift.functor.obj_map[o] for o in probe.objects},
+            {m: lift.functor.mor_map[m] for m in probe.dom},
+        )
+        assert functor_violations(restricted) == []
+        comparison = NatTrans(
+            "compare",
+            inclusion(probe, res),
+            compose_functors(colim.cocone[lift.stage], restricted),
+            dict(lift.comparison.components),
+        )
+        assert nattrans_violations(comparison) == []
+        assert comparison.is_invertible()
+        out.append(OneCellLift(lift.stage, restricted, comparison))
+    return out
+
+
+def per_sample_verdicts(colim, samples, lifts):
+    """(key, stage, reason) of each sample, decided on the given lifts by
+    counting mediators over the sample's composition closure."""
+    res = colim.result
+    out = []
+    for (key, _, _, probe), lift in zip(samples, lifts):
+        image_objs = [lift.functor.obj_map[o] for o in probe.objects]
+        image_mors = [lift.functor.mor_map[m] for m in probe.dom]
+        stage_limit = counting_limit_of_diagram(colim.diagram.on0[lift.stage], image_objs, image_mors)
+        if stage_limit is None:
+            out.append((key, lift.stage, "no stage limit"))
+            continue
+        apex, legs = stage_limit
+        q = colim.cocone[lift.stage]
+        pushed = {
+            o: res.table[
+                (res.must_inverse(lift.comparison.components[o]), q.mor_map[legs[lift.functor.obj_map[o]]])
+            ]
+            for o in probe.objects
+        }
+        limiting = counting_is_limit_cone(res, q.obj_map[apex], pushed, list(probe.objects), list(probe.dom))
+        out.append((key, lift.stage, None if limiting else "pushed cone not limiting"))
+    return out
+
+
+def sample_lifts(colim, samples):
+    """Today's per-sample lifts: each sample's generated subcategory on its own."""
+    return [lift_one_cell(probe, colim, inclusion(probe, colim.result)) for _, _, _, probe in samples]
+
+
+def without_stage(verdicts):
+    return [(key, reason) for key, _, reason in verdicts]
+
+
+@pytest.mark.parametrize("name", sorted(corpus.LEX_DIAGRAM_BUILDERS))
+def test_object_set_lifts_match_per_sample_path_on_lex_samples(name):
+    colim = bifiltered_bicolimit(corpus.LEX_DIAGRAM_BUILDERS[name]())
+    samples = list(distinct_samples(colim.result))
+    got = list(_sample_verdicts(colim))
+    assert got == per_sample_verdicts(colim, samples, restricted_lifts(colim, samples))
+    assert without_stage(got) == without_stage(
+        per_sample_verdicts(colim, samples, sample_lifts(colim, samples))
+    )
+    assert len(got) == len(samples)
+    assert all(reason is None for _, _, reason in got)
+
+
+def is_thin(cat):
+    return all(len(cat.hom(x, y)) <= 1 for x in cat.objects for y in cat.objects)
+
+
+@settings(max_examples=25, deadline=None)
+@given(constant_diagrams())
+def test_object_set_lifts_match_per_sample_path_on_constant_diagrams(pf):
+    colim = bifiltered_bicolimit(pf)
+    samples = list(itertools.islice(distinct_samples(colim.result), 120))
+    got = list(itertools.islice(_sample_verdicts(colim), len(samples)))
+    assert got == per_sample_verdicts(colim, samples, restricted_lifts(colim, samples))
+    if is_thin(colim.result):
+        assert without_stage(got) == without_stage(
+            per_sample_verdicts(colim, samples, sample_lifts(colim, samples))
+        )
 
 
 @settings(max_examples=40, deadline=None)
