@@ -496,6 +496,28 @@ def per_sample_verdicts(colim, samples, lifts):
     return out
 
 
+def test_each_object_set_is_lifted_once(monkeypatch):
+    """``_sample_verdicts`` groups consecutive samples by object set, so it
+    lifts each set once only while ``_sample_diagrams`` keeps a set's
+    samples together: 63 sets in lex_chain and 129 in lex_const."""
+    lifted = []
+
+    def counting(colim, objs):
+        lifted.append(tuple(objs))
+        return _lift_objects(colim, objs)
+
+    monkeypatch.setattr(lexkit, "_lift_objects", counting)
+    total = 0
+    for name in sorted(corpus.LEX_DIAGRAM_BUILDERS):
+        colim = bifiltered_bicolimit(corpus.LEX_DIAGRAM_BUILDERS[name]())
+        object_sets = {key[0] for key, _ in _distinct_samples(colim.result)}
+        lifted.clear()
+        list(_sample_verdicts(colim))
+        assert sorted(lifted) == sorted(object_sets)
+        total += len(lifted)
+    assert total == 192
+
+
 def sample_lifts(colim, samples):
     """Today's per-sample lifts: each sample's generated subcategory on its own."""
     return [lift_one_cell(probe, colim, inclusion(probe, colim.result)) for _, _, _, probe in samples]
