@@ -70,19 +70,22 @@ def biproduct(c: FinCat, d: FinCat) -> Biproduct:
     preserve every composite."""
     objs = [(x, y) for x in c.objects for y in d.objects]
     mors = [(m, n) for m in c.morphisms for n in d.morphisms]
+    # per morphism of c, the pair names with each morphism of d
+    named = {m: {n: _pair(m, n) for n in d.morphisms} for m in c.morphisms}
     table = {}
     for (g1, f1), h1 in c.table.items():
+        g_row, f_row, h_row = named[g1], named[f1], named[h1]
         for (g2, f2), h2 in d.table.items():
-            table[(_pair(g1, g2), _pair(f1, f2))] = _pair(h1, h2)
+            table[(g_row[g2], f_row[f2])] = h_row[h2]
     cat = _assemble_fincat(
         f"({c.name}x{d.name})",
         [_pair(x, y) for x, y in objs],
-        [(_pair(m, n), _pair(c.dom[m], d.dom[n]), _pair(c.cod[m], d.cod[n])) for m, n in mors],
-        {_pair(x, y): _pair(c.identity[x], d.identity[y]) for x, y in objs},
+        [(named[m][n], _pair(c.dom[m], d.dom[n]), _pair(c.cod[m], d.cod[n])) for m, n in mors],
+        {_pair(x, y): named[c.identity[x]][d.identity[y]] for x, y in objs},
         table,
     )
-    proj1 = Functor("pr1", cat, c, {_pair(x, y): x for x, y in objs}, {_pair(m, n): m for m, n in mors})
-    proj2 = Functor("pr2", cat, d, {_pair(x, y): y for x, y in objs}, {_pair(m, n): n for m, n in mors})
+    proj1 = Functor("pr1", cat, c, {_pair(x, y): x for x, y in objs}, {named[m][n]: m for m, n in mors})
+    proj2 = Functor("pr2", cat, d, {_pair(x, y): y for x, y in objs}, {named[m][n]: n for m, n in mors})
     return Biproduct(cat, c, d, proj1, proj2)
 
 

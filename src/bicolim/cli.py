@@ -180,7 +180,7 @@ def cmd_flat(args) -> int:
 def cmd_compact(args) -> int:
     probe = _need(load_fixture(args.probe), ProbeFixture, "category").category
     fx = _need(load_fixture(args.diagram), DiagramFixture, "diagram")
-    verdict = check_bicompact_against(probe, fx.functor)
+    verdict = check_bicompact_against(probe, bifiltered_bicolimit(fx.functor))
     return _verdict_exit(verdict, args.format)
 
 

@@ -16,6 +16,13 @@ exactly when the composite into the smaller [K, sk(colim F)] is.  A negative
 verdict therefore names cells of [K, sk(colim F)]; the size guard and the
 ``outer_objects`` witness still count [K, colim F].
 
+The comparison is checked against a colimit the caller computed, so a
+caller that probes one diagram with several categories computes colim F
+once.  Functors K -> C and transformations are looked up by value: a
+functor by its morphism images in ``K.morphisms`` order, a transformation by
+the names of its two functors and its components in ``K.objects`` order.
+Postcomposition and whiskering then map tuples of names.
+
 Verdicts are evidence for the supplied diagram only; no claim is made about
 all filtered diagrams at once.
 """
@@ -42,8 +49,6 @@ from .fincat import (
     natural_iso_search,
     skeleton,
     transformations_exceeded,
-    whisker_functor,
-    whisker_nattrans,
 )
 from .twocat import CatPseudoFunctor, stagewise_pseudofunctor
 from .verdict import Verdict, negative, positive
@@ -233,33 +238,56 @@ def mapped_diagram(
 
     Assembled without a replay: postcomposition with a functor is a functor
     between functor categories, and [probe, -] is a 2-functor on Cat.
+    Postcomposition and whiskering act on the value keys of
+    :func:`_functor_names` and :func:`_nattrans_names`, so each image is
+    looked up without building a functor or transformation for it.
     """
     tc = pf.source
     fcs = {i: functor_category(probe, pf.on0[i], max_morphisms) for i in tc.cells0}
-    fun_name: dict[str, dict[tuple, str]] = {
-        i: {f.key(): n for n, f in fcs[i].functors.items()} for i in tc.cells0
-    }
-    nat_name: dict[str, dict[tuple, str]] = {
-        i: {t.key(): n for n, t in fcs[i].transformations.items()} for i in tc.cells0
+    fun_name = {i: _functor_names(probe, fcs[i]) for i in tc.cells0}
+    nat_name = {i: _nattrans_names(probe, fcs[i]) for i in tc.cells0}
+    # per stage, each functor's object images in probe order
+    obj_images = {
+        i: {n: tuple(g.obj_map[x] for x in probe.objects) for n, g in fcs[i].functors.items()}
+        for i in tc.cells0
     }
 
     def functor_image(d: str) -> Functor:
         i, j = tc.one_home[d]
-        post = pf.on1[d]
-        obj_map = {n: fun_name[j][compose_functors(post, g).key()] for n, g in fcs[i].functors.items()}
+        post = pf.on1[d].mor_map
+        obj_map = {n: fun_name[j][tuple(post[v] for v in img)] for img, n in fun_name[i].items()}
         mor_map = {
-            n: nat_name[j][whisker_functor(post, t).key()]
-            for n, t in fcs[i].transformations.items()
+            n: nat_name[j][(obj_map[f], obj_map[g], tuple(post[c] for c in comps))]
+            for (f, g, comps), n in nat_name[i].items()
         }
         return Functor(f"[K,{d}]", fcs[i].category, fcs[j].category, obj_map, mor_map)
 
     def image(cell, i, j, src, tgt) -> dict[str, str]:
-        c = cell(pf)
-        return {n: nat_name[j][whisker_nattrans(c, g).key()] for n, g in fcs[i].functors.items()}
+        c = cell(pf).components
+        return {
+            n: nat_name[j][(src.obj_map[n], tgt.obj_map[n], tuple(c[a] for a in objs))]
+            for n, objs in obj_images[i].items()
+        }
 
     on1 = {d: functor_image(d) for d in tc.one_home}
     on0 = {i: fcs[i].category for i in tc.cells0}
     return stagewise_pseudofunctor(f"[K,{pf.name}]", tc, on0, on1, image), fcs
+
+
+def _functor_names(probe: FinCat, fc: FunctorCategory) -> dict[tuple[str, ...], str]:
+    """Each functor of ``fc`` by value: its morphism images in
+    ``probe.morphisms`` order, which hold the images of the identities and
+    so fix the object map too."""
+    return {tuple(f.mor_map[m] for m in probe.morphisms): n for n, f in fc.functors.items()}
+
+
+def _nattrans_names(probe: FinCat, fc: FunctorCategory) -> dict[tuple, str]:
+    """Each transformation of ``fc`` by value: the names of its source and
+    target functors and its components in ``probe.objects`` order."""
+    return {
+        (t.source.name, t.target.name, tuple(t.components[x] for x in probe.objects)): n
+        for n, t in fc.transformations.items()
+    }
 
 
 def _outer_guard(
@@ -281,58 +309,69 @@ def _outer_guard(
                     raise transformations_exceeded(probe, target, max_morphisms)
 
 
+def _comparison(
+    probe: FinCat, colim: ColimitCat, max_morphisms: int
+) -> tuple[Functor, int]:
+    """The comparison colim_i [probe, F i] -> [probe, sk(colim F)] and the
+    object count of [probe, colim F].
+
+    It is the functor the cocone [probe, r∘q_i] induces, so it is assembled
+    directly; cells of the target are looked up by value.
+    """
+    pf = colim.diagram
+    mapped, fcs = mapped_diagram(probe, pf, max_morphisms)
+    inner = bifiltered_bicolimit(mapped, precheck=False)
+    res = colim.result
+    guard_object_maps(probe, res, max_morphisms)
+    sk = skeleton(res)
+    r = sk.retraction.mor_map
+    images: dict[tuple, Functor] = {}
+    mult: Counter = Counter()
+    for fun in enumerate_functors(probe, res):
+        key = tuple(r[fun.mor_map[m]] for m in probe.morphisms)
+        if key not in images:
+            images[key] = compose_functors(sk.retraction, fun)
+        mult[key] += 1
+    _outer_guard(probe, res, images, mult, max_morphisms)
+    outer = functor_category(probe, sk.category, max_morphisms)
+    outer_fun_name = _functor_names(probe, outer)
+    outer_nat_name = _nattrans_names(probe, outer)
+
+    obj_map = {}
+    for (i, gname), oname in inner.obj_name.items():
+        q, g = colim.cocone[i].mor_map, fcs[i].functors[gname].mor_map
+        obj_map[oname] = outer_fun_name[tuple(r[q[g[m]]] for m in probe.morphisms)]
+    mor_map = {}
+    for cname, rep in inner.class_rep.items():
+        (i1, g1), (i2, g2) = rep.src, rep.dst
+        b1, b2 = fcs[i1].functors[g1].obj_map, fcs[i2].functors[g2].obj_map
+        chi = fcs[rep.apex].transformations[rep.cell].components
+        comps = tuple(
+            r[
+                colim.morphism_of(
+                    Premorphism((i1, b1[k]), (i2, b2[k]), rep.apex, rep.left, rep.right, chi[k])
+                )
+            ]
+            for k in probe.objects
+        )
+        src, tgt = obj_map[inner.obj_name[rep.src]], obj_map[inner.obj_name[rep.dst]]
+        mor_map[cname] = outer_nat_name[(src, tgt, comps)]
+    return Functor("compare", inner.result, outer.category, obj_map, mor_map), sum(mult.values())
+
+
 def check_bicompact_against(
-    probe: FinCat, pf: CatPseudoFunctor, max_morphisms: int = 100_000
+    probe: FinCat, colim: ColimitCat, max_morphisms: int = 100_000
 ) -> Verdict:
-    """Analyse the canonical comparison for one probe against one diagram.
+    """Analyse the canonical comparison for one probe against the diagram
+    ``colim.diagram``, given its computed colimit.
 
     Computes the colimit of mapped functor categories and checks the
     comparison functor, composed with [probe, r] into [probe, sk(colim F)],
     for essential surjectivity and full faithfulness directly (see the
     module docstring for why the verdict is the one for [probe, colim F]).
     """
-    colim = bifiltered_bicolimit(pf)
-    mapped, fcs = mapped_diagram(probe, pf, max_morphisms)
-    inner = bifiltered_bicolimit(mapped, precheck=False)
-    res = colim.result
-    guard_object_maps(probe, res, max_morphisms)
-    sk = skeleton(res)
-    r = sk.retraction
-    images: dict[tuple, Functor] = {}
-    mult: Counter = Counter()
-    for fun in enumerate_functors(probe, res):
-        rf = compose_functors(r, fun)
-        images.setdefault(rf.key(), rf)
-        mult[rf.key()] += 1
-    _outer_guard(probe, res, images, mult, max_morphisms)
-    outer = functor_category(probe, sk.category, max_morphisms)
-    outer_fun_name = {f.key(): n for n, f in outer.functors.items()}
-    outer_nat_name = {t.key(): n for n, t in outer.transformations.items()}
-
-    obj_map = {}
-    for (i, gname), oname in inner.obj_name.items():
-        composed = compose_functors(r, compose_functors(colim.cocone[i], fcs[i].functors[gname]))
-        obj_map[oname] = outer_fun_name[composed.key()]
-    mor_map = {}
-    for cname, rep in inner.class_rep.items():
-        (i1, g1), (i2, g2) = rep.src, rep.dst
-        b1, b2 = fcs[i1].functors[g1], fcs[i2].functors[g2]
-        chi = fcs[rep.apex].transformations[rep.cell]
-        comps = {
-            k: r.mor_map[
-                colim.morphism_of(
-                    Premorphism(
-                        (i1, b1.obj_map[k]), (i2, b2.obj_map[k]), rep.apex, rep.left, rep.right, c
-                    )
-                )
-            ]
-            for k, c in chi.components.items()
-        }
-        src_fun = outer.functors[obj_map[inner.obj_name[rep.src]]]
-        tgt_fun = outer.functors[obj_map[inner.obj_name[rep.dst]]]
-        mor_map[cname] = outer_nat_name[NatTrans("compare", src_fun, tgt_fun, comps).key()]
-    # the functor the cocone [probe, q_i] induces, so assembled directly
-    comparison = Functor("compare", inner.result, outer.category, obj_map, mor_map)
+    name = colim.diagram.name
+    comparison, outer_objects = _comparison(probe, colim, max_morphisms)
     analysis = functor_is_equivalence(comparison)
     if analysis:
         return positive(
@@ -340,13 +379,13 @@ def check_bicompact_against(
             [
                 {
                     "probe": probe.name,
-                    "diagram": pf.name,
-                    "inner_objects": len(inner.result.objects),
-                    "outer_objects": sum(mult.values()),
+                    "diagram": name,
+                    "inner_objects": len(comparison.source.objects),
+                    "outer_objects": outer_objects,
                 }
             ],
         )
     return negative(
         "bicompact-against",
-        {"probe": probe.name, "diagram": pf.name, "analysis": analysis.counterexample},
+        {"probe": probe.name, "diagram": name, "analysis": analysis.counterexample},
     )

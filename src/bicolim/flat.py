@@ -103,6 +103,10 @@ def check_flat(pf: CatPseudoFunctor) -> Verdict:
     return _flat_verdict(*opcartesian_class(elements_category(pf)))
 
 
+class NotFlatError(ValidationError):
+    """The diagram given to :func:`decompose_flat` is not flat."""
+
+
 @dataclass(eq=False)
 class StageReconstruction:
     stage: str
@@ -218,7 +222,9 @@ def fib_of(pf: CatPseudoFunctor, cell1: str, el: ElementsCat) -> FinCat:
 def decompose_flat(pf: CatPseudoFunctor) -> DecompositionReport:
     """Reconstruct each fiber as a filtered colimit of hom categories.
 
-    Requires flatness; raises otherwise.  For every base 0-cell the colimit
+    Requires flatness and raises :class:`NotFlatError` otherwise, so a
+    caller that needs the verdict and the decomposition builds the elements
+    category once.  For every base 0-cell the colimit
     of the restricted hom diagram over the opcartesian index is compared to
     the actual fiber, both by the generic equivalence decision and by a
     direct analysis of the canonical evaluation functor; all base 1-cells
@@ -228,7 +234,7 @@ def decompose_flat(pf: CatPseudoFunctor) -> DecompositionReport:
     dual, opcart = opcartesian_class(el)
     flat = _flat_verdict(dual, opcart)
     if not flat:
-        raise ValidationError(pf.name, [f"not flat: {flat.counterexample}"])
+        raise NotFlatError(pf.name, [f"not flat: {flat.counterexample}"])
     closed = sigma_closure(opcart)
     sub = full_sub_on_one_cells(dual, closed.members, name=f"{dual.name}|opcart")
     base = pf.source

@@ -29,7 +29,7 @@ from .bilim import (
     commute_cotensor,
     split_pseudoidempotent,
 )
-from .colim import bifiltered_bicolimit, premorphism_equal, sigma_bicolimit
+from .colim import ColimitCat, bifiltered_bicolimit, premorphism_equal, sigma_bicolimit
 from .compact import check_bicompact_against
 from .filtered import (
     check_bifiltered,
@@ -59,7 +59,7 @@ from .fixtures import (
     content_hash,
     load_fixture,
 )
-from .flat import check_flat, check_flat_preserves_bilimits, decompose_flat
+from .flat import NotFlatError, check_flat, check_flat_preserves_bilimits, decompose_flat
 from .lexkit import NotLexError, verify_lex_bicolimit
 from .twocat import (
     CatPseudoFunctor,
@@ -123,12 +123,8 @@ def _trivialization_colimit(fx: DiagramFixture) -> bool:
     return bool(check_equivalence(relative.result, restricted.result))
 
 
-def _coequification(fx: DiagramFixture, sigma_name: str | None) -> bool:
-    pf = fx.functor
-    if sigma_name is None:
-        colim = bifiltered_bicolimit(pf)
-    else:
-        colim = sigma_bicolimit(pf, fx.index.sigma_named(sigma_name))
+def _coequification(colim: ColimitCat) -> bool:
+    pf = colim.diagram
     ok = True
     for i in sorted(pf.source.cells0):
         fib = pf.on0[i]
@@ -153,16 +149,16 @@ def _coequification(fx: DiagramFixture, sigma_name: str | None) -> bool:
     return ok
 
 
-def _bicompact(probes: list[FinCat], pf: CatPseudoFunctor) -> bool:
-    return all(check_bicompact_against(p, pf).outcome for p in probes)
+def _bicompact(probes: list[FinCat], colim: ColimitCat) -> bool:
+    return all(check_bicompact_against(p, colim).outcome for p in probes)
 
 
 def _flatness(fx: DiagramFixture) -> bool:
-    verdict = check_flat(fx.functor)
-    ok = "flat" not in fx.expect or verdict.outcome == fx.expect["flat"]
-    if verdict.outcome and not decompose_flat(fx.functor).ok:
-        ok = False
-    return ok
+    try:
+        flat, decomposed = True, decompose_flat(fx.functor).ok
+    except NotFlatError:
+        flat, decomposed = False, True
+    return ("flat" not in fx.expect or flat == fx.expect["flat"]) and decomposed
 
 
 def _splitting(fx: IdempotentFixture) -> bool:
@@ -234,6 +230,9 @@ class Suite:
         self.cache: dict = {}
         self.lemmas: dict[str, dict[str, Any]] = {}
         self.fixtures: dict[str, Any] = {}
+        # colim F of each bifiltered diagram, computed by the first task
+        # that needs it; the fixture cache gives each file one functor
+        self.colimits: dict[CatPseudoFunctor, ColimitCat] = {}
 
     def load_all(self) -> None:
         for path in sorted(self.corpus.glob("*.json")):
@@ -270,6 +269,12 @@ class Suite:
 
         return run
 
+    def _colimit(self, pf: CatPseudoFunctor) -> ColimitCat:
+        """colim F of a bifiltered diagram, computed once per suite."""
+        if pf not in self.colimits:
+            self.colimits[pf] = bifiltered_bicolimit(pf)
+        return self.colimits[pf]
+
     def _task_bicompact(
         self, pname: str, probe: FinCat, dname: str, fx: DiagramFixture
     ) -> Callable[[], None]:
@@ -277,7 +282,7 @@ class Suite:
             "bicompact",
             f"{pname}:{dname}",
             f"bicolim compact check {pname} {dname}",
-            partial(_bicompact, [probe], fx.functor),
+            lambda: _bicompact([probe], self._colimit(fx.functor)),
         )
 
     def _named_task(
@@ -335,11 +340,14 @@ class Suite:
                 f"bicolim colimit {name} --sigma {fx.sigma_name}", _trivialization_colimit, fx)
         for name, fx in bifiltered.items():
             add(f"coequification:{name}", "coequification", f"{name}:bifiltered",
-                f"bicolim colimit {name}", _coequification, fx, None)
+                f"bicolim colimit {name}", lambda pf: _coequification(self._colimit(pf)),
+                fx.functor)
         for name, fx in sigma_diagrams.items():
             add(f"coequification-sigma:{name}", "coequification", f"{name}:{fx.sigma_name}",
                 f"bicolim colimit {name} --sigma {fx.sigma_name}",
-                _coequification, fx, fx.sigma_name)
+                lambda fx: _coequification(
+                    sigma_bicolimit(fx.functor, fx.index.sigma_named(fx.sigma_name))
+                ), fx)
 
         for pname, probe in kinds[ProbeFixture].items():
             for dname, fx in bifiltered.items():
@@ -347,7 +355,7 @@ class Suite:
                             self._task_bicompact(pname, probe.category, dname, fx)))
         out.append(("bicompact-closure:derived", self._named_task(
             "bicompact-closure", bifiltered, "bicolim compact check <derived>",
-            lambda pf: _bicompact(self._derived_probes, pf),
+            lambda pf: _bicompact(self._derived_probes, self._colimit(pf)),
         )))
 
         for name, fx in diagrams.items():

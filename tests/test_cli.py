@@ -273,7 +273,7 @@ def test_verify_records_size_guard_trip_as_failure(monkeypatch, capsys):
     # report as a failure that carries the guard's message
     from bicolim.fincat import SizeGuardError
 
-    def trip(probe, pf):
+    def trip(probe, colim):
         raise SizeGuardError("functor category bound exceeded (forced)")
 
     monkeypatch.setattr(verify, "check_bicompact_against", trip)
@@ -336,3 +336,51 @@ def test_verify_records_a_diagram_claimed_lex_that_is_not(tmp_path, capsys):
     )
     assert code == 2
     assert "fiber at '.' is not lex" in err
+
+
+def test_verify_computes_each_bifiltered_colimit_once(monkeypatch):
+    # bicompact (both probe kinds), bicompact-closure and bifiltered
+    # coequification read colim F from the suite, which computes it once per
+    # diagram fixture; compact never computes it again
+    from collections import Counter
+
+    from bicolim import colim, compact
+    from bicolim.fixtures import DiagramFixture
+
+    calls: Counter = Counter()
+
+    def counting(pf, precheck=True):
+        calls[pf] += 1
+        return colim.bifiltered_bicolimit(pf, precheck)
+
+    monkeypatch.setattr(verify, "bifiltered_bicolimit", counting)
+    monkeypatch.setattr(compact, "bifiltered_bicolimit", counting)
+    suite = Suite(CORPUS)
+    report = suite.run(seed_order=3)
+    assert report["ok"]
+    diagrams = {fx.functor for fx in suite.fixtures.values() if isinstance(fx, DiagramFixture)}
+    assert len(suite.colimits) == 13
+    assert {pf: n for pf, n in calls.items() if pf in diagrams} == {pf: 1 for pf in suite.colimits}
+
+
+def test_verify_flatness_builds_one_elements_category_per_diagram(monkeypatch):
+    from bicolim import colim, flat
+    from bicolim.fixtures import DiagramFixture
+
+    built = []
+
+    def counting(pf):
+        built.append(pf)
+        return colim.elements_category(pf)
+
+    monkeypatch.setattr(flat, "elements_category", counting)
+    suite = Suite(CORPUS)
+    suite.load_all()
+    diagrams = [fx for fx in suite.fixtures.values() if isinstance(fx, DiagramFixture)]
+    flat_ones = 0
+    for fx in diagrams:
+        built.clear()
+        assert verify._flatness(fx)
+        assert built == [fx.functor]
+        flat_ones += bool(flat.check_flat(fx.functor))
+    assert flat_ones == 9  # each of these once decided flatness twice

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from support import colim_of
 from test_indexes import constant_diagrams_over_posets_with_top
 
-from bicolim import corpus, zoo
+from bicolim import compact, corpus, zoo
 from bicolim.colim import Premorphism, bifiltered_bicolimit
 from bicolim.compact import (
     check_bicompact_against,
@@ -20,16 +20,23 @@ from bicolim.compact import (
 )
 from bicolim.filtered import check_bifiltered
 from bicolim.fincat import (
+    Functor,
     NatTrans,
     SizeGuardError,
     build_functor,
     compose_functors,
+    enumerate_functors,
     functor_category,
     functor_is_equivalence,
+    guard_object_maps,
     identity_functor,
     identity_nattrans,
+    skeleton,
+    whisker_functor,
+    whisker_nattrans,
 )
 from bicolim.fixtures import DiagramFixture, ProbeFixture, load_fixture
+from bicolim.twocat import stagewise_pseudofunctor
 from bicolim.verdict import negative, positive
 
 BUNDLED = Path(corpus.__file__).parent / "corpus"
@@ -156,21 +163,19 @@ PROBES = {
 def test_point_probe_positive_on_all_bifiltered_diagrams():
     for name in corpus.BIFILTERED_DIAGRAMS:
         pf = corpus.DIAGRAM_BUILDERS[name]()
-        assert check_bicompact_against(zoo.terminal(), pf), name
+        assert check_bicompact_against(zoo.terminal(), bifiltered_bicolimit(pf)), name
 
 
 def test_arrow_probe_positive_on_small_diagrams():
     for name in ("const_arrow", "two_cellular", "endo_proj"):
-        pf = corpus.DIAGRAM_BUILDERS[name]()
-        assert check_bicompact_against(zoo.walking_arrow(), pf), name
+        assert check_bicompact_against(zoo.walking_arrow(), colim_of(name)), name
 
 
 def test_biproduct_probe_positive():
     from bicolim.bilim import biproduct
 
     probe = biproduct(zoo.terminal(), zoo.walking_arrow()).category
-    pf = corpus.DIAGRAM_BUILDERS["two_cellular"]()
-    assert check_bicompact_against(probe, pf)
+    assert check_bicompact_against(probe, colim_of("two_cellular"))
 
 
 def test_biequalizer_probe_positive():
@@ -179,8 +184,7 @@ def test_biequalizer_probe_positive():
 
     arrow = zoo.walking_arrow()
     probe = biequalizer(identity_functor(arrow), identity_functor(arrow)).category
-    pf = corpus.DIAGRAM_BUILDERS["endo_proj"]()
-    assert check_bicompact_against(probe, pf)
+    assert check_bicompact_against(probe, colim_of("endo_proj"))
 
 
 def test_size_guard_propagates():
@@ -188,9 +192,9 @@ def test_size_guard_propagates():
 
     from bicolim.fincat import SizeGuardError
 
-    pf = corpus.DIAGRAM_BUILDERS["const_arrow"]()
+    colim = colim_of("const_arrow")
     with pytest.raises(SizeGuardError):
-        check_bicompact_against(zoo.walking_arrow(), pf, max_morphisms=3)
+        check_bicompact_against(zoo.walking_arrow(), colim, max_morphisms=3)
 
 
 # -- the comparison against the skeleton, differential ---------------------------
@@ -259,7 +263,7 @@ def outcome(check, probe, pf, max_morphisms=100_000):
 
 
 def assert_reduced_matches_full(probe, pf, max_morphisms=100_000):
-    got = outcome(check_bicompact_against, probe, pf, max_morphisms)
+    got = outcome(check_bicompact_against, probe, bifiltered_bicolimit(pf), max_morphisms)
     assert got == outcome(full_check_bicompact_against, probe, pf, max_morphisms)
     return got
 
@@ -347,3 +351,134 @@ def test_iso_labels_match_isomorphism_scan():
 def test_iso_labels_match_isomorphism_scan_on_constant_diagrams(pf):
     colim = bifiltered_bicolimit(pf)
     assert_iso_labels_match_scan(colim.result, colim.iso_label)
+
+
+# -- functors and transformations looked up by value, differential ---------------
+#
+# ``mapped_diagram`` and the comparison look cells up by value: a functor by
+# its morphism images, a transformation by its two functors' names and its
+# components.  The oracles below are the construction as it was, which built
+# each postcomposite and whiskering as a ``Functor`` or ``NatTrans`` and
+# looked it up by ``key()``.
+
+
+def keyed_mapped_diagram(probe, pf, max_morphisms=100_000):
+    tc = pf.source
+    fcs = {i: functor_category(probe, pf.on0[i], max_morphisms) for i in tc.cells0}
+    fun_name = {i: {f.key(): n for n, f in fcs[i].functors.items()} for i in tc.cells0}
+    nat_name = {i: {t.key(): n for n, t in fcs[i].transformations.items()} for i in tc.cells0}
+
+    def functor_image(d):
+        i, j = tc.one_home[d]
+        post = pf.on1[d]
+        obj_map = {n: fun_name[j][compose_functors(post, g).key()] for n, g in fcs[i].functors.items()}
+        mor_map = {
+            n: nat_name[j][whisker_functor(post, t).key()]
+            for n, t in fcs[i].transformations.items()
+        }
+        return Functor(f"[K,{d}]", fcs[i].category, fcs[j].category, obj_map, mor_map)
+
+    def image(cell, i, j, src, tgt):
+        c = cell(pf)
+        return {n: nat_name[j][whisker_nattrans(c, g).key()] for n, g in fcs[i].functors.items()}
+
+    on1 = {d: functor_image(d) for d in tc.one_home}
+    on0 = {i: fcs[i].category for i in tc.cells0}
+    return stagewise_pseudofunctor(f"[K,{pf.name}]", tc, on0, on1, image), fcs
+
+
+def keyed_comparison(probe, colim, max_morphisms=100_000):
+    """(comparison, object count of [probe, colim F]), cells looked up by key()."""
+    mapped, fcs = keyed_mapped_diagram(probe, colim.diagram, max_morphisms)
+    inner = bifiltered_bicolimit(mapped, precheck=False)
+    res = colim.result
+    guard_object_maps(probe, res, max_morphisms)
+    sk = skeleton(res)
+    r = sk.retraction
+    count = sum(1 for _ in enumerate_functors(probe, res))
+    outer = functor_category(probe, sk.category, max_morphisms)
+    outer_fun_name = {f.key(): n for n, f in outer.functors.items()}
+    outer_nat_name = {t.key(): n for n, t in outer.transformations.items()}
+    obj_map = {}
+    for (i, gname), oname in inner.obj_name.items():
+        composed = compose_functors(r, compose_functors(colim.cocone[i], fcs[i].functors[gname]))
+        obj_map[oname] = outer_fun_name[composed.key()]
+    mor_map = {}
+    for cname, rep in inner.class_rep.items():
+        (i1, g1), (i2, g2) = rep.src, rep.dst
+        b1, b2 = fcs[i1].functors[g1], fcs[i2].functors[g2]
+        chi = fcs[rep.apex].transformations[rep.cell]
+        comps = {
+            k: r.mor_map[
+                colim.morphism_of(
+                    Premorphism(
+                        (i1, b1.obj_map[k]), (i2, b2.obj_map[k]), rep.apex, rep.left, rep.right, c
+                    )
+                )
+            ]
+            for k, c in chi.components.items()
+        }
+        src_fun = outer.functors[obj_map[inner.obj_name[rep.src]]]
+        tgt_fun = outer.functors[obj_map[inner.obj_name[rep.dst]]]
+        mor_map[cname] = outer_nat_name[NatTrans("compare", src_fun, tgt_fun, comps).key()]
+    return Functor("compare", inner.result, outer.category, obj_map, mor_map), count
+
+
+def functor_maps(fun):
+    return fun.name, fun.obj_map, fun.mor_map
+
+
+def components(cells):
+    return {k: (t.name, t.components) for k, t in cells.items()}
+
+
+def assert_same_mapped_diagram(got, want):
+    assert got.name == want.name
+    assert {i: c.describe() for i, c in got.on0.items()} == {
+        i: c.describe() for i, c in want.on0.items()
+    }
+    assert {d: functor_maps(f) for d, f in got.on1.items()} == {
+        d: functor_maps(f) for d, f in want.on1.items()
+    }
+    for part in ("on2", "comp", "unit_c"):
+        assert components(getattr(got, part)) == components(getattr(want, part)), part
+
+
+def derived_probes():
+    from bicolim.bilim import biequalizer, biproduct
+
+    arrow = zoo.walking_arrow()
+    return [
+        biproduct(zoo.terminal(), arrow).category,
+        biequalizer(identity_functor(arrow), identity_functor(arrow)).category,
+    ]
+
+
+def test_value_lookups_match_keyed_construction_on_corpus():
+    probes, diagrams = bundled_probes_and_bifiltered_diagrams()
+    pairs = 0
+    for probe in [fx.category for fx in probes] + derived_probes():
+        for fx in diagrams:
+            mapped, fcs = mapped_diagram(probe, fx.functor)
+            want, want_fcs = keyed_mapped_diagram(probe, fx.functor)
+            assert_same_mapped_diagram(mapped, want)
+            colim = bifiltered_bicolimit(fx.functor)
+            comparison, outer_objects = compact._comparison(probe, colim, 100_000)
+            oracle, oracle_objects = keyed_comparison(probe, colim)
+            assert functor_maps(comparison) == functor_maps(oracle), (probe.name, fx.path.name)
+            assert len(comparison.source.objects) == len(oracle.source.objects)
+            assert outer_objects == oracle_objects
+            pairs += 1
+    assert pairs == 52  # 2 bundled and 2 derived probes, 13 bifiltered diagrams
+
+
+@settings(max_examples=20, deadline=None)
+@given(constant_diagrams_over_posets_with_top(), st.sampled_from(sorted(PROBES)))
+def test_value_lookups_match_keyed_construction_on_constant_diagrams(pf, probe_name):
+    probe = PROBES[probe_name]()
+    assert_same_mapped_diagram(mapped_diagram(probe, pf)[0], keyed_mapped_diagram(probe, pf)[0])
+    colim = bifiltered_bicolimit(pf)
+    comparison, outer_objects = compact._comparison(probe, colim, 100_000)
+    oracle, oracle_objects = keyed_comparison(probe, colim)
+    assert functor_maps(comparison) == functor_maps(oracle)
+    assert outer_objects == oracle_objects

@@ -4,9 +4,15 @@ import itertools
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from test_associativity import posets, preorders, transformation_monoids, valid_categories
+from test_associativity import (
+    FUNCTOR_CATEGORIES,
+    posets,
+    preorders,
+    transformation_monoids,
+    valid_categories,
+)
 from test_indexes import constant_diagrams_over_posets_with_top
 
 from bicolim import corpus, fincat, lexkit, zoo
@@ -28,6 +34,7 @@ from bicolim.fincat import (
     natural_iso_search,
 )
 from bicolim.lexkit import (
+    _binding_targets,
     _composition_closure,
     _cones,
     _distinct_samples,
@@ -555,6 +562,98 @@ def test_object_set_lifts_match_per_sample_path_on_constant_diagrams(pf):
         assert without_stage(got) == without_stage(
             per_sample_verdicts(colim, samples, sample_lifts(colim, samples))
         )
+
+
+# -- arrows that cannot bind a cone ---------------------------------------------
+#
+# ``_sample_verdicts`` drops every arrow into an object with at most one
+# arrow from each object.  The bundled lex colimits are thin, so there it
+# drops every arrow; the categories below are not thin, and a terminal
+# object is adjoined so that some arrows can be dropped and others not.
+
+
+def with_terminal(cat):
+    """``cat`` with a terminal object ``top`` adjoined."""
+    bang = {x: f"!{x}" for x in (*cat.objects, "top")}
+    rows = [(m, cat.dom[m], cat.cod[m]) for m in cat.morphisms]
+    rows += [(b, x, "top") for x, b in bang.items()]
+    table = dict(cat.table)
+    for m in cat.morphisms:
+        table[(bang[cat.cod[m]], m)] = bang[cat.dom[m]]
+    for b in bang.values():
+        table[(bang["top"], b)] = b
+    return build_fincat(
+        f"{cat.name}+top", [*cat.objects, "top"], rows, {**cat.identity, "top": bang["top"]}, table
+    )
+
+
+@st.composite
+def diagrams_in_non_thin_categories(draw):
+    base = draw(st.one_of(transformation_monoids(), st.sampled_from(FUNCTOR_CATEGORIES), posets()))
+    cat = with_terminal(base)
+    assume(not is_thin(cat))
+    objs = draw(st.sets(st.sampled_from(base.objects), max_size=2))
+    objs = sorted(objs | ({"top"} if draw(st.booleans()) else set()))
+    inner = [m for m in cat.morphisms if cat.dom[m] in objs and cat.cod[m] in objs]
+    mors = draw(st.lists(st.sampled_from(inner), max_size=4, unique=True)) if inner else []
+    return cat, objs, mors
+
+
+@settings(max_examples=150, deadline=None)
+@given(diagrams_in_non_thin_categories())
+def test_arrows_that_cannot_bind_change_no_cone_and_no_limit(diagram):
+    cat, objs, mors = diagram
+    targets = _binding_targets(cat)
+    assert targets == {
+        t for t in cat.objects if any(len(cat.hom(x, t)) > 1 for x in cat.objects)
+    }
+    assert "top" not in targets
+    binding = [m for m in mors if cat.cod[m] in targets]
+    families = {x: _hom_product(cat, x, objs) for x in cat.objects}
+    cones = _cones(cat, objs, binding, families)
+    assert cones == _cones(cat, objs, mors, families)
+    for x in cat.objects:
+        assert [dict(zip(objs, legs)) for legs in cones[x]] == cone_over(cat, x, objs, mors)
+    assert limit_of_diagram(cat, objs, binding) == limit_of_diagram(cat, objs, mors)
+
+
+def test_lex_samples_need_one_decision_per_object_set(monkeypatch):
+    """On the bundled lex colimits, which are thin, no arrow binds a cone,
+    so the 1,364 samples are decided once per object set: 192 decisions."""
+    decided = []
+
+    def counting(*args):
+        decided.append(args[3])
+        return decide(*args)
+
+    decide = lexkit._pushed_limit_failure
+    monkeypatch.setattr(lexkit, "_pushed_limit_failure", counting)
+    samples = 0
+    for name in sorted(corpus.LEX_DIAGRAM_BUILDERS):
+        colim = bifiltered_bicolimit(corpus.LEX_DIAGRAM_BUILDERS[name]())
+        assert is_thin(colim.result)
+        samples += len(list(_sample_verdicts(colim)))
+    assert (samples, len(decided)) == (1364, 192)
+    assert len({tuple(objs) for objs in decided}) == 192
+
+
+@pytest.mark.parametrize("name", sorted(corpus.LEX_DIAGRAM_BUILDERS))
+def test_lex_verification_finds_witnesses_once_per_fiber(monkeypatch, name):
+    """One witness search per fiber and one on the colimit; the legs into
+    and out of a fiber reuse its report."""
+    seen = []
+
+    def counting(cat):
+        seen.append(cat)
+        return find(cat)
+
+    find = lexkit.finite_limit_witnesses
+    monkeypatch.setattr(lexkit, "finite_limit_witnesses", counting)
+    pf = corpus.LEX_DIAGRAM_BUILDERS[name]()
+    report = verify_lex_bicolimit(pf)
+    assert report.ok
+    want = [pf.on0[i] for i in sorted(pf.source.cells0)] + [report.colimit.result]
+    assert [id(cat) for cat in seen] == [id(cat) for cat in want]
 
 
 @settings(max_examples=40, deadline=None)
