@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .colim import ColimitCat, bifiltered_bicolimit, factor_cocone
 from .fincat import (
     FinCat,
     Functor,
@@ -553,41 +554,31 @@ def biequalizer_diagram(
 # Commutation checks
 
 
-def commute_biproduct(f1: CatPseudoFunctor, f2: CatPseudoFunctor) -> Verdict:
-    """colim(F1 x F2) against colim(F1) x colim(F2)."""
-    from .colim import bifiltered_bicolimit
-
-    pointwise = biproduct_diagram(f1, f2)
-    lhs = bifiltered_bicolimit(pointwise)
-    c1 = bifiltered_bicolimit(f1, precheck=False)
-    c2 = bifiltered_bicolimit(f2, precheck=False)
+def commute_biproduct(c1: ColimitCat, c2: ColimitCat) -> Verdict:
+    """colim(F1 x F2) against colim(F1) x colim(F2), given colim F1 and
+    colim F2 (their ``.diagram`` is F1 and F2)."""
+    lhs = bifiltered_bicolimit(biproduct_diagram(c1.diagram, c2.diagram))
     rhs = biproduct(c1.result, c2.result)
     return check_equivalence(lhs.result, rhs.category)
 
 
-def commute_cotensor(f: CatPseudoFunctor) -> Verdict:
-    """colim([2, F]) against [2, colim F]."""
-    from .colim import bifiltered_bicolimit
-
-    pointwise = cotensor_diagram(f)
-    lhs = bifiltered_bicolimit(pointwise)
-    rhs = arrow_cotensor(bifiltered_bicolimit(f, precheck=False).result)
+def commute_cotensor(colim: ColimitCat) -> Verdict:
+    """colim([2, F]) against [2, colim F], given colim F."""
+    lhs = bifiltered_bicolimit(cotensor_diagram(colim.diagram))
+    rhs = arrow_cotensor(colim.result)
     return check_equivalence(lhs.result, rhs.category)
 
 
 def commute_biequalizer(
-    f1: CatPseudoFunctor,
-    f2: CatPseudoFunctor,
+    c1: ColimitCat,
+    c2: ColimitCat,
     u: dict[str, Functor],
     v: dict[str, Functor],
 ) -> Verdict:
-    """colim of stagewise equalizers against the equalizer of induced maps."""
-    from .colim import bifiltered_bicolimit, factor_cocone
-
-    pointwise = biequalizer_diagram(f1, f2, u, v)
-    lhs = bifiltered_bicolimit(pointwise)
-    c1 = bifiltered_bicolimit(f1, precheck=False)
-    c2 = bifiltered_bicolimit(f2, precheck=False)
+    """colim of stagewise equalizers against the equalizer of the maps
+    that u, v : F1 => F2 induce, given colim F1 and colim F2."""
+    f1 = c1.diagram
+    lhs = bifiltered_bicolimit(biequalizer_diagram(f1, c2.diagram, u, v))
 
     def induced(w: dict[str, Functor], tag: str) -> Functor:
         legs = {i: compose_functors(c2.cocone[i], w[i]) for i in f1.source.cells0}

@@ -55,6 +55,7 @@ from .fincat import (
     FinCat,
     Functor,
     NatTrans,
+    Skeleton,
     ValidationError,
     _assemble_composed,
     _assemble_fincat,
@@ -65,6 +66,7 @@ from .fincat import (
     iso_classes,
     nattrans_violations,
     same_category,
+    skeleton,
     sole_morphisms,
     vcompose_nattrans,
     whisker_functor,
@@ -265,6 +267,7 @@ class ColimitCat:
     mode: str = "bifiltered"
     core_index: TwoCat | None = None
     _iso_label: dict[str, str] | None = field(default=None, repr=False)
+    _skeleton: Skeleton | None = field(default=None, repr=False)
 
     def object(self, i: str, a: str) -> str:
         return self.obj_name[(i, a)]
@@ -276,6 +279,13 @@ class ColimitCat:
         if self._iso_label is None:
             self._iso_label = iso_classes(self.result)
         return self._iso_label
+
+    @property
+    def skeleton(self) -> Skeleton:
+        """The skeleton of the result with its equivalence witnesses."""
+        if self._skeleton is None:
+            self._skeleton = skeleton(self.result)
+        return self._skeleton
 
     def fiber_premorphism(self, i: str, f: str) -> Premorphism:
         """The canonical span of a morphism living inside one fiber."""

@@ -47,7 +47,6 @@ from .fincat import (
     guard_object_maps,
     identity_nattrans,
     natural_iso_search,
-    skeleton,
     transformations_exceeded,
 )
 from .twocat import CatPseudoFunctor, stagewise_pseudofunctor
@@ -323,7 +322,7 @@ def _comparison(
     inner = bifiltered_bicolimit(mapped, precheck=False)
     res = colim.result
     guard_object_maps(probe, res, max_morphisms)
-    sk = skeleton(res)
+    sk = colim.skeleton
     r = sk.retraction.mor_map
     images: dict[tuple, Functor] = {}
     mult: Counter = Counter()

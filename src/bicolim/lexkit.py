@@ -243,20 +243,33 @@ def _composition_closure(cat: FinCat, objs: list[str], mors: list[str]) -> set[s
     """The morphisms generated by a graph diagram: identities and composites.
 
     A morphism leaving the work list is composed, on both sides, with every
-    morphism kept so far, so each pair is composed once its later member
-    leaves the list.  Identities, whose composites are known, never enter it.
+    morphism kept so far that meets it, found in indexes of the kept
+    morphisms by domain and by codomain; so each composable pair is composed
+    once its later member leaves the list.  Identities, whose composites are
+    known, never enter it.
     """
-    keep = set(mors) | {cat.identity[o] for o in objs}
+    keep: set[str] = set()
+    out_of: dict[str, list[str]] = {}
+    into: dict[str, list[str]] = {}
+
+    def add(m: str) -> None:
+        keep.add(m)
+        out_of.setdefault(cat.dom[m], []).append(m)
+        into.setdefault(cat.cod[m], []).append(m)
+
+    for m in [*mors, *(cat.identity[o] for o in objs)]:
+        if m not in keep:
+            add(m)
     todo = list(mors)
     while todo:
         m = todo.pop()
-        for n in list(keep):
-            for g, f in ((n, m), (m, n)):
-                if cat.dom[g] == cat.cod[f]:
-                    gf = cat.table[(g, f)]
-                    if gf not in keep:
-                        keep.add(gf)
-                        todo.append(gf)
+        pairs = [(n, m) for n in out_of.get(cat.cod[m], ())]
+        pairs += [(m, n) for n in into.get(cat.dom[m], ())]
+        for g, f in pairs:
+            gf = cat.table[(g, f)]
+            if gf not in keep:
+                add(gf)
+                todo.append(gf)
     return keep
 
 

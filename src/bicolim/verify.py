@@ -293,14 +293,16 @@ class Suite:
         check: Callable[..., Any],
     ) -> Callable[[], None]:
         """A task over the instances of ``lemma`` in :data:`NAMED_DIAGRAMS`
-        whose diagrams are all in ``diagrams``; ``check`` takes their functors."""
+        whose diagrams are all in ``diagrams``; ``check`` takes their
+        colimits, which the instance computes on first use."""
 
         def run() -> None:
             for names in NAMED_DIAGRAMS[lemma]:
                 if all(n in diagrams for n in names):
                     functors = [diagrams[n].functor for n in names]
                     instance = "x".join(names)
-                    self._task(lemma, instance, f"{replay} {names[0]}", partial(check, *functors))()
+                    self._task(lemma, instance, f"{replay} {names[0]}",
+                               lambda: check(*map(self._colimit, functors)))()
 
         return run
 
@@ -355,7 +357,7 @@ class Suite:
                             self._task_bicompact(pname, probe.category, dname, fx)))
         out.append(("bicompact-closure:derived", self._named_task(
             "bicompact-closure", bifiltered, "bicolim compact check <derived>",
-            lambda pf: _bicompact(self._derived_probes, self._colimit(pf)),
+            lambda colim: _bicompact(self._derived_probes, colim),
         )))
 
         for name, fx in diagrams.items():
@@ -367,8 +369,9 @@ class Suite:
             "commutation-cotensor", bifiltered, "bicolim colimit", commute_cotensor)))
         for name, fx in kinds[ParallelFixture].items():
             add(f"commutation:biequalizer:{name}", "commutation-biequalizer", name,
-                f"bicolim colimit {name}", commute_biequalizer,
-                fx.left.functor, fx.right.functor, fx.u, fx.v)
+                f"bicolim colimit {name}", lambda fx: commute_biequalizer(
+                    self._colimit(fx.left.functor), self._colimit(fx.right.functor), fx.u, fx.v
+                ), fx)
 
         for name, fx in kinds[IdempotentFixture].items():
             add(f"splitting:{name}", "splitting", name, f"bicolim bilim split {name}",

@@ -84,29 +84,42 @@ def parallel_pair() -> FinCat:
 
 
 def poset(name: str, relation: list[tuple[str, str]]) -> FinCat:
-    """Poset as a category; ``relation`` lists the strict pairs x < y.
+    """The preorder generated by ``relation``, as a category.
 
-    The reflexive-transitive closure is taken, so only a generating set is
-    needed.  Arrows are named ``le_x_y``.
+    ``relation`` lists pairs x <= y; its reflexive-transitive closure is
+    taken, so only a generating set is needed, and it may hold reflexive
+    pairs and cycles (the objects of a cycle become isomorphic).  Arrows are
+    named ``le_x_y``; when two closure pairs get one name, as
+    ("a_b", "c") and ("a", "b_c") do, :func:`build_fincat` refuses it with a
+    :class:`ValidationError`.  Rows and the table are laid out in name
+    order of the pairs, so the table order does not depend on the string
+    hash seed.
     """
     objs = sorted({x for pair in relation for x in pair})
-    le = {(x, x) for x in objs} | set(relation)
-    changed = True
-    while changed:
-        changed = False
-        for x, y in list(le):
-            for y2, z in list(le):
-                if y2 == y and (x, z) not in le:
-                    le.add((x, z))
-                    changed = True
-    ids = {x: f"le_{x}_{x}" for x in objs}
-    mors = [(f"le_{x}_{y}", x, y) for x, y in sorted(le)]
+    above: dict[str, list[str]] = {x: [] for x in objs}
+    for x, y in relation:
+        above[x].append(y)
+    reach: dict[str, list[str]] = {}
+    for x in objs:
+        seen, todo = {x}, [x]
+        while todo:
+            for y in above[todo.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        reach[x] = sorted(seen)
+    le = {(x, y): f"le_{x}_{y}" for x in objs for y in reach[x]}
     table = {}
-    for x, y in le:
-        for y2, z in le:
-            if y2 == y:
-                table[(f"le_{y}_{z}", f"le_{x}_{y}")] = f"le_{x}_{z}"
-    return build_fincat(name, objs, mors, ids, table)
+    for (x, y), f in le.items():
+        for z in reach[y]:
+            table[(le[(y, z)], f)] = le[(x, z)]
+    return build_fincat(
+        name,
+        objs,
+        [(f, x, y) for (x, y), f in le.items()],
+        {x: le[(x, x)] for x in objs},
+        table,
+    )
 
 
 def chain(n: int) -> FinCat:

@@ -14,6 +14,7 @@ from bicolim.bilim import (
     split_pseudoidempotent,
     validate_pseudoidempotent,
 )
+from bicolim.colim import bifiltered_bicolimit
 from bicolim.fincat import (
     SizeGuardError,
     build_functor,
@@ -241,14 +242,15 @@ def test_invalid_idempotent_rejected():
 def test_colimit_commutes_with_biproduct():
     f1 = corpus.constant_diagram()
     f2 = constant_pseudofunctor(f1.source, zoo.walking_iso())
-    assert commute_biproduct(f1, f2)
+    assert commute_biproduct(bifiltered_bicolimit(f1), bifiltered_bicolimit(f2))
 
 
 def test_colimit_commutes_with_cotensor():
-    assert commute_cotensor(corpus.constant_diagram())
-    assert commute_cotensor(corpus.inclusion_chain_diagram())
+    assert commute_cotensor(bifiltered_bicolimit(corpus.constant_diagram()))
+    assert commute_cotensor(bifiltered_bicolimit(corpus.inclusion_chain_diagram()))
 
 
 def test_colimit_commutes_with_biequalizer():
     par = corpus.parallel_over_poset_top()
-    assert commute_biequalizer(par.left, par.right, par.u, par.v)
+    left, right = bifiltered_bicolimit(par.left), bifiltered_bicolimit(par.right)
+    assert commute_biequalizer(left, right, par.u, par.v)

@@ -339,12 +339,13 @@ def test_verify_records_a_diagram_claimed_lex_that_is_not(tmp_path, capsys):
 
 
 def test_verify_computes_each_bifiltered_colimit_once(monkeypatch):
-    # bicompact (both probe kinds), bicompact-closure and bifiltered
-    # coequification read colim F from the suite, which computes it once per
-    # diagram fixture; compact never computes it again
+    # bicompact (both probe kinds), bicompact-closure, bifiltered
+    # coequification and the three commutation lemmas read colim F from the
+    # suite, which computes it once per diagram fixture; compact and bilim
+    # never compute it again, and each colimit builds its skeleton once
     from collections import Counter
 
-    from bicolim import colim, compact
+    from bicolim import bilim, colim, compact
     from bicolim.fixtures import DiagramFixture
 
     calls: Counter = Counter()
@@ -355,12 +356,22 @@ def test_verify_computes_each_bifiltered_colimit_once(monkeypatch):
 
     monkeypatch.setattr(verify, "bifiltered_bicolimit", counting)
     monkeypatch.setattr(compact, "bifiltered_bicolimit", counting)
+    monkeypatch.setattr(bilim, "bifiltered_bicolimit", counting)
+    skeletons: Counter = Counter()
+
+    def counting_skeleton(cat):
+        skeletons[cat] += 1
+        return skeleton(cat)
+
+    skeleton = colim.skeleton
+    monkeypatch.setattr(colim, "skeleton", counting_skeleton)
     suite = Suite(CORPUS)
     report = suite.run(seed_order=3)
     assert report["ok"]
     diagrams = {fx.functor for fx in suite.fixtures.values() if isinstance(fx, DiagramFixture)}
     assert len(suite.colimits) == 13
     assert {pf: n for pf, n in calls.items() if pf in diagrams} == {pf: 1 for pf in suite.colimits}
+    assert skeletons == Counter(c.result for c in suite.colimits.values())
 
 
 def test_verify_flatness_builds_one_elements_category_per_diagram(monkeypatch):

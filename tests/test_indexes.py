@@ -12,6 +12,9 @@ the premorphism universe over every apex, and the re-scan fixpoint for
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,7 @@ from bicolim.filtered import check_bifiltered, class_subcategory
 from bicolim.fincat import (
     FinCat,
     NatTrans,
+    ValidationError,
     build_fincat,
     functor_category,
     generating_set,
@@ -154,6 +158,92 @@ def test_functor_category_table_matches_all_pairs(cname, dname):
     oracle = all_pairs_table(fc)
     # same entries, inserted in the same order
     assert list(fc.category.table.items()) == list(oracle.items())
+
+
+# ---------------------------------------------------------------------------
+# zoo.poset
+
+
+def fixpoint_poset(name: str, relation: list[tuple[str, str]]) -> FinCat:
+    """``zoo.poset`` as it was: the closure as a fixpoint over every pair of
+    pairs, and the table by a scan of every pair of pairs."""
+    objs = sorted({x for pair in relation for x in pair})
+    le = {(x, x) for x in objs} | set(relation)
+    changed = True
+    while changed:
+        changed = False
+        for x, y in list(le):
+            for y2, z in list(le):
+                if y2 == y and (x, z) not in le:
+                    le.add((x, z))
+                    changed = True
+    ids = {x: f"le_{x}_{x}" for x in objs}
+    mors = [(f"le_{x}_{y}", x, y) for x, y in sorted(le)]
+    table = {}
+    for x, y in le:
+        for y2, z in le:
+            if y2 == y:
+                table[(f"le_{y}_{z}", f"le_{x}_{y}")] = f"le_{x}_{z}"
+    return build_fincat(name, objs, mors, ids, table)
+
+
+@st.composite
+def relations(draw) -> list[tuple[str, str]]:
+    """Pairs over a few names holding the characters derived names use, so
+    reflexive pairs, cycles and colliding arrow names all occur."""
+    name = st.one_of(st.text("ab_", min_size=1, max_size=3),
+                     st.text("ab_.,:|()[]<>", min_size=1, max_size=3))
+    pool = draw(st.lists(name, min_size=1, max_size=6, unique=True))
+    pair = st.tuples(st.sampled_from(pool), st.sampled_from(pool))
+    return draw(st.lists(pair, max_size=12))
+
+
+def poset_or_refusal(build, relation):
+    try:
+        return build("P", relation)
+    except ValidationError as err:
+        return err.subject, err.violations
+
+
+@settings(max_examples=300, deadline=None)
+@given(relations())
+def test_poset_matches_fixpoint_closure(relation):
+    want = poset_or_refusal(fixpoint_poset, relation)
+    got = poset_or_refusal(zoo.poset, relation)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.objects == want.objects
+    assert list(got.dom.items()) == list(want.dom.items())
+    assert list(got.cod.items()) == list(want.cod.items())
+    assert got.identity == want.identity
+    assert sorted(got.table.items()) == sorted(want.table.items())
+
+
+def test_poset_refuses_colliding_arrow_names():
+    relation = [("a_b", "c"), ("a", "b_c")]
+    want = poset_or_refusal(fixpoint_poset, relation)
+    assert want == ("P", ["repeated morphism name 'le_a_b_c'"])
+    assert poset_or_refusal(zoo.poset, relation) == want
+
+
+def test_poset_table_order_does_not_follow_the_hash_seed():
+    code = (
+        "from bicolim import zoo\n"
+        "from bicolim.twocat import locally_discrete\n"
+        "rel = [('a', 'b'), ('b', 'c'), ('c', 'a'), ('c', 'd'), ('x', 'd'), ('d', 'd')]\n"
+        "print(list(locally_discrete(zoo.poset('P', rel)).hcomp1))\n"
+    )
+    src = str(Path(zoo.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -669,6 +669,44 @@ def test_direct_generated_subcategory_matches_validating_builder(cat, data):
     )
 
 
+def scanning_composition_closure(cat, objs, mors):
+    """``_composition_closure`` as it was: a morphism leaving the work list
+    is tried, on both sides, against every morphism kept so far."""
+    keep = set(mors) | {cat.identity[o] for o in objs}
+    todo = list(mors)
+    while todo:
+        m = todo.pop()
+        for n in list(keep):
+            for g, f in ((n, m), (m, n)):
+                if cat.dom[g] == cat.cod[f]:
+                    gf = cat.table[(g, f)]
+                    if gf not in keep:
+                        keep.add(gf)
+                        todo.append(gf)
+    return keep
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(posets(), preorders(), transformation_monoids()), st.data())
+def test_indexed_composition_closure_matches_scan(cat, data):
+    objs = sorted(data.draw(st.sets(st.sampled_from(cat.objects), min_size=1, max_size=3)))
+    inner = [m for m in cat.morphisms if cat.dom[m] in objs and cat.cod[m] in objs]
+    mors = data.draw(st.lists(st.sampled_from(inner), max_size=4)) if inner else []
+    assert _composition_closure(cat, objs, mors) == scanning_composition_closure(cat, objs, mors)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.LEX_DIAGRAM_BUILDERS))
+def test_distinct_samples_match_scanning_closure_on_lex_colimits(name):
+    cat = bifiltered_bicolimit(corpus.LEX_DIAGRAM_BUILDERS[name]()).result
+    want, seen = [], set()
+    for objs, mors in _sample_diagrams(cat):
+        key = (tuple(objs), tuple(sorted(scanning_composition_closure(cat, objs, mors))))
+        if key not in seen:
+            seen.add(key)
+            want.append((key, mors))
+    assert list(_distinct_samples(cat)) == want
+
+
 def refuse_replay(*args):
     raise AssertionError("axioms replayed on a generated subcategory")
 
