@@ -91,9 +91,8 @@ def poset(name: str, relation: list[tuple[str, str]]) -> FinCat:
     pairs and cycles (the objects of a cycle become isomorphic).  Arrows are
     named ``le_x_y``; when two closure pairs get one name, as
     ("a_b", "c") and ("a", "b_c") do, :func:`build_fincat` refuses it with a
-    :class:`ValidationError`.  Rows and the table are laid out in name
-    order of the pairs, so the table order does not depend on the string
-    hash seed.
+    :class:`ValidationError`.  Rows and the table follow the sorted pairs
+    (x, y), so their order does not depend on the string hash seed.
     """
     objs = sorted({x for pair in relation for x in pair})
     above: dict[str, list[str]] = {x: [] for x in objs}
