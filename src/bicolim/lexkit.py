@@ -248,27 +248,22 @@ def _composition_closure(cat: FinCat, objs: list[str], mors: list[str]) -> set[s
     once its later member leaves the list.  Identities, whose composites are
     known, never enter it.
     """
-    keep: set[str] = set()
+    keep = set(mors) | {cat.identity[o] for o in objs}
     out_of: dict[str, list[str]] = {}
     into: dict[str, list[str]] = {}
-
-    def add(m: str) -> None:
-        keep.add(m)
+    for m in keep:
         out_of.setdefault(cat.dom[m], []).append(m)
         into.setdefault(cat.cod[m], []).append(m)
-
-    for m in [*mors, *(cat.identity[o] for o in objs)]:
-        if m not in keep:
-            add(m)
     todo = list(mors)
     while todo:
         m = todo.pop()
-        pairs = [(n, m) for n in out_of.get(cat.cod[m], ())]
-        pairs += [(m, n) for n in into.get(cat.dom[m], ())]
-        for g, f in pairs:
-            gf = cat.table[(g, f)]
+        made = [cat.table[(n, m)] for n in out_of.get(cat.cod[m], ())]
+        made += [cat.table[(m, n)] for n in into.get(cat.dom[m], ())]
+        for gf in made:
             if gf not in keep:
-                add(gf)
+                keep.add(gf)
+                out_of.setdefault(cat.dom[gf], []).append(gf)
+                into.setdefault(cat.cod[gf], []).append(gf)
                 todo.append(gf)
     return keep
 

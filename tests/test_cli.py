@@ -345,7 +345,7 @@ def test_verify_computes_each_bifiltered_colimit_once(monkeypatch):
     # never compute it again, and each colimit builds its skeleton once
     from collections import Counter
 
-    from bicolim import bilim, colim, compact
+    from bicolim import bilim, colim, compact, fincat
     from bicolim.fixtures import DiagramFixture
 
     calls: Counter = Counter()
@@ -361,9 +361,8 @@ def test_verify_computes_each_bifiltered_colimit_once(monkeypatch):
 
     def counting_skeleton(cat):
         skeletons[cat] += 1
-        return skeleton(cat)
+        return fincat.skeleton(cat)
 
-    skeleton = colim.skeleton
     monkeypatch.setattr(colim, "skeleton", counting_skeleton)
     suite = Suite(CORPUS)
     report = suite.run(seed_order=3)

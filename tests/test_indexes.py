@@ -5,8 +5,8 @@ replaced, kept verbatim in spirit: a linear ``hom`` scan, the all-pairs
 functor-category table, the all-pairs colimit table of unplanned
 ``_Amalgamator.compose`` calls with the key-scanning quotient that runs R1
 along every 1-cell, the union-find over premorphisms that skips no 2-cell,
-the premorphism universe over every apex, and the re-scan fixpoint for
-``sigma_closure``.
+the premorphism universe over every apex, and the re-scan fixpoints for
+``sigma_closure`` and for the closure that ``zoo.poset`` takes.
 """
 
 from __future__ import annotations
