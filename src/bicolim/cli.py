@@ -197,7 +197,7 @@ def cmd_lex(args) -> int:
             return 0 if report.ok else 1
         raise FixtureError(args.fixture, "expected a category fixture")
     fx = _need(load_fixture(args.fixture), DiagramFixture, "diagram")
-    report = verify_lex_bicolimit(fx.functor)
+    report = verify_lex_bicolimit(bifiltered_bicolimit(fx.functor))
     _emit(
         report.to_dict(),
         args.format,

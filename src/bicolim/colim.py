@@ -264,8 +264,6 @@ class ColimitCat:
     class_rep: dict[str, Premorphism]
     cocone: dict[str, Functor]
     transitions: dict[str, NatTrans]
-    mode: str = "bifiltered"
-    core_index: TwoCat | None = None
     _iso_label: dict[str, str] | None = field(default=None, repr=False)
     _skeleton: Skeleton | None = field(default=None, repr=False)
 
@@ -653,9 +651,7 @@ def bifiltered_bicolimit(pf: CatPseudoFunctor, precheck: bool = True) -> Colimit
         f"colim({pf.name})", obj_name.values(), mor_rows, identities, table
     )
 
-    colim = ColimitCat(
-        base, None, pf, result, obj_name, classes, class_rep, {}, {}, "bifiltered"
-    )
+    colim = ColimitCat(base, None, pf, result, obj_name, classes, class_rep, {}, {})
     for i in sorted(base.cells0):
         fib = pf.on0[i]
         colim.cocone[i] = Functor(
@@ -698,7 +694,7 @@ def sigma_bicolimit(pf: CatPseudoFunctor, sigma: SigmaClass) -> ColimitCat:
 
     base = pf.source
     closed = sigma_closure(sigma)
-    verdict = check_sigma_filtered(base, closed, assume_closed=True)
+    verdict = check_sigma_filtered(base, closed)
     if not verdict:
         raise ValidationError(
             pf.name, [f"pair not sigma-filtered: {verdict.counterexample}"]
@@ -716,8 +712,6 @@ def sigma_bicolimit(pf: CatPseudoFunctor, sigma: SigmaClass) -> ColimitCat:
         core.class_rep,
         dict(core.cocone),
         {},
-        "sigma",
-        core_index=sub,
     )
     for d in base.one_cells:
         if d in sub.one_home:

@@ -139,7 +139,7 @@ def check_bifiltered(tc: TwoCat) -> Verdict:
     return positive("bifiltered", witnesses)
 
 
-def check_sigma_filtered(tc: TwoCat, sigma: SigmaClass, assume_closed: bool = False) -> Verdict:
+def check_sigma_filtered(tc: TwoCat, sigma: SigmaClass) -> Verdict:
     """σ-filteredness of the pair, after closing the class.
 
     The strengthening of condition 2 (the inserted cell can be chosen
@@ -148,8 +148,7 @@ def check_sigma_filtered(tc: TwoCat, sigma: SigmaClass, assume_closed: bool = Fa
     """
     if not tc.cells0:
         raise ValidationError(tc.name, ["empty 0-cell set"])
-    closed = sigma if assume_closed else sigma_closure(sigma)
-    allowed = closed.members
+    allowed = sigma_closure(sigma).members
     witnesses: list[dict[str, Any]] = []
     for i, i2 in _object_pairs(tc):
         span = _find_span(tc, i, i2, allowed)
@@ -417,7 +416,7 @@ def trivialization_check(tc: TwoCat, sigma: SigmaClass) -> TrivializationReport:
     bifiltered and its inclusion is cofinal relative to the class.
     """
     closed = sigma_closure(sigma)
-    left = check_sigma_filtered(tc, closed, assume_closed=True)
+    left = check_sigma_filtered(tc, closed)
     sub = class_subcategory(tc, closed)
     right_bif = check_bifiltered(sub)
     inc = inclusion_twofunctor(sub, tc)

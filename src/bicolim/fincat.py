@@ -921,6 +921,16 @@ def enumerate_functors(
 
 def enumerate_nattrans(f: Functor, g: Functor) -> Iterator[dict[str, str]]:
     """All natural transformations f ⇒ g as component dictionaries."""
+    return _nattrans_search(f, g, None)
+
+
+def _nattrans_search(
+    f: Functor, g: Functor, admit: Callable[[str], bool] | None
+) -> Iterator[dict[str, str]]:
+    """The natural transformations f ⇒ g whose components all pass ``admit``
+    (every one when it is None), in :func:`enumerate_nattrans` order:
+    components are assigned object by object, in hom order, with
+    incremental naturality checks."""
     c, d = f.source, f.target
     objs = list(c.objects)
 
@@ -930,6 +940,8 @@ def enumerate_nattrans(f: Functor, g: Functor) -> Iterator[dict[str, str]]:
             return
         x = objs[k]
         for comp in d.hom(f.obj_map[x], g.obj_map[x]):
+            if admit is not None and not admit(comp):
+                continue
             acc[x] = comp
             ok = True
             for m in c.morphisms:
@@ -1083,36 +1095,10 @@ def functor_is_equivalence(fun: Functor) -> Verdict:
 def natural_iso_search(f: Functor, g: Functor) -> NatTrans | None:
     """First invertible natural transformation f ⇒ g, if any.
 
-    Components are drawn from isomorphisms only, assigned object by object
-    with incremental naturality checks.
+    The first invertible one in :func:`enumerate_nattrans` order, found by
+    the same search with components drawn from isomorphisms only.
     """
-    c, d = f.source, f.target
-    objs = list(c.objects)
-
-    def extend(k: int, acc: dict[str, str]) -> dict[str, str] | None:
-        if k == len(objs):
-            return dict(acc)
-        x = objs[k]
-        for comp in d.hom(f.obj_map[x], g.obj_map[x]):
-            if not d.is_iso(comp):
-                continue
-            acc[x] = comp
-            ok = True
-            for m in c.morphisms:
-                a, b = c.dom[m], c.cod[m]
-                if a in acc and b in acc:
-                    if d.table[(g.mor_map[m], acc[a])] != d.table[(acc[b], f.mor_map[m])]:
-                        ok = False
-                        break
-            if ok:
-                found = extend(k + 1, acc)
-                if found is not None:
-                    return found
-            acc.pop(x)
-        return None
-
-    comps = extend(0, {})
+    comps = next(_nattrans_search(f, g, f.target.is_iso), None)
     if comps is None:
         return None
     return NatTrans(f"{f.name}~{g.name}", f, g, comps)
-

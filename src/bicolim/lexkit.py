@@ -13,10 +13,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
-from .colim import ColimitCat, bifiltered_bicolimit
+from .colim import ColimitCat
 from .compact import OneCellLift, lift_one_cell
 from .fincat import FinCat, Functor, _assemble_composed
-from .twocat import CatPseudoFunctor
 from .verdict import Verdict, negative, positive
 
 
@@ -207,7 +206,6 @@ class LexColimitReport:
     legs_lex: dict[str, Verdict]
     sampled_diagrams: int
     limit_formula_failures: list[dict[str, Any]]
-    colimit: ColimitCat | None = None
 
     @property
     def ok(self) -> bool:
@@ -407,14 +405,17 @@ def _sample_verdicts(colim: ColimitCat) -> Iterator[tuple[tuple, str, str | None
             yield key, stage, decided[(binding, image_mors)]
 
 
-def verify_lex_bicolimit(pf: CatPseudoFunctor) -> LexColimitReport:
-    """The three stability assertions for a diagram of lex categories.
+def verify_lex_bicolimit(colim: ColimitCat) -> LexColimitReport:
+    """The three stability assertions for a diagram of lex categories, on
+    its computed colimit.
 
     (a) the colimit has the witness triple; (b) every inclusion is a lex
     functor; (c) for each sampled diagram in the colimit, lifting it to a
     stage, taking the limit there, and pushing back yields a limit.  A fiber
-    or transition that is not lex raises :class:`NotLexError`.
+    or transition of ``colim.diagram`` that is not lex raises
+    :class:`NotLexError`.
     """
+    pf = colim.diagram
     reports: dict[str, LexReport] = {}
     for i in sorted(pf.source.cells0):
         reports[i] = finite_limit_witnesses(pf.on0[i])
@@ -424,7 +425,6 @@ def verify_lex_bicolimit(pf: CatPseudoFunctor) -> LexColimitReport:
         verdict = _preserves_witnesses(pf.on1[d], reports[pf.source.one_home[d][0]])
         if not verdict:
             raise NotLexError(f"leg at {d!r} is not lex: {verdict.counterexample}")
-    colim = bifiltered_bicolimit(pf)
     colimit_lex = finite_limit_witnesses(colim.result)
     legs_lex = {i: _preserves_witnesses(colim.cocone[i], reports[i]) for i in reports}
     verdicts = list(_sample_verdicts(colim))
@@ -433,4 +433,4 @@ def verify_lex_bicolimit(pf: CatPseudoFunctor) -> LexColimitReport:
         for key, stage, reason in verdicts
         if reason is not None
     ]
-    return LexColimitReport(colimit_lex, legs_lex, len(verdicts), failures, colim)
+    return LexColimitReport(colimit_lex, legs_lex, len(verdicts), failures)

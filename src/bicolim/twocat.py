@@ -60,14 +60,13 @@ from .fincat import (
     NatTrans,
     ValidationError,
     _refuse_repeat,
-    associative_over_generators,
     build_fincat,
     compose_functors,
+    fincat_violations,
     functor_violations,
     hcompose_nattrans,
     identity_functor,
     identity_nattrans,
-    incidence,
     nattrans_violations,
     vcompose_nattrans,
     whisker_functor,
@@ -254,6 +253,12 @@ def build_twocat(
 
 
 def twocat_violations(tc: TwoCat) -> list[str]:
+    """Every broken axiom of a strict 2-category.
+
+    Each level is a category on the 0-cells, 1-cells under ``hcomp1`` and
+    2-cells under ``hcomp2``, checked by :func:`fincat_violations` with its
+    messages prefixed ``1-cell `` or ``2-cell ``; the rest are the
+    2-dimensional axioms."""
     out: list[str] = []
     seen1: set[str] = set()
     seen2: set[str] = set()
@@ -275,108 +280,44 @@ def twocat_violations(tc: TwoCat) -> list[str]:
     if out:
         return out
 
-    one_cells, two_cells = tc.one_cells, tc.two_cells
-    # cells of each level grouped by their source 0-cell, in name order
-    ones_from: dict[str, list[str]] = {i: [] for i in tc.cells0}
-    for f in one_cells:
-        ones_from[tc.one_home[f][0]].append(f)
-    twos_from: dict[str, list[str]] = {i: [] for i in tc.cells0}
-    for a in two_cells:
-        twos_from[tc.two_home[a][0]].append(a)
-
-    # totality and typing of 1-cell composition
-    for f in one_cells:
-        fi, fj = tc.one_home[f]
-        for g in ones_from[fj]:
-            gf = tc.hcomp1.get((g, f))
-            if gf is None:
-                out.append(f"1-cell composite of ({g!r}, {f!r}) missing")
-            elif tc.one_home.get(gf) != (fi, tc.one_home[g][1]):
-                out.append(f"1-cell composite of ({g!r}, {f!r}) has wrong type")
-    for (g, f) in tc.hcomp1:
-        if g not in tc.one_home or f not in tc.one_home or tc.src(g) != tc.dst(f):
-            out.append(f"1-cell composite listed for non-composable ({g!r}, {f!r})")
-    if out:
-        return out
-    for f in one_cells:
-        i, j = tc.one_home[f]
-        if tc.hcomp1[(tc.unit[j], f)] != f or tc.hcomp1[(f, tc.unit[i])] != f:
-            out.append(f"1-cell unit law fails at {f!r}")
-    # 1-cell associativity: that of the category of 0-cells and 1-cells
-    one_dom = {f: home[0] for f, home in tc.one_home.items()}
-    one_cod = {f: home[1] for f, home in tc.one_home.items()}
-    if out or not associative_over_generators(
-        one_dom, one_cod, tc.unit.values(), tc.hcomp1, *incidence(one_dom, one_cod)
+    for level, home, table, units in (
+        ("1-cell", tc.one_home, tc.hcomp1, tc.unit),
+        ("2-cell", tc.two_home, tc.hcomp2, {i: tc.id2(tc.unit[i]) for i in tc.cells0}),
     ):
-        for f in one_cells:
-            for g in ones_from[tc.dst(f)]:
-                for h in ones_from[tc.dst(g)]:
-                    if tc.hcomp1[(h, tc.hcomp1[(g, f)])] != tc.hcomp1[(tc.hcomp1[(h, g)], f)]:
-                        out.append(f"1-cell associativity fails on ({h!r}, {g!r}, {f!r})")
-    if out:
-        return out
+        level_cat = FinCat(
+            f"{tc.name}:{level}",
+            tc.cells0,
+            {c: ij[0] for c, ij in home.items()},
+            {c: ij[1] for c, ij in home.items()},
+            units,
+            table,
+        )
+        out = [f"{level} {v}" for v in fincat_violations(level_cat)]
+        if out:
+            return out
 
-    # totality, typing, functoriality and strictness of 2-cell composition
-    for a in two_cells:
-        ai, aj = tc.two_home[a]
-        for b in twos_from[aj]:
-            ba = tc.hcomp2.get((b, a))
-            if ba is None:
-                out.append(f"2-cell composite of ({b!r}, {a!r}) missing")
-                continue
-            if tc.two_home.get(ba) != (ai, tc.two_home[b][1]):
-                out.append(f"2-cell composite of ({b!r}, {a!r}) in wrong hom")
-                continue
-            want_dom = tc.hcomp1[(tc.dom2(b), tc.dom2(a))]
-            want_cod = tc.hcomp1[(tc.cod2(b), tc.cod2(a))]
-            if tc.dom2(ba) != want_dom or tc.cod2(ba) != want_cod:
-                out.append(f"2-cell composite of ({b!r}, {a!r}) has wrong boundary")
+    for (b, a), ba in tc.hcomp2.items():
+        boundary = (tc.hcomp1[(tc.dom2(b), tc.dom2(a))], tc.hcomp1[(tc.cod2(b), tc.cod2(a))])
+        if (tc.dom2(ba), tc.cod2(ba)) != boundary:
+            out.append(f"2-cell composite of ({b!r}, {a!r}) has wrong boundary")
     if out:
         return out
-    for f in one_cells:
-        for g in ones_from[tc.dst(f)]:
-            if tc.hcomp2[(tc.id2(g), tc.id2(f))] != tc.id2(tc.hcomp1[(g, f)]):
-                out.append(f"horizontal composition of identities fails on ({g!r}, {f!r})")
+    for (g, f), gf in tc.hcomp1.items():
+        if tc.hcomp2[(tc.id2(g), tc.id2(f))] != tc.id2(gf):
+            out.append(f"horizontal composition of identities fails on ({g!r}, {f!r})")
     # interchange, over every pair of vertically composable pairs
     starting: dict[str, list[str]] = {}  # 2-cells by vertical domain, in name order
-    for a in two_cells:
+    for a in tc.two_cells:
         starting.setdefault(tc.dom2(a), []).append(a)
-    for a in two_cells:
-        ai, aj = tc.two_home[a]
-        cat_a = tc.hom[(ai, aj)]
+    for (b, a), ba in tc.hcomp2.items():
+        cat_a, cat_b = tc.hom_of2(a), tc.hom_of2(b)
         for a2 in starting.get(cat_a.cod[a], ()):
-            for b in twos_from[aj]:
-                cat_b = tc.hom_of2(b)
-                for b2 in starting.get(cat_b.cod[b], ()):
-                    lhs = tc.hcomp2[(cat_b.table[(b2, b)], cat_a.table[(a2, a)])]
-                    rhs = tc.hom[(ai, tc.two_home[b][1])].table[
-                        (tc.hcomp2[(b2, a2)], tc.hcomp2[(b, a)])
-                    ]
-                    if lhs != rhs:
-                        out.append(f"interchange fails on ({b2!r},{b!r};{a2!r},{a!r})")
-                        if len(out) > 10:
-                            return out
-    for a in two_cells:
-        i, j = tc.two_home[a]
-        if tc.hcomp2[(tc.id2(tc.unit[j]), a)] != a or tc.hcomp2[(a, tc.id2(tc.unit[i]))] != a:
-            out.append(f"2-cell unit law fails at {a!r}")
-    # horizontal 2-cell associativity: that of the category of 0-cells and 2-cells
-    two_dom = {a: home[0] for a, home in tc.two_home.items()}
-    two_cod = {a: home[1] for a, home in tc.two_home.items()}
-    if out or not associative_over_generators(
-        two_dom,
-        two_cod,
-        [tc.id2(tc.unit[i]) for i in tc.cells0],
-        tc.hcomp2,
-        *incidence(two_dom, two_cod),
-    ):
-        for a in two_cells:
-            for b in twos_from[tc.two_home[a][1]]:
-                for c in twos_from[tc.two_home[b][1]]:
-                    if tc.hcomp2[(c, tc.hcomp2[(b, a)])] != tc.hcomp2[(tc.hcomp2[(c, b)], a)]:
-                        out.append(f"2-cell associativity fails on ({c!r}, {b!r}, {a!r})")
-                        if len(out) > 10:
-                            return out
+            for b2 in starting.get(cat_b.cod[b], ()):
+                lhs = tc.hcomp2[(cat_b.table[(b2, b)], cat_a.table[(a2, a)])]
+                if lhs != tc.vcomp(tc.hcomp2[(b2, a2)], ba):
+                    out.append(f"interchange fails on ({b2!r},{b!r};{a2!r},{a!r})")
+                    if len(out) > 10:
+                        return out
     return out
 
 

@@ -43,6 +43,7 @@ from .filtered import (
 from .fincat import (
     FinCat,
     SizeGuardError,
+    ValidationError,
     check_equivalence,
     compose_functors,
     identity_functor,
@@ -103,7 +104,7 @@ def _trivialization(tc: TwoCat, sigma: SigmaClass) -> bool:
 
 def _triangle(tc: TwoCat, sigma: SigmaClass) -> bool | None:
     closed = sigma_closure(sigma)
-    if not check_sigma_filtered(tc, closed, assume_closed=True):
+    if not check_sigma_filtered(tc, closed):
         return None
     ok = True
     for d in tc.one_cells:
@@ -115,7 +116,7 @@ def _triangle(tc: TwoCat, sigma: SigmaClass) -> bool | None:
 
 def _trivialization_colimit(fx: DiagramFixture) -> bool:
     closed = sigma_closure(fx.index.sigma_named(fx.sigma_name))
-    if not check_sigma_filtered(fx.functor.source, closed, assume_closed=True):
+    if not check_sigma_filtered(fx.functor.source, closed):
         return False
     relative = sigma_bicolimit(fx.functor, closed)
     sub = class_subcategory(fx.functor.source, closed)
@@ -172,10 +173,6 @@ def _splitting(fx: IdempotentFixture) -> bool:
         and not nattrans_violations(s.alpha)
         and not nattrans_violations(s.beta)
     )
-
-
-def _lex_closure(fx: DiagramFixture) -> bool:
-    return verify_lex_bicolimit(fx.functor).ok
 
 
 def _cofinality(fx: MapFixture) -> bool:
@@ -244,9 +241,10 @@ class Suite:
         """A task that runs ``check`` and records its outcome under ``lemma``.
 
         A check that returns None does not apply, and nothing is recorded.
-        An instance the size guard stopped, or whose diagram fails the
-        lemma's lex precondition, went unchecked, so it is a failure whose
-        replay line carries the reason.
+        An instance the size guard stopped, whose diagram fails the lemma's
+        lex precondition, or whose diagram a construction refused (a lex
+        claim over an index that is not bifiltered) went unchecked, so it is
+        a failure whose replay line carries the reason.
         """
 
         def run() -> None:
@@ -254,7 +252,7 @@ class Suite:
                 ok = check()
             except SizeGuardError as exc:
                 ok, line = False, f"{replay}  # size guard: {exc}"
-            except NotLexError as exc:
+            except (NotLexError, ValidationError) as exc:
                 ok, line = False, f"{replay}  # {exc}"
             else:
                 line = replay
@@ -380,7 +378,8 @@ class Suite:
         for name, fx in diagrams.items():
             if fx.expect.get("lex"):
                 add(f"lex-closure:{name}", "lex-closure", name,
-                    f"bicolim lex verify-colimit {name}", _lex_closure, fx)
+                    f"bicolim lex verify-colimit {name}",
+                    lambda pf: verify_lex_bicolimit(self._colimit(pf)).ok, fx.functor)
 
         for name, fx in kinds[MapFixture].items():
             add(f"cofinality:{name}", "cofinality", name, f"bicolim check cofinal {name}",

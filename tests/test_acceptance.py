@@ -132,7 +132,7 @@ def test_criterion_03_triangle(corpus):
     failures = []
     total = 0
     for name, tc, sigma in sigma_pairs(corpus):
-        if not check_sigma_filtered(tc, sigma, assume_closed=True):
+        if not check_sigma_filtered(tc, sigma):
             continue
         for d in tc.one_cells:
             total += 1
@@ -283,7 +283,7 @@ def test_criterion_09_lex_closure(corpus):
     for name, fx in by_type(corpus, DiagramFixture).items():
         if not fx.expect.get("lex"):
             continue
-        report = verify_lex_bicolimit(fx.functor)
+        report = verify_lex_bicolimit(bifiltered_bicolimit(fx.functor))
         sampled += report.sampled_diagrams
         if not report.ok:
             failures.append((name, report.to_dict()))
@@ -302,8 +302,8 @@ def test_criterion_10_cofinality_transfer(corpus):
         if not verdict.outcome:
             continue
         preserves = all(fx.functor.on1[f] in s_tgt.members for f in s_src.members)
-        if check_sigma_filtered(fx.functor.source, s_src, assume_closed=True) and preserves:
-            if not check_sigma_filtered(fx.functor.target, s_tgt, assume_closed=True):
+        if check_sigma_filtered(fx.functor.source, s_src) and preserves:
+            if not check_sigma_filtered(fx.functor.target, s_tgt):
                 failures.append((name, "filteredness transfer"))
         if fx.diagram is not None:
             outer = sigma_bicolimit(fx.diagram.functor, s_tgt)

@@ -39,7 +39,8 @@ def scan_violations(cat: FinCat) -> list[str]:
 
 
 def scan_twocat_violations(tc) -> list[str]:
-    with mock.patch.object(twocat, "associative_over_generators", lambda *args: False):
+    # twocat_violations decides each horizontal level with fincat_violations
+    with mock.patch.object(fincat, "associative_over_generators", lambda *args: False):
         return twocat_violations(tc)
 
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from bicolim import cli, verify
 from bicolim.cli import default_corpus, main
 from bicolim.verdict import negative
@@ -257,6 +259,16 @@ def test_verify_machine_report_matches_golden(capsys):
     assert out.encode() == GOLDEN.read_bytes()
 
 
+def test_optimised_verify_matches_golden():
+    # invariant checks must not rest on assert statements, which -O strips
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "bicolim.cli", "verify", str(BUNDLED), "--format", "machine"],
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == GOLDEN.read_bytes()
+
+
 def test_verify_records_non_flat_pairing_as_failure(monkeypatch, capsys):
     # every paired diagram non-flat: nothing is left to check, and each
     # instance must still reach the report as a failure
@@ -338,25 +350,56 @@ def test_verify_records_a_diagram_claimed_lex_that_is_not(tmp_path, capsys):
     assert "fiber at '.' is not lex" in err
 
 
+@pytest.mark.parametrize("diagram", ["nonflat_empty.diagram.json", "flat_const_pt.diagram.json"])
+def test_verify_records_a_lex_claim_over_an_index_that_is_not_bifiltered(diagram, tmp_path, capsys):
+    # lex-closure computes colim F first, which refuses the index, whether
+    # the fibers are lex (flat_const_pt) or not (nonflat_empty); the
+    # instance is still recorded as a failure with the reason
+    for name in ("poset_bottom.twocat.json", diagram):
+        (tmp_path / name).write_bytes((BUNDLED / name).read_bytes())
+    doc = json.loads((BUNDLED / diagram).read_text())
+    doc["expect"] = {"lex": True}
+    (tmp_path / "claimed_lex.diagram.json").write_text(json.dumps(doc))
+    report = Suite(tmp_path).run()
+    assert report["ok"] is False
+    slot = report["lemmas"]["lex-closure"]
+    assert (slot["pass"], slot["fail"]) == (0, 1)
+    [failure] = slot["failures"]
+    assert failure["instance"] == "claimed_lex.diagram.json"
+    replay, reason = failure["replay"].split("  # ")
+    assert replay == "bicolim lex verify-colimit claimed_lex.diagram.json"
+    assert "index not bifiltered" in reason
+    code, _, err = run_cli(
+        "lex", "verify-colimit", str(tmp_path / "claimed_lex.diagram.json"), capsys=capsys
+    )
+    assert code == 2
+    assert "index not bifiltered" in err
+
+
 def test_verify_computes_each_bifiltered_colimit_once(monkeypatch):
     # bicompact (both probe kinds), bicompact-closure, bifiltered
-    # coequification and the three commutation lemmas read colim F from the
-    # suite, which computes it once per diagram fixture; compact and bilim
-    # never compute it again, and each colimit builds its skeleton once
+    # coequification, lex-closure and the three commutation lemmas read
+    # colim F from the suite, which computes it once per diagram fixture; no
+    # module computes it again, and each colimit builds its skeleton once
     from collections import Counter
 
-    from bicolim import bilim, colim, compact, fincat
+    from bicolim import colim, fincat
     from bicolim.fixtures import DiagramFixture
 
     calls: Counter = Counter()
+    compute = colim.bifiltered_bicolimit
 
     def counting(pf, precheck=True):
         calls[pf] += 1
-        return colim.bifiltered_bicolimit(pf, precheck)
+        return compute(pf, precheck)
 
-    monkeypatch.setattr(verify, "bifiltered_bicolimit", counting)
-    monkeypatch.setattr(compact, "bifiltered_bicolimit", counting)
-    monkeypatch.setattr(bilim, "bifiltered_bicolimit", counting)
+    patched = 0
+    for module_name, module in sorted(sys.modules.items()):
+        if module_name == "bicolim" or module_name.startswith("bicolim."):
+            if getattr(module, "bifiltered_bicolimit", None) is compute:
+                monkeypatch.setattr(module, "bifiltered_bicolimit", counting)
+                patched += 1
+    assert patched >= 5  # colim, verify, compact, bilim, flat, cli, ...
     skeletons: Counter = Counter()
 
     def counting_skeleton(cat):

@@ -145,7 +145,7 @@ def test_positive_witnesses_revalidate():
             for w in verdict.witnesses:
                 assert revalidate_filteredness_witness(tc, w), (name, w)
         sigma = sigma_closure(all_one_cells(tc))
-        verdict = check_sigma_filtered(tc, sigma, assume_closed=True)
+        verdict = check_sigma_filtered(tc, sigma)
         if verdict:
             for w in verdict.witnesses:
                 assert revalidate_filteredness_witness(tc, w, sigma.members), (name, w)
@@ -160,7 +160,7 @@ def sigma_filtered_pairs():
         tc = make()
         for sigma in (all_one_cells(tc), units_and(tc, [f for f in ("s",) if f in tc.one_home])):
             closed = sigma_closure(sigma)
-            if check_sigma_filtered(tc, closed, assume_closed=True):
+            if check_sigma_filtered(tc, closed):
                 out.append((name, tc, closed))
     return out
 

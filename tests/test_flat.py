@@ -3,9 +3,14 @@ from __future__ import annotations
 import pytest
 
 from bicolim import corpus, zoo
-from bicolim.fincat import ValidationError, check_equivalence
+from bicolim.bilim import arrow_cotensor, biequalizer, biproduct
+from bicolim.cli import default_corpus
+from bicolim.fincat import Functor, ValidationError, check_equivalence, functor_is_equivalence
+from bicolim.fixtures import InstanceFixture, load_fixture
 from bicolim.flat import (
     BilimitInstance,
+    _hom_postcomposition,
+    _image_verdict,
     check_flat,
     check_flat_preserves_bilimits,
     decompose_flat,
@@ -231,3 +236,119 @@ def test_terminal_like_cell_sent_to_terminal_category():
     pf = representable_pseudofunctor(tc, "a")
     assert check_flat(pf)
     assert check_flat_preserves_bilimits(pf, inst)
+
+
+# -- representable verdicts against hand-built probes ----------------------------
+#
+# ``validate_bilimit_instance`` decides a typed cone at each 0-cell j by the
+# image verdict of hom(j, -), the test of ``check_flat_preserves_bilimits``.
+# ``probe_verdicts`` is the check it replaced, kept as the oracle: the
+# comparison out of hom(j, apex) built by hand, kind by kind.
+
+
+def probe_verdicts(tc, instance) -> dict[str, bool]:
+    kind, data = instance.kind, instance.data
+    out = {}
+    for j in tc.cells0:
+        if kind == "biterminal":
+            out[j] = bool(check_equivalence(tc.hom[(j, data["apex"])], zoo.terminal()))
+        elif kind == "biproduct":
+            pr1, pr2 = data["left_leg"], data["right_leg"]
+            prod = biproduct(tc.hom[(j, tc.dst(pr1))], tc.hom[(j, tc.dst(pr2))])
+            probe = prod.pairing(
+                _hom_postcomposition(tc, pr1, j, f"({pr1}o-)@{j}"),
+                _hom_postcomposition(tc, pr2, j, f"({pr2}o-)@{j}"),
+                name=f"probe@{j}",
+            )
+            out[j] = bool(functor_is_equivalence(probe))
+        elif kind == "biequalizer":
+            w, u = data["apex"], data["leg"]
+            f, g, xi = data["left"], data["right"], data["cell"]
+            eq = biequalizer(
+                _hom_postcomposition(tc, f, j, f"({f}o-)@{j}"),
+                _hom_postcomposition(tc, g, j, f"({g}o-)@{j}"),
+            )
+            obj_map = {
+                h: eq.object_at.get((tc.hcomp1[(u, h)], tc.whisker_r(xi, h)))
+                for h in tc.cells1(j, w)
+            }
+            if None in obj_map.values():
+                out[j] = False
+                continue
+            mor_map = {}
+            for alpha in tc.hom[(j, w)].dom:
+                h1, h2 = tc.hom[(j, w)].dom[alpha], tc.hom[(j, w)].cod[alpha]
+                mor_map[alpha] = eq.mor(tc.whisker_l(u, alpha), obj_map[h1], obj_map[h2])
+            probe = Functor(f"probe@{j}", tc.hom[(j, w)], eq.category, obj_map, mor_map)
+            out[j] = bool(functor_is_equivalence(probe))
+        else:  # arrow_cotensor
+            t, e0, e1, tau = data["apex"], data["dom_leg"], data["cod_leg"], data["cell"]
+            cot = arrow_cotensor(tc.hom[(j, tc.dst(e0))])
+            obj_map = {h: tc.whisker_r(tau, h) for h in tc.cells1(j, t)}
+            mor_map = {}
+            for alpha in tc.hom[(j, t)].dom:
+                h1, h2 = tc.hom[(j, t)].dom[alpha], tc.hom[(j, t)].cod[alpha]
+                mor_map[alpha] = cot.square(
+                    tc.whisker_l(e0, alpha), tc.whisker_l(e1, alpha), obj_map[h1], obj_map[h2]
+                )
+            probe = Functor(f"probe@{j}", tc.hom[(j, t)], cot.category, obj_map, mor_map)
+            out[j] = bool(functor_is_equivalence(probe))
+    return out
+
+
+def bundled_instances():
+    out = []
+    for path in sorted(default_corpus().glob("*.instance.json")):
+        fx = load_fixture(path)
+        assert isinstance(fx, InstanceFixture)
+        out.append((path.name, fx.base.twocat, fx.instance))
+    return out
+
+
+REFUSED_VARIANTS = [
+    # bot is no product of (a, a)
+    ("product (le_bot_a, le_bot_a)", corpus.poset_bottom_twocat, BilimitInstance(
+        "biproduct", {"apex": "bot", "left_leg": "le_bot_a", "right_leg": "le_bot_a"}
+    )),
+    # a is not terminal: hom(b, a) is empty
+    ("biterminal at a", corpus.poset_top_twocat, BilimitInstance("biterminal", {"apex": "a"})),
+    # nu : d => s is not invertible
+    ("biequalizer cell nu", zoo.lax_triangle_twocat, BilimitInstance(
+        "biequalizer", {"apex": "a", "leg": "ia", "left": "d", "right": "s", "cell": "nu"}
+    )),
+    # an arrow cotensor out of x along the invertible w : p => q
+    ("cotensor cell w", zoo.iso_hom_twocat, BilimitInstance(
+        "arrow_cotensor", {"apex": "x", "dom_leg": "p", "cod_leg": "q", "cell": "w"}
+    )),
+]
+
+
+def test_representable_verdicts_match_hand_built_probes_on_bundled_instances():
+    instances = bundled_instances()
+    assert len(instances) == 4
+    for name, tc, instance in instances:
+        want = probe_verdicts(tc, instance)
+        assert all(want.values()), name
+        got = {j: bool(_image_verdict(representable_pseudofunctor(tc, j), instance)) for j in tc.cells0}
+        assert got == want, name
+        assert validate_bilimit_instance(tc, instance) == []
+
+
+@pytest.mark.parametrize("name, make, instance", REFUSED_VARIANTS, ids=[v[0] for v in REFUSED_VARIANTS])
+def test_representable_verdicts_match_hand_built_probes_on_refused_variants(name, make, instance):
+    tc = make()
+    want = probe_verdicts(tc, instance)
+    got = {j: bool(_image_verdict(representable_pseudofunctor(tc, j), instance)) for j in tc.cells0}
+    assert got == want
+    refused = validate_bilimit_instance(tc, instance)
+    assert refused
+    if instance.data.get("cell") == "nu":
+        # typing refuses the cell before any representable is asked
+        assert refused == ["cone cell is not invertible"]
+        assert not all(want.values())
+    else:
+        assert refused == [
+            f"hom({j!r},-) does not send the cone to a bilimit"
+            for j in tc.cells0
+            if not want[j]
+        ]

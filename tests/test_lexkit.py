@@ -266,23 +266,23 @@ def test_lex_functor_requires_lex_source():
 
 
 def test_lex_chain_colimit_verifies():
-    report = verify_lex_bicolimit(corpus.lex_chain_semilattices())
+    report = verify_lex_bicolimit(bifiltered_bicolimit(corpus.lex_chain_semilattices()))
     assert report.ok, report.to_dict()
     assert report.sampled_diagrams > 0
     assert not report.limit_formula_failures
 
 
 def test_lex_constant_colimit_verifies():
-    report = verify_lex_bicolimit(corpus.lex_constant())
+    report = verify_lex_bicolimit(bifiltered_bicolimit(corpus.lex_constant()))
     assert report.ok, report.to_dict()
 
 
 def test_lex_colimit_equivalent_to_union_and_lexness_transfers():
-    pf = corpus.lex_chain_semilattices()
-    report = verify_lex_bicolimit(pf)
+    colim = bifiltered_bicolimit(corpus.lex_chain_semilattices())
+    assert verify_lex_bicolimit(colim).ok
     # the colimit is the top of the chain, hence lex again
-    assert check_equivalence(report.colimit.result, diamond())
-    assert finite_limit_witnesses(report.colimit.result).ok
+    assert check_equivalence(colim.result, diamond())
+    assert finite_limit_witnesses(colim.result).ok
 
 
 def test_lexness_is_equivalence_invariant_on_fixture_pairs():
@@ -300,7 +300,7 @@ def test_nonlex_fiber_rejected():
 
     pf = constant_pseudofunctor(terminal_twocat(), zoo.discrete(["a", "b"]))
     with pytest.raises(ValueError):
-        verify_lex_bicolimit(pf)
+        verify_lex_bicolimit(bifiltered_bicolimit(pf))
 
 
 # -- restricted lifts and directly assembled samples, differential ---------------
@@ -405,7 +405,7 @@ def test_restricted_lift_matches_enumerating_oracle_on_lex_samples(name):
         assert_lift_matches_oracle(probe, colim, inclusion(probe, colim.result))
         keys.append(key)
     assert keys == [key for key, _ in _distinct_samples(colim.result)]
-    assert len(keys) == verify_lex_bicolimit(pf).sampled_diagrams
+    assert len(keys) == verify_lex_bicolimit(colim).sampled_diagrams
 
 
 @st.composite
@@ -650,9 +650,9 @@ def test_lex_verification_finds_witnesses_once_per_fiber(monkeypatch, name):
     find = lexkit.finite_limit_witnesses
     monkeypatch.setattr(lexkit, "finite_limit_witnesses", counting)
     pf = corpus.LEX_DIAGRAM_BUILDERS[name]()
-    report = verify_lex_bicolimit(pf)
-    assert report.ok
-    want = [pf.on0[i] for i in sorted(pf.source.cells0)] + [report.colimit.result]
+    colim = bifiltered_bicolimit(pf)
+    assert verify_lex_bicolimit(colim).ok
+    want = [pf.on0[i] for i in sorted(pf.source.cells0)] + [colim.result]
     assert [id(cat) for cat in seen] == [id(cat) for cat in want]
 
 
@@ -713,10 +713,9 @@ def refuse_replay(*args):
 
 @pytest.mark.parametrize("name", sorted(corpus.LEX_DIAGRAM_BUILDERS))
 def test_lex_verification_skips_axiom_replay(monkeypatch, name):
-    pf = corpus.LEX_DIAGRAM_BUILDERS[name]()
-    want = verify_lex_bicolimit(pf)
     # the colimit is built, and validated, before the checks are refused
-    monkeypatch.setattr(lexkit, "bifiltered_bicolimit", lambda diagram: want.colimit)
+    colim = bifiltered_bicolimit(corpus.LEX_DIAGRAM_BUILDERS[name]())
+    want = verify_lex_bicolimit(colim)
     checks = (fincat.fincat_violations, fincat.functor_violations)
     patched = 0
     for module_name, module in sorted(sys.modules.items()):
@@ -727,6 +726,6 @@ def test_lex_verification_skips_axiom_replay(monkeypatch, name):
                 monkeypatch.setattr(module, attr, refuse_replay)
                 patched += 1
     assert patched >= 2
-    got = verify_lex_bicolimit(pf)
+    got = verify_lex_bicolimit(colim)
     assert got.to_dict() == want.to_dict()
     assert got.ok

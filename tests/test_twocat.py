@@ -7,6 +7,7 @@ from bicolim import zoo
 from bicolim.fincat import (
     NatTrans,
     ValidationError,
+    build_fincat,
     build_functor,
     identity_functor,
     identity_nattrans,
@@ -59,6 +60,20 @@ def test_missing_hcomp_entry_rejected():
     with pytest.raises(ValidationError) as err:
         build_twocat(tc.name, tc.cells0, tc.hom, tc.hcomp1, broken, tc.unit)
     assert any("missing" in v for v in err.value.violations)
+
+
+def test_interchange_failure_is_refused():
+    # one 0-cell, one 1-cell u, and the 2-cells forming the monoid of
+    # constant maps on {0, 1} with an identity; taking vertical composition
+    # as the horizontal one too keeps both levels categories, but the monoid
+    # is not commutative, so only interchange fails (Eckmann-Hilton)
+    cells = ["e", "c0", "c1"]
+    table = {(g, f): f if g == "e" else g for g in cells for f in cells}
+    hom = build_fincat("M", ["u"], [(a, "u", "u") for a in cells], {"u": "e"}, table)
+    with pytest.raises(ValidationError) as err:
+        build_twocat("EH", ["*"], {("*", "*"): hom}, {("u", "u"): "u"}, table, {"*": "u"})
+    violations = err.value.violations
+    assert violations and all(v.startswith("interchange fails on ") for v in violations)
 
 
 def test_walking_iso_hom_twocat_valid():
