@@ -217,7 +217,7 @@ def cmd_verify(args) -> int:
         _emit({"corpus": {}, "lemmas": {}, "ok": True, "fixture_count": 0},
               args.format, lambda: "empty corpus: nothing to verify")
         return 0
-    report = Suite(corpus).run(args.seed_order)
+    report = Suite(corpus).run(args.seed_order, args.only)
     if args.out:
         Path(args.out).write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
 
@@ -302,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="replay every invariant over the corpus")
     p.add_argument("corpus", nargs="?", help=f"corpus directory (default ${CORPUS_ENV} or bundled)")
     p.add_argument("--seed-order", type=int, default=0, help="permute task scheduling only")
+    p.add_argument("--only", metavar="TASK", help="run one task, as a failure's replay line does")
     p.add_argument("--out", help="write the machine report here")
     add_format(p)
     p.set_defaults(func=cmd_verify)

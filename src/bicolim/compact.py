@@ -18,7 +18,12 @@ verdict therefore names cells of [K, sk(colim F)]; the size guard and the
 
 The comparison is checked against a colimit the caller computed, so a
 caller that probes one diagram with several categories computes colim F
-once.  Functors K -> C and transformations are looked up by value: a
+once.  That colimit may be colim(F∘J) for a σ-cofinal J, which is
+equivalent to colim F: ``bicolim verify`` passes the one over the cofinal
+core of F's index (see :mod:`bicolim.verify`), whose stages are far fewer,
+while ``bicolim compact check`` passes colim F itself, so its
+``outer_objects`` still counts [K, colim F].  The cofinal core shrinks the
+source of the comparison; the skeleton above shrinks its target.  Functors K -> C and transformations are looked up by value: a
 functor by its morphism images in ``K.morphisms`` order, a transformation by
 the names of its two functors and its components in ``K.objects`` order.
 Postcomposition and whiskering then map tuples of names.

@@ -13,13 +13,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from .fincat import ValidationError
+from .fincat import SizeGuardError, ValidationError
 from .twocat import (
     SigmaClass,
     TwoCat,
     TwoFunctor,
     all_one_cells,
     full_sub_on_one_cells,
+    full_sub_on_zero_cells,
     inclusion_twofunctor,
     sigma_closure,
 )
@@ -381,6 +382,32 @@ def check_sigma_cofinal(fn: TwoFunctor, sigma: SigmaClass, sigma_target: SigmaCl
                     {"condition": "equification", "pair": [a, a2], "object": j, "via": found}
                 )
     return positive("sigma-cofinal", witnesses)
+
+
+def cofinal_core(tc: TwoCat, max_sets: int = 4096) -> TwoCat:
+    """The smallest full sub-2-category J whose inclusion is σ-cofinal, with
+    every 1-cell in the class on both sides.
+
+    Sets of 0-cells are tried by size, singletons first, and in sorted order
+    within a size; the first accepted is returned, so over a bifiltered index
+    (where the whole index is accepted) the search always ends.  By the
+    cofinality theorem colim(F∘J) ≃ colim F for every diagram F over ``tc``.
+    Trying more than ``max_sets`` sets trips the size guard.
+    """
+    whole = all_one_cells(tc)
+    cells = sorted(tc.cells0)
+    tried = 0
+    for size in range(1, len(cells) + 1):
+        for objs in itertools.combinations(cells, size):
+            tried += 1
+            if tried > max_sets:
+                raise SizeGuardError(
+                    f"cofinal core of {tc.name}: {tried} sets of 0-cells exceed bound {max_sets}"
+                )
+            sub = full_sub_on_zero_cells(tc, objs)
+            if check_sigma_cofinal(inclusion_twofunctor(sub, tc), all_one_cells(sub), whole):
+                return sub
+    raise ValidationError(tc.name, ["no full sub-2-category has a σ-cofinal inclusion"])
 
 
 # ---------------------------------------------------------------------------

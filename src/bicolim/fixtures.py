@@ -24,7 +24,7 @@ from .fincat import (
     compose_functors,
     validate_fincat,
 )
-from .flat import BilimitInstance
+from .flat import BilimitInstance, validate_bilimit_instance
 from .twocat import (
     CatPseudoFunctor,
     SigmaClass,
@@ -239,8 +239,15 @@ def _load_parallel(doc: dict, path: Path, cache: dict) -> ParallelFixture:
 
 
 def _load_instance(doc: dict, path: Path, cache: dict) -> InstanceFixture:
+    """A bilimit instance, refused unless its cone is a bilimit cone in its base."""
     base = load_fixture(path.parent / doc["twocat"], cache)
-    return InstanceFixture(base, BilimitInstance(doc["shape"], dict(doc["data"])), path)
+    if not isinstance(base, TwoCatFixture):
+        raise FixtureError(path, "instance base is not a 2-category fixture")
+    instance = BilimitInstance(doc.get("shape"), dict(doc.get("data", {})))
+    bad = validate_bilimit_instance(base.twocat, instance)
+    if bad:
+        raise FixtureError(path, "not a bilimit instance: " + "; ".join(bad))
+    return InstanceFixture(base, instance, path)
 
 
 # ---------------------------------------------------------------------------

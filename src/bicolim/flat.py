@@ -316,15 +316,39 @@ class BilimitInstance:
     data: dict[str, str]
 
 
+# the data keys of each kind of instance that name a 0-, 1- and 2-cell
+_INSTANCE_CELLS: dict[str, tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]] = {
+    "biterminal": (("apex",), (), ()),
+    "biproduct": (("apex",), ("left_leg", "right_leg"), ()),
+    "biequalizer": (("apex",), ("leg", "left", "right"), ("cell",)),
+    "arrow_cotensor": (("apex",), ("dom_leg", "cod_leg"), ("cell",)),
+}
+
+
 def validate_bilimit_instance(tc: TwoCat, instance: BilimitInstance) -> list[str]:
     """Check that the supplied cone really is a bilimit cone in the base.
 
+    Every name the instance's kind needs is looked up before any is used.
     A cone is a bilimit exactly when every hom(j, -) sends it to a bilimit
     in Cat.  Once the cone's legs and cell are checked to be typed, that is
     decided at each 0-cell j by the test of
     :func:`check_flat_preserves_bilimits` on the representable hom(j, -).
     """
     kind, data = instance.kind, instance.data
+    if kind not in _INSTANCE_CELLS:
+        return [f"unknown bilimit kind {kind!r}"]
+    missing = [
+        f"{key} {data.get(key)!r} names no {dim} of {tc.name!r}"
+        for keys, cells, dim in zip(
+            _INSTANCE_CELLS[kind],
+            (tc.cells0, tc.one_home, tc.two_home),
+            ("0-cell", "1-cell", "2-cell"),
+        )
+        for key in keys
+        if not isinstance(data.get(key), str) or data[key] not in cells
+    ]
+    if missing:
+        return missing
     if kind == "biproduct":
         p, pr1, pr2 = data["apex"], data["left_leg"], data["right_leg"]
         if tc.one_home[pr1][0] != p or tc.one_home[pr2][0] != p:
@@ -341,8 +365,6 @@ def validate_bilimit_instance(tc: TwoCat, instance: BilimitInstance) -> list[str
         t, e0, e1, tau = data["apex"], data["dom_leg"], data["cod_leg"], data["cell"]
         if tc.one_home[e0][0] != t or tc.dom2(tau) != e0 or tc.cod2(tau) != e1:
             return ["cone cell has wrong boundary"]
-    elif kind != "biterminal":
-        return [f"unknown bilimit kind {kind!r}"]
     return [
         f"hom({j!r},-) does not send the cone to a bilimit"
         for j in tc.cells0

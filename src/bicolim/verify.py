@@ -1,9 +1,17 @@
 """The corpus verify suite: the source paper's lemmas replayed over fixtures.
 
-Each task checks one lemma on the instances it owns and records every
-outcome with a replay command.  :meth:`Suite.run` returns the report that
-``bicolim verify`` prints; it embeds the content hash of every fixture and
-nothing run-dependent, and ``seed_order`` permutes the task schedule only.
+Each task checks one lemma on one instance and records its outcome; a
+failure's replay line, ``bicolim verify --only <task>``, reruns that task
+alone.  :meth:`Suite.run` returns the report that ``bicolim verify``
+prints; it embeds the content hash of every fixture and nothing
+run-dependent, and ``seed_order`` permutes the task schedule only.
+
+Bicompact and bicompact-closure are decided on the cofinal core: colim(F∘J)
+for J the inclusion of the smallest full sub-2-category of F's index that
+:func:`filtered.cofinal_core` accepts.  colim(F∘J) ≃ colim F by the
+cofinality theorem, and bicompactness is invariant under equivalence of the
+colimit, so the comparison is built over the core's stages only.  The other
+lemmas that read colim F test the quotient itself and take the full one.
 
 Instances are read off the fixtures.  Each lemma runs over every fixture of
 the kinds it takes, and a bilimit instance is paired with the diagrams
@@ -36,6 +44,7 @@ from .filtered import (
     check_sigma_cofinal,
     check_sigma_filtered,
     class_subcategory,
+    cofinal_core,
     revalidate_triangle,
     triangle_completion,
     trivialization_check,
@@ -60,13 +69,14 @@ from .fixtures import (
     content_hash,
     load_fixture,
 )
-from .flat import NotFlatError, check_flat, check_flat_preserves_bilimits, decompose_flat
+from .flat import NotFlatError, _image_verdict, check_flat, decompose_flat
 from .lexkit import NotLexError, verify_lex_bicolimit
 from .twocat import (
     CatPseudoFunctor,
     SigmaClass,
     TwoCat,
     all_one_cells,
+    inclusion_twofunctor,
     precompose_pseudofunctor,
     restrict_pseudofunctor,
     sigma_closure,
@@ -210,7 +220,8 @@ def _preservation(fx: InstanceFixture, paired: list[DiagramFixture]) -> bool | N
             ok = False
             continue
         checked += 1
-        if not check_flat_preserves_bilimits(pf, fx.instance):
+        # the instance was validated when its fixture was loaded
+        if not _image_verdict(pf, fx.instance):
             ok = False
     # a paired diagram that is not flat fails the instance even when none
     # was left to check
@@ -230,22 +241,26 @@ class Suite:
         # colim F of each bifiltered diagram, computed by the first task
         # that needs it; the fixture cache gives each file one functor
         self.colimits: dict[CatPseudoFunctor, ColimitCat] = {}
+        # colim(F∘J) over the cofinal core J of F's index, likewise
+        self.core_colimits: dict[CatPseudoFunctor, ColimitCat] = {}
 
     def load_all(self) -> None:
         for path in sorted(self.corpus.glob("*.json")):
             self.fixtures[path.name] = load_fixture(path, self.cache)
 
     def _task(
-        self, lemma: str, instance: str, replay: str, check: Callable[[], Any]
+        self, lemma: str, task: str, instance: str, check: Callable[[], Any]
     ) -> Callable[[], None]:
         """A task that runs ``check`` and records its outcome under ``lemma``.
 
         A check that returns None does not apply, and nothing is recorded.
-        An instance the size guard stopped, whose diagram fails the lemma's
-        lex precondition, or whose diagram a construction refused (a lex
-        claim over an index that is not bifiltered) went unchecked, so it is
-        a failure whose replay line carries the reason.
+        A failure's replay line, ``bicolim verify --only <task>``, reruns
+        this task alone.  An instance the size guard stopped, whose diagram
+        fails the lemma's lex precondition, or whose diagram a construction
+        refused (a lex claim over an index that is not bifiltered) went
+        unchecked, so it is a failure whose replay line carries the reason.
         """
+        replay = f"bicolim verify --only {task}"
 
         def run() -> None:
             try:
@@ -273,36 +288,26 @@ class Suite:
             self.colimits[pf] = bifiltered_bicolimit(pf)
         return self.colimits[pf]
 
+    def _core_colimit(self, pf: CatPseudoFunctor) -> ColimitCat:
+        """colim(F∘J) for J the inclusion of the cofinal core of F's index,
+        computed once per suite; colim F itself when the core is the whole
+        index."""
+        if pf not in self.core_colimits:
+            core = cofinal_core(pf.source)
+            if len(core.cells0) == len(pf.source.cells0):
+                self.core_colimits[pf] = self._colimit(pf)
+            else:
+                restricted = precompose_pseudofunctor(pf, inclusion_twofunctor(core, pf.source))
+                self.core_colimits[pf] = bifiltered_bicolimit(restricted)
+        return self.core_colimits[pf]
+
     def _task_bicompact(
-        self, pname: str, probe: FinCat, dname: str, fx: DiagramFixture
+        self, task: str, probe: FinCat, instance: str, fx: DiagramFixture
     ) -> Callable[[], None]:
         return self._task(
-            "bicompact",
-            f"{pname}:{dname}",
-            f"bicolim compact check {pname} {dname}",
-            lambda: _bicompact([probe], self._colimit(fx.functor)),
+            "bicompact", task, instance,
+            lambda: _bicompact([probe], self._core_colimit(fx.functor)),
         )
-
-    def _named_task(
-        self,
-        lemma: str,
-        diagrams: dict[str, DiagramFixture],
-        replay: str,
-        check: Callable[..., Any],
-    ) -> Callable[[], None]:
-        """A task over the instances of ``lemma`` in :data:`NAMED_DIAGRAMS`
-        whose diagrams are all in ``diagrams``; ``check`` takes their
-        colimits, which the instance computes on first use."""
-
-        def run() -> None:
-            for names in NAMED_DIAGRAMS[lemma]:
-                if all(n in diagrams for n in names):
-                    functors = [diagrams[n].functor for n in names]
-                    instance = "x".join(names)
-                    self._task(lemma, instance, f"{replay} {names[0]}",
-                               lambda: check(*map(self._colimit, functors)))()
-
-        return run
 
     @cached_property
     def _derived_probes(self) -> list[FinCat]:
@@ -313,6 +318,7 @@ class Suite:
         return [product, biequalizer(identity_functor(arrow), identity_functor(arrow)).category]
 
     def tasks(self) -> list[tuple[str, Callable[[], None]]]:
+        """Every task, as (task id, task); the id is ``<prefix>:<instance>``."""
         kinds: dict[type, dict[str, Any]] = defaultdict(dict)
         for name, fx in sorted(self.fixtures.items()):
             kinds[type(fx)][name] = fx
@@ -320,83 +326,86 @@ class Suite:
         sigma_diagrams = {n: fx for n, fx in diagrams.items() if fx.sigma_name}
         out: list[tuple[str, Callable[[], None]]] = []
 
-        def add(task: str, lemma: str, instance: str, replay: str, check, *args) -> None:
-            out.append((task, self._task(lemma, instance, replay, partial(check, *args))))
+        def add(prefix: str, lemma: str, instance: str, check, *args) -> None:
+            task = f"{prefix}:{instance}"
+            out.append((task, self._task(lemma, task, instance, partial(check, *args))))
+
+        def add_named(prefix: str, lemma: str, pool: dict[str, DiagramFixture], colimit, check):
+            """A task for each instance of ``lemma`` in :data:`NAMED_DIAGRAMS`
+            whose diagrams are all in ``pool``; ``check`` takes their
+            colimits, which the instance computes on first use."""
+            for names in NAMED_DIAGRAMS[lemma]:
+                if all(n in pool for n in names):
+                    add(prefix, lemma, "x".join(names), lambda fs: check(*map(colimit, fs)),
+                        [pool[n].functor for n in names])
 
         for name, fx in kinds[TwoCatFixture].items():
             tc = fx.twocat
-            add(f"coherence:{name}", "checker-coherence", name, f"bicolim check bifiltered {name}",
-                _coherence, tc)
+            add("coherence", "checker-coherence", name, _coherence, tc)
             for cname, sigma in [("all", all_one_cells(tc)), *sorted(fx.sigma.items())]:
-                instance = f"{name}:{cname}"
-                replay = f"bicolim check sigma-filtered {name} --sigma {cname}"
-                add(f"trivialization:{instance}", "trivialization", instance, replay,
-                    _trivialization, tc, sigma)
-                add(f"triangle:{instance}", "triangle", instance, replay, _triangle, tc, sigma)
+                add("trivialization", "trivialization", f"{name}:{cname}", _trivialization, tc, sigma)
+                add("triangle", "triangle", f"{name}:{cname}", _triangle, tc, sigma)
 
         bifiltered = {n: fx for n, fx in diagrams.items() if check_bifiltered(fx.index.twocat)}
         for name, fx in sigma_diagrams.items():
-            add(f"sigma-colimit:{name}", "trivialization-colimit", name,
-                f"bicolim colimit {name} --sigma {fx.sigma_name}", _trivialization_colimit, fx)
+            add("sigma-colimit", "trivialization-colimit", name, _trivialization_colimit, fx)
         for name, fx in bifiltered.items():
-            add(f"coequification:{name}", "coequification", f"{name}:bifiltered",
-                f"bicolim colimit {name}", lambda pf: _coequification(self._colimit(pf)),
-                fx.functor)
+            add("coequification", "coequification", f"{name}:bifiltered",
+                lambda pf: _coequification(self._colimit(pf)), fx.functor)
         for name, fx in sigma_diagrams.items():
-            add(f"coequification-sigma:{name}", "coequification", f"{name}:{fx.sigma_name}",
-                f"bicolim colimit {name} --sigma {fx.sigma_name}",
+            add("coequification-sigma", "coequification", f"{name}:{fx.sigma_name}",
                 lambda fx: _coequification(
                     sigma_bicolimit(fx.functor, fx.index.sigma_named(fx.sigma_name))
                 ), fx)
 
         for pname, probe in kinds[ProbeFixture].items():
             for dname, fx in bifiltered.items():
-                out.append((f"bicompact:{pname}:{dname}",
-                            self._task_bicompact(pname, probe.category, dname, fx)))
-        out.append(("bicompact-closure:derived", self._named_task(
-            "bicompact-closure", bifiltered, "bicolim compact check <derived>",
-            lambda colim: _bicompact(self._derived_probes, colim),
-        )))
+                instance = f"{pname}:{dname}"
+                task = f"bicompact:{instance}"
+                out.append((task, self._task_bicompact(task, probe.category, instance, fx)))
+        add_named("bicompact-closure", "bicompact-closure", bifiltered, self._core_colimit,
+                  lambda colim: _bicompact(self._derived_probes, colim))
 
         for name, fx in diagrams.items():
-            add(f"flat:{name}", "flatness", name, f"bicolim flat check {name}", _flatness, fx)
+            add("flat", "flatness", name, _flatness, fx)
 
-        out.append(("commutation:biproduct", self._named_task(
-            "commutation-biproduct", diagrams, "bicolim colimit", commute_biproduct)))
-        out.append(("commutation:cotensor", self._named_task(
-            "commutation-cotensor", bifiltered, "bicolim colimit", commute_cotensor)))
+        add_named("commutation:biproduct", "commutation-biproduct", diagrams, self._colimit,
+                  commute_biproduct)
+        add_named("commutation:cotensor", "commutation-cotensor", bifiltered, self._colimit,
+                  commute_cotensor)
         for name, fx in kinds[ParallelFixture].items():
-            add(f"commutation:biequalizer:{name}", "commutation-biequalizer", name,
-                f"bicolim colimit {name}", lambda fx: commute_biequalizer(
+            add("commutation:biequalizer", "commutation-biequalizer", name,
+                lambda fx: commute_biequalizer(
                     self._colimit(fx.left.functor), self._colimit(fx.right.functor), fx.u, fx.v
                 ), fx)
 
         for name, fx in kinds[IdempotentFixture].items():
-            add(f"splitting:{name}", "splitting", name, f"bicolim bilim split {name}",
-                _splitting, fx)
+            add("splitting", "splitting", name, _splitting, fx)
 
         for name, fx in diagrams.items():
             if fx.expect.get("lex"):
-                add(f"lex-closure:{name}", "lex-closure", name,
-                    f"bicolim lex verify-colimit {name}",
+                add("lex-closure", "lex-closure", name,
                     lambda pf: verify_lex_bicolimit(self._colimit(pf)).ok, fx.functor)
 
         for name, fx in kinds[MapFixture].items():
-            add(f"cofinality:{name}", "cofinality", name, f"bicolim check cofinal {name}",
-                _cofinality, fx)
+            add("cofinality", "cofinality", name, _cofinality, fx)
 
         for name, fx in kinds[InstanceFixture].items():
             # one fixture cache, so every file that names the base holds one object
             paired = [d for d in diagrams.values() if d.index is fx.base and d.expect.get("flat")]
-            add(f"preservation:{name}", "flat-preserves-bilimits", name,
-                f"bicolim flat check {name}", _preservation, fx, paired)
+            add("preservation", "flat-preserves-bilimits", name, _preservation, fx, paired)
         return out
 
     # -- driving -------------------------------------------------------------
 
-    def run(self, seed_order: int = 0) -> dict[str, Any]:
+    def run(self, seed_order: int = 0, only: str | None = None) -> dict[str, Any]:
+        """The report; ``only`` names the one task to run, as a replay line does."""
         self.load_all()
         tasks = self.tasks()
+        if only is not None:
+            tasks = [(task, run) for task, run in tasks if task == only]
+            if not tasks:
+                raise ValidationError("verify", [f"no task {only!r} over this corpus"])
         if seed_order:
             rng = random.Random(seed_order)
             rng.shuffle(tasks)

@@ -298,9 +298,12 @@ def test_verify_records_size_guard_trip_as_failure(monkeypatch, capsys):
     assert slot["pass"] == 0
     closure = report["lemmas"]["bicompact-closure"]
     assert closure["fail"] == 2
-    for failure in slot["failures"] + closure["failures"]:
-        assert failure["replay"].startswith("bicolim compact check ")
-        assert failure["replay"].endswith("# size guard: functor category bound exceeded (forced)")
+    for lemma, failures in (("bicompact", slot["failures"]), ("bicompact-closure", closure["failures"])):
+        for failure in failures:
+            assert failure["replay"] == (
+                f"bicolim verify --only {lemma}:{failure['instance']}"
+                "  # size guard: functor category bound exceeded (forced)"
+            )
 
 
 def test_verify_pairs_instances_with_the_flat_diagrams_over_their_base(tmp_path, capsys):
@@ -337,12 +340,19 @@ def test_verify_records_a_diagram_claimed_lex_that_is_not(tmp_path, capsys):
         "failures": [
             {
                 "instance": "claimed_lex.diagram.json",
-                "replay": "bicolim lex verify-colimit claimed_lex.diagram.json"
+                "replay": "bicolim verify --only lex-closure:claimed_lex.diagram.json"
                 "  # fiber at '.' is not lex: {'shape': 'terminal'}",
             }
         ],
     }
-    # the replay line names a command that reports the same reason
+    # the replay line reruns the task, which records the same failure
+    code, out, _ = run_cli(
+        "verify", str(tmp_path), "--only", "lex-closure:claimed_lex.diagram.json",
+        "--format", "machine", capsys=capsys,
+    )
+    assert code == 1
+    assert json.loads(out)["lemmas"] == {"lex-closure": report["lemmas"]["lex-closure"]}
+    # and the lex command names the same reason
     code, _, err = run_cli(
         "lex", "verify-colimit", str(tmp_path / "claimed_lex.diagram.json"), capsys=capsys
     )
@@ -367,8 +377,11 @@ def test_verify_records_a_lex_claim_over_an_index_that_is_not_bifiltered(diagram
     [failure] = slot["failures"]
     assert failure["instance"] == "claimed_lex.diagram.json"
     replay, reason = failure["replay"].split("  # ")
-    assert replay == "bicolim lex verify-colimit claimed_lex.diagram.json"
+    assert replay == "bicolim verify --only lex-closure:claimed_lex.diagram.json"
     assert "index not bifiltered" in reason
+    code, out, _ = run_cli(*replay.split()[1:], str(tmp_path), "--format", "machine", capsys=capsys)
+    assert code == 1
+    assert json.loads(out)["lemmas"] == {"lex-closure": slot}
     code, _, err = run_cli(
         "lex", "verify-colimit", str(tmp_path / "claimed_lex.diagram.json"), capsys=capsys
     )
@@ -377,10 +390,11 @@ def test_verify_records_a_lex_claim_over_an_index_that_is_not_bifiltered(diagram
 
 
 def test_verify_computes_each_bifiltered_colimit_once(monkeypatch):
-    # bicompact (both probe kinds), bicompact-closure, bifiltered
-    # coequification, lex-closure and the three commutation lemmas read
-    # colim F from the suite, which computes it once per diagram fixture; no
-    # module computes it again, and each colimit builds its skeleton once
+    # bifiltered coequification, lex-closure and the three commutation
+    # lemmas read colim F from the suite, and bicompact (both probe kinds)
+    # and bicompact-closure read colim(F∘J) over the cofinal core J; the
+    # suite computes each once per diagram fixture, no module computes one
+    # again, and each colimit builds its skeleton at most once
     from collections import Counter
 
     from bicolim import colim, fincat
@@ -411,9 +425,13 @@ def test_verify_computes_each_bifiltered_colimit_once(monkeypatch):
     report = suite.run(seed_order=3)
     assert report["ok"]
     diagrams = {fx.functor for fx in suite.fixtures.values() if isinstance(fx, DiagramFixture)}
-    assert len(suite.colimits) == 13
+    assert len(suite.colimits) == len(suite.core_colimits) == 13
     assert {pf: n for pf, n in calls.items() if pf in diagrams} == {pf: 1 for pf in suite.colimits}
-    assert skeletons == Counter(c.result for c in suite.colimits.values())
+    cores = [c for c in suite.core_colimits.values() if c.diagram not in diagrams]
+    assert len(cores) == 12  # nonflat_discrete's index is its own core
+    assert all(calls[c.diagram] == 1 for c in cores)
+    computed = {c.result for c in [*suite.colimits.values(), *cores]}
+    assert set(skeletons) <= computed and set(skeletons.values()) == {1}
 
 
 def test_verify_flatness_builds_one_elements_category_per_diagram(monkeypatch):
@@ -437,3 +455,96 @@ def test_verify_flatness_builds_one_elements_category_per_diagram(monkeypatch):
         assert built == [fx.functor]
         flat_ones += bool(flat.check_flat(fx.functor))
     assert flat_ones == 9  # each of these once decided flatness twice
+
+
+# -- replay lines ----------------------------------------------------------------
+
+# each lemma's check in the verify module, forced to fail below
+REPLAY_PATCHES = {
+    "checker-coherence": "_coherence",
+    "trivialization": "_trivialization",
+    "triangle": "_triangle",
+    "trivialization-colimit": "_trivialization_colimit",
+    "coequification": "_coequification",
+    "bicompact": "_bicompact",
+    "bicompact-closure": "_bicompact",
+    "flatness": "_flatness",
+    "commutation-biproduct": "commute_biproduct",
+    "commutation-cotensor": "commute_cotensor",
+    "commutation-biequalizer": "commute_biequalizer",
+    "splitting": "_splitting",
+    "lex-closure": "verify_lex_bicolimit",
+    "cofinality": "_cofinality",
+    "flat-preserves-bilimits": "_preservation",
+}
+
+
+def test_every_lemma_has_a_replay_patch():
+    assert set(REPLAY_PATCHES) == set(json.loads(GOLDEN.read_text())["lemmas"])
+
+
+@pytest.mark.parametrize("lemma", sorted(REPLAY_PATCHES))
+def test_every_replay_line_replays_its_failure(lemma, monkeypatch, capsys):
+    import shlex
+    from types import SimpleNamespace
+
+    monkeypatch.delenv(cli.CORPUS_ENV, raising=False)
+    failed = SimpleNamespace(ok=False) if lemma == "lex-closure" else False
+    monkeypatch.setattr(verify, REPLAY_PATCHES[lemma], lambda *args: failed)
+    slot = Suite(BUNDLED).run()["lemmas"][lemma]
+    assert slot["pass"] == 0 and slot["fail"] == len(slot["failures"]) > 0
+    for failure in {id(f): f for f in (slot["failures"][0], slot["failures"][-1])}.values():
+        argv = shlex.split(failure["replay"], comments=True)
+        assert argv[:3] == ["bicolim", "verify", "--only"]
+        code, out, _ = run_cli(*argv[1:], "--format", "machine", capsys=capsys)
+        assert code == 1
+        assert json.loads(out)["lemmas"] == {lemma: {"pass": 0, "fail": 1, "failures": [failure]}}
+
+
+def test_replay_of_an_unknown_task_exits_two(capsys):
+    code, _, err = run_cli("verify", str(BUNDLED), "--only", "bicompact:nowhere", capsys=capsys)
+    assert code == 2
+    assert "no task 'bicompact:nowhere'" in err
+
+
+# -- bilimit instances are checked at load ---------------------------------------
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("left_leg", "le_bot_zz", "left_leg 'le_bot_zz' names no 1-cell of 'poset_bottom'"),
+        ("apex", "nowhere", "apex 'nowhere' names no 0-cell of 'poset_bottom'"),
+        ("right_leg", None, "right_leg None names no 1-cell of 'poset_bottom'"),
+        ("right_leg", ["le_bot_b"], "right_leg ['le_bot_b'] names no 1-cell of 'poset_bottom'"),
+    ],
+)
+def test_verify_refuses_an_instance_naming_no_cell(key, value, message, tmp_path, capsys):
+    for path in BUNDLED.glob("*.json"):
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    doc = json.loads((BUNDLED / "inst_biproduct_bot.instance.json").read_text())
+    if value is None:
+        del doc["data"][key]
+    else:
+        doc["data"][key] = value
+    bad = tmp_path / "inst_biproduct_bot.instance.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli("verify", str(tmp_path), capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: not a bilimit instance: {message}\n"
+
+
+def test_loading_refuses_a_cone_that_is_not_a_bilimit(tmp_path):
+    from bicolim.fixtures import FixtureError, load_fixture
+
+    for name in ("poset_bottom.twocat.json", "inst_biproduct_bot.instance.json"):
+        (tmp_path / name).write_bytes((BUNDLED / name).read_bytes())
+    doc = json.loads((BUNDLED / "inst_biproduct_bot.instance.json").read_text())
+    doc["data"]["right_leg"] = doc["data"]["left_leg"]  # a × a is not a
+    bad = tmp_path / "twice_a.instance.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(FixtureError) as caught:
+        load_fixture(bad)
+    assert caught.value.path == str(bad)
+    assert "does not send the cone to a bilimit" in str(caught.value)
