@@ -7,8 +7,9 @@ prints; it embeds the content hash of every fixture and nothing
 run-dependent, and ``seed_order`` permutes the task schedule only.
 
 Bicompact and bicompact-closure are decided on the cofinal core: colim(F∘J)
-for J the inclusion of the smallest full sub-2-category of F's index that
-:func:`filtered.cofinal_core` accepts.  colim(F∘J) ≃ colim F by the
+for J the inclusion of the full sub-2-category on one 0-cell of F's index
+that :func:`filtered.cofinal_core` finds (the whole index when there is
+none), searched once per index.  colim(F∘J) ≃ colim F by the
 cofinality theorem, and bicompactness is invariant under equivalence of the
 colimit, so the comparison is built over the core's stages only.  The other
 lemmas that read colim F test the quotient itself and take the full one.
@@ -69,7 +70,7 @@ from .fixtures import (
     content_hash,
     load_fixture,
 )
-from .flat import NotFlatError, _image_verdict, check_flat, decompose_flat
+from .flat import NotFlatError, check_flat, check_flat_preserves_bilimits, decompose_flat
 from .lexkit import NotLexError, verify_lex_bicolimit
 from .twocat import (
     CatPseudoFunctor,
@@ -220,8 +221,7 @@ def _preservation(fx: InstanceFixture, paired: list[DiagramFixture]) -> bool | N
             ok = False
             continue
         checked += 1
-        # the instance was validated when its fixture was loaded
-        if not _image_verdict(pf, fx.instance):
+        if not check_flat_preserves_bilimits(pf, fx.instance):
             ok = False
     # a paired diagram that is not flat fails the instance even when none
     # was left to check
@@ -241,7 +241,9 @@ class Suite:
         # colim F of each bifiltered diagram, computed by the first task
         # that needs it; the fixture cache gives each file one functor
         self.colimits: dict[CatPseudoFunctor, ColimitCat] = {}
-        # colim(F∘J) over the cofinal core J of F's index, likewise
+        # the cofinal core of each index, found once however many diagrams
+        # share the index, and colim(F∘J) over it, computed like colim F
+        self.cores: dict[TwoCat, TwoCat] = {}
         self.core_colimits: dict[CatPseudoFunctor, ColimitCat] = {}
 
     def load_all(self) -> None:
@@ -290,10 +292,12 @@ class Suite:
 
     def _core_colimit(self, pf: CatPseudoFunctor) -> ColimitCat:
         """colim(F∘J) for J the inclusion of the cofinal core of F's index,
-        computed once per suite; colim F itself when the core is the whole
-        index."""
+        computed once per suite; colim F itself when the core has every
+        0-cell of the index."""
         if pf not in self.core_colimits:
-            core = cofinal_core(pf.source)
+            if pf.source not in self.cores:
+                self.cores[pf.source] = cofinal_core(pf.source)
+            core = self.cores[pf.source]
             if len(core.cells0) == len(pf.source.cells0):
                 self.core_colimits[pf] = self._colimit(pf)
             else:

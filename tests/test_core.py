@@ -28,7 +28,7 @@ from bicolim.fincat import (
     check_equivalence,
     identity_nattrans,
 )
-from bicolim.fixtures import DiagramFixture
+from bicolim.fixtures import DiagramFixture, TwoCatFixture
 from bicolim.twocat import (
     all_one_cells,
     build_pseudofunctor,
@@ -72,29 +72,43 @@ def accepted(tc, objs) -> bool:
     return bool(check_sigma_cofinal(inclusion, all_one_cells(sub), all_one_cells(tc)))
 
 
-def test_core_is_the_first_accepted_set_by_size_then_sorted_order():
+def test_core_is_the_first_accepted_singleton_in_sorted_order():
     suite = loaded_suite()
     indexes = {fx.index.twocat for fx in bifiltered_diagrams(suite).values()}
     for tc in indexes:
         core = cofinal_core(tc)
-        cells = sorted(tc.cells0)
-        earlier = [
-            objs
-            for size in range(1, len(core.cells0) + 1)
-            for objs in itertools.combinations(cells, size)
-            if (size, objs) < (len(core.cells0), tuple(sorted(core.cells0)))
-        ]
-        assert not any(accepted(tc, objs) for objs in earlier), tc.name
-        assert accepted(tc, core.cells0)
         # every bundled bifiltered index has a single-0-cell core
         assert len(core.cells0) == 1
+        (j,) = core.cells0
+        assert accepted(tc, (j,))
+        assert not any(accepted(tc, (i,)) for i in sorted(tc.cells0) if i < j), tc.name
 
 
-def test_core_search_size_guard_names_the_index_and_the_set_count():
-    tc = loaded_suite().fixtures["chain3.twocat.json"].twocat
-    assert cofinal_core(tc, max_sets=3).cells0 == ("2",)
-    with pytest.raises(SizeGuardError, match="cofinal core of chain3: 3 sets of 0-cells exceed bound 2"):
-        cofinal_core(tc, max_sets=2)
+def test_a_skipped_zero_cell_would_have_been_refused():
+    # the search skips a j that some 0-cell has no 1-cell into; the
+    # target-arrow condition refuses each of them anyway
+    suite = loaded_suite()
+    skipped = 0
+    for fx in suite.fixtures.values():
+        if not isinstance(fx, TwoCatFixture):
+            continue
+        tc = fx.twocat
+        for j in tc.cells0:
+            if not all(j in tc.out_of[i] for i in tc.cells0):
+                skipped += 1
+                assert not accepted(tc, (j,)), (tc.name, j)
+    assert skipped > 0
+
+
+def test_an_index_with_no_single_zero_cell_core_is_its_own_core():
+    tc = locally_discrete(zoo.discrete(["a", "b"], name="two"))
+    assert cofinal_core(tc) is tc
+    # every 0-cell has a 1-cell into the codomain of a parallel pair, but no
+    # 1-cell out of it inserts a 2-cell between the pair: the search must
+    # refuse it rather than take the first 0-cell that has the 1-cells
+    tc = locally_discrete(zoo.parallel_pair())
+    assert any(all(j in tc.out_of[i] for i in tc.cells0) for j in tc.cells0)
+    assert cofinal_core(tc) is tc
 
 
 # -- the corpus -----------------------------------------------------------------
@@ -196,9 +210,9 @@ def test_core_and_full_agree_on_indexes_without_a_trivial_endo_hom(pf):
     assert len(suite._core_colimit(pf).index.cells0) == 1
 
 
-def test_a_core_search_that_trips_its_guard_is_a_recorded_failure(monkeypatch):
+def test_a_size_guard_trip_on_the_core_path_is_a_recorded_failure(monkeypatch):
     def trip(tc):
-        raise SizeGuardError(f"cofinal core of {tc.name}: 4097 sets of 0-cells exceed bound 4096")
+        raise SizeGuardError(f"core path of {tc.name} exceeds its bound (forced)")
 
     monkeypatch.setattr(verify, "cofinal_core", trip)
     report = Suite(BUNDLED).run()
@@ -206,6 +220,6 @@ def test_a_core_search_that_trips_its_guard_is_a_recorded_failure(monkeypatch):
     assert report["lemmas"]["bicompact-closure"]["fail"] == 2
     for failure in report["lemmas"]["bicompact"]["failures"]:
         assert failure["replay"].startswith(f"bicolim verify --only bicompact:{failure['instance']}")
-        assert "# size guard: cofinal core of " in failure["replay"]
+        assert "# size guard: core path of " in failure["replay"]
     # the lemmas that read the full colimit are untouched
     assert report["lemmas"]["coequification"]["fail"] == 0
