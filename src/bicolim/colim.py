@@ -4,10 +4,11 @@ The colimit of a Cat-valued diagram over a 2-dimensionally filtered index is
 computed as a quotient of span-shaped representatives ("premorphisms"): an
 apex stage, two legs into it, and a connecting cell between the transported
 objects.  The universe of spans walks, for each pair of objects, only the
-apexes that both of their stages reach (``TwoCat.out_of``), in the order a
-loop over every stage gives.  The quotient is the equivalence closure of
-three generating moves, computed by union-find over positions in that
-universe:
+apexes that both of their stages reach (``TwoCat.out_of``), in key order
+(source, target, apex, legs, cell), so the first member of a class is its
+least and one pass names the classes ``m0000``, ``m0001``, ... in the order
+they first appear.  The quotient is the equivalence closure of three
+generating moves, computed by union-find over positions in that universe:
 
   R1  push the whole span forward along any arrow out of the apex
       (conjugating the cell by the diagram's comparison isomorphisms);
@@ -326,26 +327,26 @@ def _transport(pf: CatPseudoFunctor, p: Premorphism, t: str) -> Premorphism:
     c_left_inv = fk.must_inverse(pf.comp[(t, p.left)].components[p.src[1]])
     c_right = pf.comp[(t, p.right)].components[p.dst[1]]
     cell = fk.table[(c_right, fk.table[(pf.on1[t].mor_map[p.cell], c_left_inv)])]
-    return Premorphism(p.src, p.dst, k, ts, td, cell)
+    return tuple.__new__(Premorphism, (p.src, p.dst, k, ts, td, cell))
 
 
 def _premorphism_universe(pf: CatPseudoFunctor) -> list[Premorphism]:
-    """Every span, ordered by source, target, apex, legs and cell.
+    """Every span in key order, walking objects and legs sorted whatever
+    order a fiber or a hom lists them in (``hom`` lists cells sorted).
 
     An apex carries a span only when both stages reach it, so the loop walks
     the apexes out of the source's stage (``out_of``, in apex order) and
     skips those the target's stage does not reach.
     """
     base = pf.source
-    objs = [(i, a) for i in sorted(base.cells0) for a in pf.on0[i].objects]
+    objs = [(i, a) for i in sorted(base.cells0) for a in sorted(pf.on0[i].objects)]
+    reach = {i: {j: sorted(cells) for j, cells in base.out_of[i].items()} for i in base.cells0}
     # the legs from each object into each apex it reaches, with the objects they carry
     legs = {
-        x: {
-            j: [(s, pf.on1[s].obj_map[x[1]]) for s in cells]
-            for j, cells in base.out_of[x[0]].items()
-        }
+        x: {j: [(s, pf.on1[s].obj_map[x[1]]) for s in cells] for j, cells in reach[x[0]].items()}
         for x in objs
     }
+    new = tuple.__new__  # skips the named tuple's Python-level constructor
     out: list[Premorphism] = []
     for x1 in objs:
         for x2 in objs:
@@ -358,7 +359,7 @@ def _premorphism_universe(pf: CatPseudoFunctor) -> list[Premorphism]:
                 for s, sa in left:
                     for d, da in right:
                         for cell in hom(sa, da):
-                            out.append(Premorphism(x1, x2, j, s, d, cell))
+                            out.append(new(Premorphism, (x1, x2, j, s, d, cell)))
     return out
 
 
@@ -619,26 +620,23 @@ def bifiltered_bicolimit(pf: CatPseudoFunctor, precheck: bool = True) -> Colimit
     universe = _premorphism_universe(pf)
     roots = _quotient(pf, universe)
 
-    groups: dict[int, list[Premorphism]] = {}
+    # the universe is in key order, so a class's first member is its least
+    name_of: dict[int, str] = {}
+    classes: dict[Premorphism, str] = {}
+    class_rep: dict[str, Premorphism] = {}
     for p, r in zip(universe, roots):
-        groups.setdefault(r, []).append(p)
-    canon = {r: min(members, key=Premorphism.key) for r, members in groups.items()}
-    ordered = sorted(canon.values(), key=Premorphism.key)
-    class_name = {rep: f"m{idx:04d}" for idx, rep in enumerate(ordered)}
-    classes: dict[Premorphism, str] = {
-        p: class_name[canon[r]] for p, r in zip(universe, roots)
-    }
-    class_rep = {class_name[c]: c for c in class_name}
+        name = name_of.get(r)
+        if name is None:
+            name = name_of[r] = f"m{len(name_of):04d}"
+            class_rep[name] = p
+        classes[p] = name
 
     obj_name = {
         (i, a): _el_obj(i, a)
         for i in sorted(base.cells0)
         for a in pf.on0[i].objects
     }
-    mor_rows = [
-        (name, _el_obj(*rep.src), _el_obj(*rep.dst))
-        for name, rep in sorted(class_rep.items())
-    ]
+    mor_rows = [(name, obj_name[rep.src], obj_name[rep.dst]) for name, rep in class_rep.items()]
     identities = {}
     for (i, a), oname in obj_name.items():
         unit = base.unit[i]

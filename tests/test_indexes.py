@@ -5,7 +5,8 @@ replaced, kept verbatim in spirit: a linear ``hom`` scan, the all-pairs
 functor-category table, the all-pairs colimit table of unplanned
 ``_Amalgamator.compose`` calls with the key-scanning quotient that runs R1
 along every 1-cell, the union-find over premorphisms that skips no 2-cell,
-the premorphism universe over every apex, and the re-scan fixpoints for
+the premorphism universe over every apex, the class names taken from each
+class's least member and a global sort, and the re-scan fixpoints for
 ``sigma_closure`` and for the closure that ``zoo.poset`` takes.
 """
 
@@ -28,10 +29,12 @@ from bicolim.colim import (
     _quotient,
     _transport,
     bifiltered_bicolimit,
+    sigma_bicolimit,
 )
-from bicolim.filtered import check_bifiltered, class_subcategory
+from bicolim.filtered import check_bifiltered, class_subcategory, triangle_completion
 from bicolim.fincat import (
     FinCat,
+    Functor,
     NatTrans,
     ValidationError,
     build_fincat,
@@ -40,10 +43,13 @@ from bicolim.fincat import (
     identity_functor,
     identity_nattrans,
     incidence,
+    same_category,
     vcompose_nattrans,
 )
 from bicolim.fixtures import TwoCatFixture, load_fixture
 from bicolim.twocat import (
+    CatPseudoFunctor,
+    Homs,
     SigmaClass,
     TwoCat,
     all_one_cells,
@@ -273,10 +279,10 @@ def all_stages_universe(pf) -> list[Premorphism]:
     """The premorphism universe with a leg list for every object and stage."""
     base = pf.source
     stages = sorted(base.cells0)
-    objs = [(i, a) for i in stages for a in pf.on0[i].objects]
+    objs = [(i, a) for i in stages for a in sorted(pf.on0[i].objects)]
     # the legs from each object into each apex, with the objects they carry
     legs = {
-        (x, j): [(s, pf.on1[s].obj_map[x[1]]) for s in base.cells1(x[0], j)]
+        (x, j): [(s, pf.on1[s].obj_map[x[1]]) for s in sorted(base.cells1(x[0], j))]
         for x in objs
         for j in stages
     }
@@ -377,14 +383,85 @@ def oracle_partition(universe: list[Premorphism], reps: dict[Premorphism, Premor
     return partition(universe, [reps[p] for p in universe])
 
 
-def all_pairs_colimit_table(colim) -> dict[tuple[str, str], str]:
-    amal = _Amalgamator(colim.diagram)
+def all_pairs_colimit_table(pf, classes, class_rep) -> dict[tuple[str, str], str]:
+    amal = _Amalgamator(pf)
     return {
-        (gname, fname): colim.classes[amal.compose(grep, frep)]
-        for gname, grep in colim.class_rep.items()
-        for fname, frep in colim.class_rep.items()
+        (gname, fname): classes[amal.compose(grep, frep)]
+        for gname, grep in class_rep.items()
+        for fname, frep in class_rep.items()
         if frep.dst == grep.src
     }
+
+
+def sorted_naming(pf) -> tuple[dict[Premorphism, str], dict[str, Premorphism]]:
+    """Class names by sorting, whatever the order of the universe: each
+    class's least member by ``Premorphism.key`` represents it, and the
+    representatives are numbered in key order."""
+    universe = _premorphism_universe(pf)
+    roots = _quotient(pf, universe)
+    groups: dict[int, list[Premorphism]] = {}
+    for p, r in zip(universe, roots, strict=True):
+        groups.setdefault(r, []).append(p)
+    least = {r: min(members, key=Premorphism.key) for r, members in groups.items()}
+    ordered = sorted(least.values(), key=Premorphism.key)
+    name = {rep: f"m{k:04d}" for k, rep in enumerate(ordered)}
+    return {p: name[least[r]] for p, r in zip(universe, roots)}, {n: rep for rep, n in name.items()}
+
+
+def transition_components(pf, classes, d: str) -> dict[str, str]:
+    """theta_d named by ``classes``: at a in F(i), for d : i -> j, the class of
+    the span (j, F(d)a) -> (i, a) over j with legs unit and d and the inverse
+    unit cell."""
+    base = pf.source
+    i, j = base.one_home[d]
+    fj = pf.on0[j]
+    out = {}
+    for a in pf.on0[i].objects:
+        da = pf.on1[d].obj_map[a]
+        cell = fj.must_inverse(pf.unit_c[j].components[da])
+        out[a] = classes[Premorphism((j, da), (i, a), j, base.unit[j], d, cell)]
+    return out
+
+
+def assert_named_by_sorting(colim, pf) -> None:
+    """Every name in ``colim`` is the sorted naming's, for ``pf`` the diagram
+    whose spans ``colim`` classifies (on the σ path, the class-restricted one)."""
+    universe = _premorphism_universe(pf)
+    assert universe == sorted(universe)
+    classes, class_rep = sorted_naming(pf)
+    assert list(colim.classes.items()) == list(classes.items())
+    assert list(colim.class_rep.items()) == list(class_rep.items())
+    assert list(colim.result.dom) == list(class_rep)
+    table = all_pairs_colimit_table(pf, classes, class_rep)
+    assert list(colim.result.table.items()) == list(table.items())
+    for i, fib in pf.on0.items():
+        legs = colim.cocone[i].mor_map
+        assert list(legs.items()) == [(f, classes[colim.fiber_premorphism(i, f)]) for f in fib.dom]
+    for d in pf.source.one_cells:
+        assert colim.transitions[d].components == transition_components(pf, classes, d)
+
+
+def assert_sigma_path_named_by_sorting(pf, sigma: SigmaClass) -> None:
+    """The σ colimit against the sorted naming of its class-restricted
+    diagram; a transition outside the class is the pasting of its triangle,
+    read off the oracle's names and table."""
+    colim = sigma_bicolimit(pf, sigma)
+    core = class_restricted(pf, sigma)
+    assert_named_by_sorting(colim, core)
+    classes, _ = sorted_naming(core)
+    theta = {d: transition_components(core, classes, d) for d in core.source.one_cells}
+    base, closed, result = pf.source, sigma_closure(sigma), colim.result
+    for d in base.one_cells:
+        if d in theta:
+            continue
+        tri = triangle_completion(base, closed, d)
+        j = base.one_home[tri.left][1]
+        fj = pf.on0[j]
+        for a, got in colim.transitions[d].components.items():
+            back = result.must_inverse(theta[tri.right][pf.on1[d].obj_map[a]])
+            cell = fj.table[(pf.on2[tri.cell].components[a], pf.comp[(tri.right, d)].components[a])]
+            mid = classes[colim.fiber_premorphism(j, cell)]
+            assert got == result.table[(theta[tri.left][a], result.table[(mid, back)])], (d, a)
 
 
 def ladder(n: int, m: int):
@@ -440,8 +517,7 @@ def assert_quotient_matches_oracles(pf) -> None:
 
 def assert_colimit_kernel_matches_scans(pf) -> None:
     assert_quotient_matches_oracles(pf)
-    colim = bifiltered_bicolimit(pf)
-    assert list(colim.result.table.items()) == list(all_pairs_colimit_table(colim).items())
+    assert_named_by_sorting(bifiltered_bicolimit(pf), pf)
 
 
 @pytest.mark.parametrize("name", sorted(COLIMIT_DIAGRAMS))
@@ -577,6 +653,85 @@ def test_colimit_oracles_cover_pseudo_diagrams(name):
     # so the oracles must see diagrams whose comparisons are not identities
     assert name in COLIMIT_DIAGRAMS
     assert not COLIMIT_DIAGRAMS[name]().is_strict()
+
+
+@pytest.mark.parametrize("name", sorted(corpus.BIFILTERED_DIAGRAMS))
+def test_sigma_path_over_every_one_cell_is_named_by_sorting(name):
+    # the bifiltered path of these diagrams runs in test_colimit_kernel_matches_scans
+    pf = corpus.DIAGRAM_BUILDERS[name]()
+    assert_sigma_path_named_by_sorting(pf, all_one_cells(pf.source))
+
+
+@pytest.mark.parametrize(("dname", "cname"), corpus.SIGMA_DIAGRAMS)
+def test_sigma_path_over_a_bundled_class_is_named_by_sorting(dname, cname):
+    pf = corpus.DIAGRAM_BUILDERS[dname]()
+    assert_sigma_path_named_by_sorting(pf, corpus.diagram_sigma(dname, cname, pf))
+
+
+def reversed_objects(cat: FinCat) -> FinCat:
+    """``cat`` with its objects listed in reverse; the constructor takes any order."""
+    return FinCat(cat.name, cat.objects[::-1], cat.dom, cat.cod, cat.identity, cat.table)
+
+
+def reversed_presentation(pf) -> CatPseudoFunctor:
+    """``pf`` with the objects of every fiber, and the 1-cells of every hom
+    of its index, listed in reverse name order."""
+    tc = pf.source
+    homs = Homs({k: reversed_objects(c) for k, c in tc.hom.items()}, tc.cells0, tc.hom.empty)
+    index = TwoCat(tc.name, tc.cells0, homs, tc.hcomp1, tc.hcomp2, tc.unit)
+    on0 = {i: reversed_objects(fib) for i, fib in pf.on0.items()}
+
+    def fiber(cat: FinCat) -> FinCat:
+        return next(on0[i] for i, fib in pf.on0.items() if same_category(fib, cat))
+
+    def functor(fun: Functor) -> Functor:
+        return Functor(fun.name, fiber(fun.source), fiber(fun.target), fun.obj_map, fun.mor_map)
+
+    def nattrans(nt: NatTrans) -> NatTrans:
+        return NatTrans(nt.name, functor(nt.source), functor(nt.target), nt.components)
+
+    return CatPseudoFunctor(
+        pf.name,
+        index,
+        on0,
+        {f: functor(fun) for f, fun in pf.on1.items()},
+        {a: nattrans(nt) for a, nt in pf.on2.items()},
+        {k: nattrans(nt) for k, nt in pf.comp.items()},
+        {i: nattrans(nt) for i, nt in pf.unit_c.items()},
+    )
+
+
+def assert_same_names(colim, other) -> None:
+    assert list(colim.classes.items()) == list(other.classes.items())
+    assert list(colim.class_rep.items()) == list(other.class_rep.items())
+    assert list(colim.result.table.items()) == list(other.result.table.items())
+
+
+@pytest.mark.parametrize("name", sorted(corpus.BIFILTERED_DIAGRAMS))
+def test_names_do_not_follow_the_listing_order(name):
+    pf = corpus.DIAGRAM_BUILDERS[name]()
+    rev = reversed_presentation(pf)
+    assert any(list(fib.objects) != sorted(fib.objects) for fib in rev.on0.values())
+    colim = bifiltered_bicolimit(rev)
+    assert_named_by_sorting(colim, rev)
+    assert_same_names(colim, bifiltered_bicolimit(pf))
+    assert_sigma_path_named_by_sorting(rev, all_one_cells(rev.source))
+
+
+@pytest.mark.parametrize(("dname", "cname"), corpus.SIGMA_DIAGRAMS)
+def test_sigma_names_do_not_follow_the_listing_order(dname, cname):
+    pf = corpus.DIAGRAM_BUILDERS[dname]()
+    sigma = corpus.diagram_sigma(dname, cname, pf)
+    rev = reversed_presentation(pf)
+    rev_sigma = SigmaClass(rev.source, sigma.members, sigma.name)
+    assert_sigma_path_named_by_sorting(rev, rev_sigma)
+    assert_same_names(sigma_bicolimit(rev, rev_sigma), sigma_bicolimit(pf, sigma))
+
+
+def test_reversed_presentations_reverse_some_index_homs():
+    # so the universe's sort of the legs out of a stage is exercised too
+    pf = reversed_presentation(corpus.DIAGRAM_BUILDERS["collapse_pair"]())
+    assert any(list(c.objects) != sorted(c.objects) for c in pf.source.hom.values())
 
 
 @st.composite
