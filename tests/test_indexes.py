@@ -393,11 +393,10 @@ def all_pairs_colimit_table(pf, classes, class_rep) -> dict[tuple[str, str], str
     }
 
 
-def sorted_naming(pf) -> tuple[dict[Premorphism, str], dict[str, Premorphism]]:
+def sorted_naming(pf, universe) -> tuple[dict[Premorphism, str], dict[str, Premorphism]]:
     """Class names by sorting, whatever the order of the universe: each
     class's least member by ``Premorphism.key`` represents it, and the
     representatives are numbered in key order."""
-    universe = _premorphism_universe(pf)
     roots = _quotient(pf, universe)
     groups: dict[int, list[Premorphism]] = {}
     for p, r in zip(universe, roots, strict=True):
@@ -428,7 +427,7 @@ def assert_named_by_sorting(colim, pf) -> None:
     whose spans ``colim`` classifies (on the σ path, the class-restricted one)."""
     universe = _premorphism_universe(pf)
     assert universe == sorted(universe)
-    classes, class_rep = sorted_naming(pf)
+    classes, class_rep = sorted_naming(pf, universe)
     assert list(colim.classes.items()) == list(classes.items())
     assert list(colim.class_rep.items()) == list(class_rep.items())
     assert list(colim.result.dom) == list(class_rep)
@@ -448,7 +447,7 @@ def assert_sigma_path_named_by_sorting(pf, sigma: SigmaClass) -> None:
     colim = sigma_bicolimit(pf, sigma)
     core = class_restricted(pf, sigma)
     assert_named_by_sorting(colim, core)
-    classes, _ = sorted_naming(core)
+    classes, _ = sorted_naming(core, _premorphism_universe(core))
     theta = {d: transition_components(core, classes, d) for d in core.source.one_cells}
     base, closed, result = pf.source, sigma_closure(sigma), colim.result
     for d in base.one_cells:
@@ -705,6 +704,10 @@ def assert_same_names(colim, other) -> None:
     assert list(colim.classes.items()) == list(other.classes.items())
     assert list(colim.class_rep.items()) == list(other.class_rep.items())
     assert list(colim.result.table.items()) == list(other.result.table.items())
+    for i, leg in colim.cocone.items():
+        assert leg.mor_map == other.cocone[i].mor_map
+    for d, theta in colim.transitions.items():
+        assert theta.components == other.transitions[d].components
 
 
 @pytest.mark.parametrize("name", sorted(corpus.BIFILTERED_DIAGRAMS))
