@@ -6,7 +6,10 @@ families); in Cat the two notions agree up to equivalence whenever both
 exist, so the pseudolimit models are taken as the computational normal form.
 
 The module also builds the pointwise-limit diagrams used to verify that
-filtered colimits commute with these primitives.
+filtered colimits commute with these primitives.  Each check keeps colim F
+on its left side and forms the right-hand bilimit over the cached skeleton
+sk(colim F) ≃ colim F; product, arrow cotensor and iso-equalizer preserve
+equivalences, so the verdict is the one colim F itself would give.
 """
 
 from __future__ import annotations
@@ -556,16 +559,18 @@ def biequalizer_diagram(
 
 def commute_biproduct(c1: ColimitCat, c2: ColimitCat) -> Verdict:
     """colim(F1 x F2) against colim(F1) x colim(F2), given colim F1 and
-    colim F2 (their ``.diagram`` is F1 and F2)."""
+    colim F2 (their ``.diagram`` is F1 and F2); the right side is
+    sk(colim F1) x sk(colim F2), equivalent as products preserve equivalences."""
     lhs = bifiltered_bicolimit(biproduct_diagram(c1.diagram, c2.diagram))
-    rhs = biproduct(c1.result, c2.result)
+    rhs = biproduct(c1.skeleton.category, c2.skeleton.category)
     return check_equivalence(lhs.result, rhs.category)
 
 
 def commute_cotensor(colim: ColimitCat) -> Verdict:
-    """colim([2, F]) against [2, colim F], given colim F."""
+    """colim([2, F]) against [2, colim F], given colim F; the right side is
+    [2, sk(colim F)], equivalent as [2, -] preserves equivalences."""
     lhs = bifiltered_bicolimit(cotensor_diagram(colim.diagram))
-    rhs = arrow_cotensor(colim.result)
+    rhs = arrow_cotensor(colim.skeleton.category)
     return check_equivalence(lhs.result, rhs.category)
 
 
@@ -576,8 +581,11 @@ def commute_biequalizer(
     v: dict[str, Functor],
 ) -> Verdict:
     """colim of stagewise equalizers against the equalizer of the maps
-    that u, v : F1 => F2 induce, given colim F1 and colim F2."""
+    that u, v : F1 => F2 induce, given colim F1 and colim F2; each map w
+    enters as r∘w∘i between the skeletons, equivalent as the iso-equalizer
+    is invariant under the equivalences i and r."""
     f1 = c1.diagram
+    sk1, sk2 = c1.skeleton, c2.skeleton
     lhs = bifiltered_bicolimit(biequalizer_diagram(f1, c2.diagram, u, v))
 
     def induced(w: dict[str, Functor], tag: str) -> Functor:
@@ -594,7 +602,8 @@ def commute_biequalizer(
                     for a in f1.on0[i].objects
                 },
             )
-        return factor_cocone(c1, c2.result, legs, cells).functor
+        fun = factor_cocone(c1, c2.result, legs, cells).functor
+        return compose_functors(sk2.retraction, compose_functors(fun, sk1.inclusion))
 
     rhs = biequalizer(induced(u, "u"), induced(v, "v"))
     return check_equivalence(lhs.result, rhs.category)
