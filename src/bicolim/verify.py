@@ -9,10 +9,11 @@ run-dependent, and ``seed_order`` permutes the task schedule only.
 Bicompact and bicompact-closure are decided on the cofinal core: colim(F∘J)
 for J the inclusion of the full sub-2-category on one 0-cell of F's index
 that :func:`filtered.cofinal_core` finds (the whole index when there is
-none), searched once per index.  colim(F∘J) ≃ colim F by the
-cofinality theorem, and bicompactness is invariant under equivalence of the
-colimit, so the comparison is built over the core's stages only.  The other
-lemmas that read colim F test the quotient itself and take the full one.
+none), searched once per index.  colim(F∘J) ≃ colim F by the cofinality
+theorem, and bicompactness is invariant under equivalence of the colimit, so
+the comparison is built over the core's stages only.  The other lemmas that
+read colim F test the quotient itself and take the full one; commutation
+forms its right-hand bilimit over the skeleton of colim F.
 
 Instances are read off the fixtures.  Each lemma runs over every fixture of
 the kinds it takes, and a bilimit instance is paired with the diagrams

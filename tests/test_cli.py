@@ -434,6 +434,52 @@ def test_verify_computes_each_bifiltered_colimit_once(monkeypatch):
     assert set(skeletons) <= computed and set(skeletons.values()) == {1}
 
 
+def test_verify_commutation_builds_no_bilimit_over_a_suite_colimit(monkeypatch):
+    # the three commutation lemmas form their right-hand bilimits over the
+    # skeletons of the suite's colimits, so no bilim primitive is handed a
+    # suite colimit's result, or a functor into or out of one; each of those
+    # colimits builds its skeleton once
+    from collections import Counter
+
+    from bicolim import bilim, colim, fincat
+
+    handed: list = []
+
+    def recording(build):
+        def wrapped(*args):
+            for arg in args:
+                handed.extend([arg.source, arg.target] if isinstance(arg, fincat.Functor) else [arg])
+            return build(*args)
+
+        return wrapped
+
+    for name in ("biproduct", "arrow_cotensor", "biequalizer"):
+        monkeypatch.setattr(bilim, name, recording(getattr(bilim, name)))
+    skeletons: Counter = Counter()
+
+    def counting_skeleton(cat):
+        skeletons[cat] += 1
+        return fincat.skeleton(cat)
+
+    monkeypatch.setattr(colim, "skeleton", counting_skeleton)
+    suite = Suite(CORPUS)
+    report = suite.run(seed_order=5)
+    assert report["ok"]
+    assert report["lemmas"]["commutation-biproduct"]["pass"] == 2
+    assert report["lemmas"]["commutation-cotensor"]["pass"] == 3
+    assert report["lemmas"]["commutation-biequalizer"]["pass"] == 1
+    results = {c.result for c in [*suite.colimits.values(), *suite.core_colimits.values()]}
+    assert handed and not any(cat in results for cat in handed)
+    commuted = {
+        suite.fixtures[n].functor
+        for lemma in ("commutation-biproduct", "commutation-cotensor")
+        for names in verify.NAMED_DIAGRAMS[lemma]
+        for n in names
+    }
+    assert len(commuted) == 5
+    assert all(skeletons[suite.colimits[pf].result] == 1 for pf in commuted)
+
+
 def test_verify_flatness_builds_one_elements_category_per_diagram(monkeypatch):
     from bicolim import colim, flat
     from bicolim.fixtures import DiagramFixture
