@@ -282,16 +282,8 @@ def full_biproduct_rhs(c1, c2):
     return biproduct(c1.result, c2.result).category
 
 
-def skeleton_biproduct_rhs(c1, c2):
-    return biproduct(c1.skeleton.category, c2.skeleton.category).category
-
-
 def full_cotensor_rhs(colim):
     return arrow_cotensor(colim.result).category
-
-
-def skeleton_cotensor_rhs(colim):
-    return arrow_cotensor(colim.skeleton.category).category
 
 
 def induced_map(c1, c2, w, tag):
@@ -323,15 +315,16 @@ def skeleton_biequalizer_rhs(c1, c2, u, v):
 
 def assert_biproduct_agrees(c1, c2):
     lhs = bifiltered_bicolimit(biproduct_diagram(c1.diagram, c2.diagram)).result
-    full, reduced = full_biproduct_rhs(c1, c2), skeleton_biproduct_rhs(c1, c2)
+    reduced = biproduct(c1.skeleton.category, c2.skeleton.category).category
+    full = full_biproduct_rhs(c1, c2)
     assert check_equivalence(reduced, full)
     assert commute_biproduct(c1, c2).outcome == check_equivalence(lhs, full).outcome
 
 
 def assert_cotensor_agrees(colim):
     lhs = bifiltered_bicolimit(cotensor_diagram(colim.diagram)).result
-    full, reduced = full_cotensor_rhs(colim), skeleton_cotensor_rhs(colim)
-    assert check_equivalence(reduced, full)
+    full = full_cotensor_rhs(colim)
+    assert check_equivalence(arrow_cotensor(colim.skeleton.category).category, full)
     assert commute_cotensor(colim).outcome == check_equivalence(lhs, full).outcome
 
 
