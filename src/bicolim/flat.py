@@ -226,9 +226,11 @@ def decompose_flat(pf: CatPseudoFunctor) -> DecompositionReport:
     caller that needs the verdict and the decomposition builds the elements
     category once.  For every base 0-cell the colimit
     of the restricted hom diagram over the opcartesian index is compared to
-    the actual fiber, both by the generic equivalence decision and by a
-    direct analysis of the canonical evaluation functor; all base 1-cells
-    get a pseudonaturality check of the evaluation squares.
+    the actual fiber by a direct analysis of the canonical evaluation
+    functor, and by the generic equivalence decision only where that
+    functor is not an equivalence: an equivalence exists whenever the
+    canonical one is, so ``equivalence`` then reuses the direct verdict.
+    All base 1-cells get a pseudonaturality check of the evaluation squares.
     """
     el = elements_category(pf)
     dual, opcart = opcartesian_class(el)
@@ -246,13 +248,9 @@ def decompose_flat(pf: CatPseudoFunctor) -> DecompositionReport:
         diagram = _restriction_diagram(pf, sub, el, j)
         colim = bifiltered_bicolimit(diagram)
         comparison = _stage_comparison(pf, el, j, colim)
-        stages[j] = StageReconstruction(
-            j,
-            colim,
-            comparison,
-            check_equivalence(colim.result, pf.on0[j]),
-            functor_is_equivalence(comparison),
-        )
+        direct = functor_is_equivalence(comparison)
+        equivalence = direct if direct else check_equivalence(colim.result, pf.on0[j])
+        stages[j] = StageReconstruction(j, colim, comparison, equivalence, direct)
         comparisons[j] = comparison
         colimits[j] = colim
 

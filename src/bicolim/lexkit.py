@@ -4,18 +4,20 @@ Finite completeness is reduced to the standard generating triple: a terminal
 object, binary products, and equalizers of parallel pairs.  Every universal
 property is certified by exhaustive search, and the colimit verification
 replays the stage-wise limit construction for a bounded family of sampled
-diagrams inside the computed colimit.
+diagrams inside the computed colimit.  The colimit is lifted to a stage once,
+and the samples' composition closures are enumerated once per shape of
+object set.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from .colim import ColimitCat
 from .compact import OneCellLift, lift_one_cell
-from .fincat import FinCat, Functor, _assemble_composed
+from .fincat import FinCat, Functor, identity_functor
 from .verdict import Verdict, negative, positive
 
 
@@ -51,15 +53,18 @@ def _is_limiting(cat: FinCat, apex: str, legs: tuple[str, ...], cones: Cones) ->
     """Whether m ↦ legs∘m is a bijection hom(x, apex) -> cones[x] for every x.
 
     ``legs`` is a cone, so each legs∘m is one too; the map is then a
-    bijection exactly when it is injective and both sides have one size.
+    bijection exactly when both sides have one size and it is injective.
+    The sizes are compared at every x before any image is formed, and a map
+    out of at most one arrow is injective, so only larger homs are imaged.
     """
+    if any(len(cat.hom(x, apex)) != len(over) for x, over in cones.items()):
+        return False
     table = cat.table
     for x, over in cones.items():
-        hom = cat.hom(x, apex)
-        if len(hom) != len(over):
-            return False
-        if len({tuple(table[(leg, m)] for leg in legs) for m in hom}) != len(hom):
-            return False
+        if len(over) > 1:
+            hom = cat.hom(x, apex)
+            if len({tuple(table[(leg, m)] for leg in legs) for m in hom}) != len(hom):
+                return False
     return True
 
 
@@ -225,89 +230,73 @@ class LexColimitReport:
         }
 
 
-def _sample_diagrams(cat: FinCat, max_objects: int = 3, max_morphisms: int = 4):
-    """All graph diagrams with at most 3 objects and 4 non-identity arrows."""
-    nonid = [m for m in cat.morphisms if not cat.is_identity(m)]
-    for r in range(1, max_objects + 1):
+# each distinct composition closure of a shape's arrow positions, with its
+# first generating positions
+Closures = list[tuple[frozenset[int], tuple[int, ...]]]
+
+
+def _closures(arrows: int, composite: dict[tuple[int, int], int]) -> Closures:
+    """The distinct composition closures of the sets of at most 4 of
+    ``arrows`` positions, each with its first generating positions in
+    combination order.
+
+    ``composite[(a, b)]`` is the position of a∘b, or -1 where it is an
+    identity, which every closure holds.  A position leaving the work list
+    is composed, on both sides, with every position kept so far, so each
+    composable pair is composed once its later member leaves the list.
+    """
+    found: dict[frozenset[int], tuple[int, ...]] = {}
+    for k in range(min(4, arrows) + 1):
+        for gens in itertools.combinations(range(arrows), k):
+            keep, todo = set(gens), list(gens)
+            while todo:
+                m = todo.pop()
+                for n in list(keep):
+                    for gf in (composite.get((n, m), -1), composite.get((m, n), -1)):
+                        if gf >= 0 and gf not in keep:
+                            keep.add(gf)
+                            todo.append(gf)
+            found.setdefault(frozenset(keep), gens)
+    return list(found.items())
+
+
+def _object_set_samples(
+    cat: FinCat,
+) -> Iterator[tuple[list[str], list[tuple[tuple, list[str]]]]]:
+    """Each object set of at most 3 objects, in combination order over the
+    sorted objects, with its sampled diagrams, one per composition closure:
+    (key, generating arrows) pairs, the key being the objects and the sorted
+    closure, the generators the first of at most 4 non-identity arrows, in
+    combination order, that generate it.
+
+    The closures on a set depend only on the shape of the full subcategory
+    on it: the positions of its non-identity arrows' ends among the objects
+    and of their composites among the arrows.  They are enumerated once per
+    shape and named for each set that has it.
+    """
+    between: dict[tuple[str, str], list[str]] = {}
+    for m in cat.morphisms:
+        if not cat.is_identity(m):
+            between.setdefault((cat.dom[m], cat.cod[m]), []).append(m)
+    by_shape: dict[tuple, Closures] = {}
+    for r in range(1, 4):
         for objs in itertools.combinations(sorted(cat.objects), r):
-            objset = set(objs)
-            inner = [m for m in nonid if cat.dom[m] in objset and cat.cod[m] in objset]
-            for k in range(0, min(max_morphisms, len(inner)) + 1):
-                for mors in itertools.combinations(inner, k):
-                    yield list(objs), list(mors)
-
-
-def _composition_closure(cat: FinCat, objs: list[str], mors: list[str]) -> set[str]:
-    """The morphisms generated by a graph diagram: identities and composites.
-
-    A morphism leaving the work list is composed, on both sides, with every
-    morphism kept so far that meets it, found in indexes of the kept
-    morphisms by domain and by codomain; so each composable pair is composed
-    once its later member leaves the list.  Identities, whose composites are
-    known, never enter it.
-    """
-    keep = set(mors) | {cat.identity[o] for o in objs}
-    out_of: dict[str, list[str]] = {}
-    into: dict[str, list[str]] = {}
-    for m in keep:
-        out_of.setdefault(cat.dom[m], []).append(m)
-        into.setdefault(cat.cod[m], []).append(m)
-    todo = list(mors)
-    while todo:
-        m = todo.pop()
-        made = [cat.table[(n, m)] for n in out_of.get(cat.cod[m], ())]
-        made += [cat.table[(m, n)] for n in into.get(cat.dom[m], ())]
-        for gf in made:
-            if gf not in keep:
-                keep.add(gf)
-                out_of.setdefault(cat.dom[gf], []).append(gf)
-                into.setdefault(cat.cod[gf], []).append(gf)
-                todo.append(gf)
-    return keep
-
-
-def _generated_subcategory(cat: FinCat, objs: list[str], keep: Iterable[str]) -> FinCat:
-    """The subcategory on the sorted ``objs`` with the composition-closed
-    morphisms ``keep``.
-
-    A subset of a category's morphisms that holds the identities and is
-    closed under composition is a category with the inherited table, so it
-    is assembled without replaying the axioms.
-    """
-    return _assemble_composed(
-        f"{cat.name}|gen",
-        objs,
-        [(m, cat.dom[m], cat.cod[m]) for m in sorted(keep)],
-        {o: cat.identity[o] for o in objs},
-        lambda g, f, x, z: cat.table[(g, f)],
-    )
-
-
-def _distinct_samples(cat: FinCat) -> Iterator[tuple[tuple, list[str]]]:
-    """The sampled diagrams, one per composition closure, as (key, generating
-    arrows) pairs; the key is the objects and the sorted closure."""
-    seen: set[tuple] = set()
-    for objs, mors in _sample_diagrams(cat):
-        key = (tuple(objs), tuple(sorted(_composition_closure(cat, objs, mors))))
-        if key not in seen:
-            seen.add(key)
-            yield key, mors
-
-
-def _lift_objects(colim: ColimitCat, objs: list[str]) -> OneCellLift:
-    """A lift to a stage of the full subcategory of the colimit on ``objs``.
-
-    Every sample on ``objs`` is a subcategory of it, so the lift's
-    restriction lifts the sample, with the same comparison components.
-    """
-    res = colim.result
-    objset = set(objs)
-    full = _generated_subcategory(
-        res, objs, [m for m in res.morphisms if res.dom[m] in objset and res.cod[m] in objset]
-    )
-    # the inclusion of a subcategory is a functor by construction
-    include = Functor("include", full, res, {o: o for o in objs}, {m: m for m in full.dom})
-    return lift_one_cell(full, colim, include)
+            at = {o: k for k, o in enumerate(objs)}
+            inner = sorted(m for a in objs for b in objs for m in between.get((a, b), ()))
+            index = {m: k for k, m in enumerate(inner)}
+            ends = tuple((at[cat.dom[m]], at[cat.cod[m]]) for m in inner)
+            pairs = [
+                (a, b) for a, (s, _) in enumerate(ends) for b, (_, t) in enumerate(ends) if s == t
+            ]
+            composites = tuple(index.get(cat.table[(inner[a], inner[b])], -1) for a, b in pairs)
+            shape = (ends, composites)
+            if shape not in by_shape:
+                by_shape[shape] = _closures(len(inner), dict(zip(pairs, composites)))
+            ids = [cat.identity[o] for o in objs]
+            yield list(objs), [
+                ((objs, tuple(sorted(ids + [inner[c] for c in closure]))), [inner[g] for g in gens])
+                for closure, gens in by_shape[shape]
+            ]
 
 
 def _binding_targets(cat: FinCat) -> frozenset[str]:
@@ -343,7 +332,7 @@ def _pushed_limit_failure(
     q, b = colim.cocone[lift.stage], lift.functor
     pushed_apex = q.obj_map[apex]
     pushed = tuple(res.table[(back[o], q.mor_map[legs[b.obj_map[o]]])] for o in objs)
-    cones = _cones(res, objs, list(binding), families)
+    cones = _cones(res, objs, list(binding), families) if binding else families
     if pushed in cones[pushed_apex] and _is_limiting(res, pushed_apex, pushed, cones):
         return None
     return "pushed cone not limiting"
@@ -354,50 +343,49 @@ def _sample_verdicts(colim: ColimitCat) -> Iterator[tuple[tuple, str, str | None
     in sample order; ``reason`` names how the stage-wise limit formula
     fails, or is None where it holds.
 
-    The samples on one object set share one lift of the full subcategory on
-    it, and each is mapped into that lift's stage.  The limit there, pushed
-    to the colimit along the cocone and the inverse comparison, must be
-    limiting.  Cones are decided over the generating arrows, whose cones are
-    those over their composition closure, and of those only over the arrows
-    that can bind a cone (:func:`_binding_targets`), in the colimit and in
-    the stage alike.  The families Π_o hom(x, o) are shared by the samples
-    of a set.
+    The colimit is lifted to a stage once, through the identity functor;
+    the lift's restriction to a sample lifts it, with the same comparison
+    components, so every sample is mapped into that one stage.  The search
+    meets only thin colimits here (a finite lex category is thin, and so is
+    a filtered colimit of thin categories), where a functor is fixed by its
+    object map.  The limit
+    there, pushed to the colimit along the cocone and the inverse
+    comparison, must be limiting.  Cones are decided over the generating
+    arrows, whose cones are those over their composition closure, and of
+    those only over the arrows that can bind a cone
+    (:func:`_binding_targets`), in the colimit and in the stage alike.  The
+    families Π_o hom(x, o), formed from homs read once per colimit, are
+    shared by the samples of an object set, and the samples of all sets are
+    enumerated once per shape (:func:`_object_set_samples`).
 
-    One lift per object set relies on ``_sample_diagrams`` yielding the
-    samples of each object set together, as its outer loop over object sets
-    does.  Stage limits are kept per (stage, image objects, binding image
-    arrows): the colimit holds isomorphic copies of stage objects, so
-    distinct object sets often map to the same stage diagram.  A sample's
-    verdict depends only on its object set, its binding arrows and its
-    stage limit, so it is decided once per (binding arrows, binding image
-    arrows) within a set.  The bundled lex colimits and their fibers are
-    thin, so no arrow binds there: the 1,364 samples need 192 decisions, one
-    per object set.
+    Stage limits are kept per (image objects, binding image arrows): the
+    colimit holds isomorphic copies of stage objects, so distinct object
+    sets often map to the same stage diagram.  A sample's verdict depends
+    only on its object set, its binding arrows and its stage limit, so it
+    is decided once per (binding arrows, binding image arrows) within a
+    set.  The bundled lex colimits and their fibers are thin, so no arrow
+    binds there: the 1,364 samples need 192 decisions, one per object set.
     """
     res = colim.result
-    targets = _binding_targets(res)
-    stage_targets: dict[str, frozenset[str]] = {}
+    lift = lift_one_cell(res, colim, identity_functor(res))
+    stage, b = lift.stage, lift.functor
+    fiber = colim.diagram.on0[stage]
+    targets, binds_in_stage = _binding_targets(res), _binding_targets(fiber)
+    back = {o: res.must_inverse(c) for o, c in lift.comparison.components.items()}
+    homs = {x: {o: res.hom(x, o) for o in res.objects} for x in res.objects}
     stage_limits: dict[tuple, tuple[str, dict[str, str]] | None] = {}
-    for objs, samples in itertools.groupby(_distinct_samples(res), key=lambda s: s[0][0]):
-        objs = list(objs)
-        lift = _lift_objects(colim, objs)
-        stage, b = lift.stage, lift.functor
-        fiber = colim.diagram.on0[stage]
-        if stage not in stage_targets:
-            stage_targets[stage] = _binding_targets(fiber)
-        binds_in_stage = stage_targets[stage]
-        back = {o: res.must_inverse(c) for o, c in lift.comparison.components.items()}
-        families = {x: _hom_product(res, x, objs) for x in res.objects}
-        image_objs = sorted({b.obj_map[o] for o in objs})
+    for objs, samples in _object_set_samples(res):
+        families = {x: list(itertools.product(*[row[o] for o in objs])) for x, row in homs.items()}
+        image_objs = tuple(sorted({b.obj_map[o] for o in objs}))
         decided: dict[tuple, str | None] = {}
         for key, mors in samples:
             binding = tuple(m for m in mors if res.cod[m] in targets)
             image_mors = tuple(
                 sorted({b.mor_map[m] for m in mors if b.obj_map[res.cod[m]] in binds_in_stage})
             )
-            limit_key = (stage, tuple(image_objs), image_mors)
+            limit_key = (image_objs, image_mors)
             if limit_key not in stage_limits:
-                stage_limits[limit_key] = limit_of_diagram(fiber, image_objs, list(image_mors))
+                stage_limits[limit_key] = limit_of_diagram(fiber, list(image_objs), list(image_mors))
             if (binding, image_mors) not in decided:
                 decided[(binding, image_mors)] = _pushed_limit_failure(
                     colim, lift, back, objs, binding, families, stage_limits[limit_key]

@@ -444,6 +444,26 @@ def test_biequalizer_commutation_agrees_with_the_full_equalizer_on_constant_pick
     assert commute_biequalizer(c1, c2, u, v)
 
 
+def test_biequalizer_commutation_agrees_when_the_picks_are_not_isomorphic():
+    # u and v pick the two ends of the walking arrow over every stage, so
+    # eq(u, v) is empty while eq(u, u) and eq(v, v) are the point; the
+    # bundled parallel fixture picks isomorphic objects and cannot tell
+    tc = locally_discrete(zoo.poset("P", [("a", "top"), ("b", "top")] + [(x, x) for x in ("a", "b", "top")]))
+    point, arrow = zoo.terminal(), zoo.walking_arrow()
+
+    def pick(tag, a):
+        return {i: build_functor(f"{tag}_{a}", point, arrow, {"*": a}, {"id": arrow.identity[a]})
+                for i in tc.cells0}
+
+    c1 = bifiltered_bicolimit(constant_pseudofunctor(tc, point))
+    c2 = bifiltered_bicolimit(constant_pseudofunctor(tc, arrow))
+    u, v = pick("u", "s"), pick("v", "t")
+    assert full_biequalizer_rhs(c1, c2, u, v).objects == ()
+    assert full_biequalizer_rhs(c1, c2, u, u).objects != ()
+    assert_biequalizer_agrees(c1, c2, u, v)
+    assert commute_biequalizer(c1, c2, u, v)
+
+
 # -- groundwork: the comparison cocone into sk(colim F1) x sk(colim F2) --------------
 
 

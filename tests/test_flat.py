@@ -22,6 +22,7 @@ from bicolim.twocat import (
     pseudofunctor_violations,
     terminal_twocat,
 )
+from support import corpus_fixtures
 
 
 REPRESENTABLE_CASES = [
@@ -136,6 +137,24 @@ def test_flat_iff_decomposition_on_fixture_sample():
         assert decompose_flat(pf).ok
     for pf in (corpus.nonflat_empty_diagram(), corpus.nonflat_disconnected_diagram()):
         assert not check_flat(pf)
+
+
+def test_stage_equivalence_agrees_with_the_generic_decision_on_corpus_diagrams():
+    # ``decompose_flat`` runs the generic decision only where the canonical
+    # comparison is not an equivalence; the verdict must be the one it gives
+    decomposed = 0
+    for path in corpus_fixtures("diagram"):
+        pf = load_fixture(path).functor
+        if not check_flat(pf):
+            continue
+        decomposed += 1
+        for j, stage in decompose_flat(pf).stages.items():
+            generic = check_equivalence(stage.colimit.result, pf.on0[j])
+            assert stage.equivalence.outcome == generic.outcome, (path.name, j)
+            assert stage.direct.outcome == functor_is_equivalence(stage.comparison).outcome
+            if stage.direct:
+                assert generic, (path.name, j)
+    assert decomposed == 9
 
 
 # -- preservation of finite bilimit instances -----------------------------------

@@ -22,6 +22,7 @@ from bicolim.fincat import (
     Functor,
     NatTrans,
     ValidationError,
+    _assemble_composed,
     build_fincat,
     build_functor,
     check_equivalence,
@@ -35,16 +36,12 @@ from bicolim.fincat import (
 )
 from bicolim.lexkit import (
     _binding_targets,
-    _composition_closure,
     _cones,
-    _distinct_samples,
     _equalizing_cones,
-    _generated_subcategory,
     _hom_product,
     _is_limiting,
-    _lift_objects,
+    _object_set_samples,
     _product_cones,
-    _sample_diagrams,
     _sample_verdicts,
     finite_limit_witnesses,
     is_lex_functor,
@@ -226,6 +223,32 @@ def test_product_and_equalizer_tests_agree_with_mediator_counting(cat, data):
                 )
 
 
+def imaging_is_limiting(cat, apex, legs, cones):
+    """``_is_limiting`` as it was: at each x in turn, the sizes and then the
+    images of every hom."""
+    table = cat.table
+    for x, over in cones.items():
+        hom = cat.hom(x, apex)
+        if len(hom) != len(over):
+            return False
+        if len({tuple(table[(leg, m)] for leg in legs) for m in hom}) != len(hom):
+            return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graph_diagrams())
+def test_size_first_limit_test_matches_the_imaging_one(diagram):
+    cat, objs, mors = diagram
+    shapes = [_cones(cat, objs, mors, {x: _hom_product(cat, x, objs) for x in cat.objects})]
+    shapes += [_product_cones(cat, a, b) for a, b in itertools.combinations_with_replacement(objs, 2)]
+    shapes += [_equalizing_cones(cat, f, g) for f in mors for g in mors if cat.dom[f] == cat.dom[g] and cat.cod[f] == cat.cod[g]]
+    for cones in shapes:
+        for apex, over in cones.items():
+            for legs in over:
+                assert _is_limiting(cat, apex, legs, cones) == imaging_is_limiting(cat, apex, legs, cones)
+
+
 # -- lex functors --------------------------------------------------------------
 
 
@@ -301,6 +324,97 @@ def test_nonlex_fiber_rejected():
     pf = constant_pseudofunctor(terminal_twocat(), zoo.discrete(["a", "b"]))
     with pytest.raises(ValueError):
         verify_lex_bicolimit(bifiltered_bicolimit(pf))
+
+
+# -- the sampled diagrams one by one, the oracle -----------------------------------
+#
+# ``lexkit`` enumerates each object set's distinct composition closures once
+# per shape and lifts the whole colimit once.  The functions below are the
+# path it replaced: every raw sample enumerated and closed, repeats dropped,
+# and each object set's full subcategory assembled and lifted on its own.
+
+
+def sample_diagrams(cat, max_objects=3, max_morphisms=4):
+    """All graph diagrams with at most 3 objects and 4 non-identity arrows."""
+    nonid = [m for m in cat.morphisms if not cat.is_identity(m)]
+    for r in range(1, max_objects + 1):
+        for objs in itertools.combinations(sorted(cat.objects), r):
+            objset = set(objs)
+            inner = [m for m in nonid if cat.dom[m] in objset and cat.cod[m] in objset]
+            for k in range(0, min(max_morphisms, len(inner)) + 1):
+                for mors in itertools.combinations(inner, k):
+                    yield list(objs), list(mors)
+
+
+def composition_closure(cat, objs, mors):
+    """The morphisms generated by a graph diagram: identities and composites.
+
+    A morphism leaving the work list is composed, on both sides, with every
+    morphism kept so far that meets it, found in indexes of the kept
+    morphisms by domain and by codomain.
+    """
+    keep = set(mors) | {cat.identity[o] for o in objs}
+    out_of, into = {}, {}
+    for m in keep:
+        out_of.setdefault(cat.dom[m], []).append(m)
+        into.setdefault(cat.cod[m], []).append(m)
+    todo = list(mors)
+    while todo:
+        m = todo.pop()
+        made = [cat.table[(n, m)] for n in out_of.get(cat.cod[m], ())]
+        made += [cat.table[(m, n)] for n in into.get(cat.dom[m], ())]
+        for gf in made:
+            if gf not in keep:
+                keep.add(gf)
+                out_of.setdefault(cat.dom[gf], []).append(gf)
+                into.setdefault(cat.cod[gf], []).append(gf)
+                todo.append(gf)
+    return keep
+
+
+def generated_subcategory(cat, objs, keep):
+    """The subcategory on the sorted ``objs`` with the composition-closed
+    morphisms ``keep``, assembled without replaying the axioms."""
+    return _assemble_composed(
+        f"{cat.name}|gen",
+        objs,
+        [(m, cat.dom[m], cat.cod[m]) for m in sorted(keep)],
+        {o: cat.identity[o] for o in objs},
+        lambda g, f, x, z: cat.table[(g, f)],
+    )
+
+
+def raw_distinct_samples(cat):
+    """The sampled diagrams, one per composition closure, as (key, generating
+    arrows) pairs; the key is the objects and the sorted closure."""
+    seen = set()
+    for objs, mors in sample_diagrams(cat):
+        key = (tuple(objs), tuple(sorted(composition_closure(cat, objs, mors))))
+        if key not in seen:
+            seen.add(key)
+            yield key, mors
+
+
+def lift_objects(colim, objs):
+    """A lift to a stage of the full subcategory of the colimit on ``objs``."""
+    res = colim.result
+    objset = set(objs)
+    full = generated_subcategory(
+        res, objs, [m for m in res.morphisms if res.dom[m] in objset and res.cod[m] in objset]
+    )
+    include = Functor("include", full, res, {o: o for o in objs}, {m: m for m in full.dom})
+    return lift_one_cell(full, colim, include)
+
+
+def shape_samples(cat):
+    """``lexkit``'s samples, flattened to the oracle's (key, generators) pairs."""
+    return [sample for _, samples in _object_set_samples(cat) for sample in samples]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(preorders(), transformation_monoids()))
+def test_per_shape_samples_match_raw_enumeration(cat):
+    assert shape_samples(cat) == list(raw_distinct_samples(cat))
 
 
 # -- restricted lifts and directly assembled samples, differential ---------------
@@ -381,12 +495,12 @@ def distinct_samples(cat):
     """Keys, generators and generated subcategories of the sampled diagrams,
     as verify dedups them."""
     seen = set()
-    for objs, mors in _sample_diagrams(cat):
-        closure = _composition_closure(cat, objs, mors)
+    for objs, mors in sample_diagrams(cat):
+        closure = composition_closure(cat, objs, mors)
         key = (tuple(objs), tuple(sorted(closure)))
         if key not in seen:
             seen.add(key)
-            yield key, objs, mors, _generated_subcategory(cat, objs, closure)
+            yield key, objs, mors, generated_subcategory(cat, objs, closure)
 
 
 def inclusion(probe, cat):
@@ -404,8 +518,10 @@ def test_restricted_lift_matches_enumerating_oracle_on_lex_samples(name):
         assert_same_fincat(probe, validated_generated_subcategory(colim.result, objs, mors))
         assert_lift_matches_oracle(probe, colim, inclusion(probe, colim.result))
         keys.append(key)
-    assert keys == [key for key, _ in _distinct_samples(colim.result)]
+    assert keys == [key for key, _ in raw_distinct_samples(colim.result)]
     assert len(keys) == verify_lex_bicolimit(colim).sampled_diagrams
+    # the whole colimit, lifted once by the lemma
+    assert_lift_matches_oracle(colim.result, colim, identity_functor(colim.result))
 
 
 @st.composite
@@ -430,11 +546,11 @@ def test_restricted_lift_matches_enumerating_oracle_on_constant_diagrams(pf, dat
             assert_lift_matches_oracle(probe, colim, fun)
 
 
-# -- one lift per object set, differential ---------------------------------------
+# -- one lift per colimit, differential -------------------------------------------
 #
-# ``_sample_verdicts`` lifts the full subcategory on each sampled object set
-# once, restricts that lift to each sample on the set, and decides cones over
-# the sample's generators by comparing hom(x, apex) with the cones at x.  The
+# ``_sample_verdicts`` lifts the whole colimit once, through its identity
+# functor, restricts that lift to each sample, and decides cones over the
+# sample's generators by comparing hom(x, apex) with the cones at x.  The
 # oracle is the per-sample path: a lift of each sample's generated
 # subcategory, then limits decided by counting mediators over its
 # composition closure.
@@ -443,20 +559,28 @@ def test_restricted_lift_matches_enumerating_oracle_on_constant_diagrams(pf, dat
 # sample objects to one stage object decides a diagram whose cones have one
 # leg there.  In a thin category that changes no verdict, and every finite
 # lex category is thin: |hom(x, aⁿ)| = |hom(x, a)|ⁿ takes finitely many
-# values only if it is at most 1.  On the non-thin fibers the hypothesis
-# strategy draws, two valid lifts can collapse objects differently; there
-# the oracle decides each sample on the restriction of the object set's lift.
+# values only if it is at most 1.  So is a colimit of thin categories,
+# whose lift the enumerating search finds at once; on a colimit that is not
+# thin that search grows exponentially with the colimit, and two valid
+# lifts can collapse objects differently.  There the oracle decides each
+# sample on the restriction of the same whole lift, and the strategy keeps
+# to fibers that are thin or have at most 4 morphisms.
 
 
-def restricted_lifts(colim, samples):
-    """Each sample's restriction of its object set's lift, checked to be a
-    functor on the sample with a natural invertible comparison."""
+def whole_lift(colim, _objs):
+    return lift_one_cell(colim.result, colim, identity_functor(colim.result))
+
+
+def restricted_lifts(colim, samples, lift_of=whole_lift):
+    """Each sample's restriction of the lift ``lift_of`` gives for its object
+    set, checked to be a functor on the sample with a natural invertible
+    comparison."""
     res = colim.result
     by_objects = {}
     out = []
     for key, objs, _, probe in samples:
         if key[0] not in by_objects:
-            by_objects[key[0]] = _lift_objects(colim, objs)
+            by_objects[key[0]] = lift_of(colim, objs)
         lift = by_objects[key[0]]
         restricted = Functor(
             "restricted",
@@ -470,7 +594,7 @@ def restricted_lifts(colim, samples):
             "compare",
             inclusion(probe, res),
             compose_functors(colim.cocone[lift.stage], restricted),
-            dict(lift.comparison.components),
+            {o: lift.comparison.components[o] for o in probe.objects},
         )
         assert nattrans_violations(comparison) == []
         assert comparison.is_invertible()
@@ -503,30 +627,31 @@ def per_sample_verdicts(colim, samples, lifts):
     return out
 
 
-def test_each_object_set_is_lifted_once(monkeypatch):
-    """``_sample_verdicts`` groups consecutive samples by object set, so it
-    lifts each set once only while ``_sample_diagrams`` keeps a set's
-    samples together: 63 sets in lex_chain and 129 in lex_const."""
+def test_each_lex_colimit_is_lifted_once(monkeypatch):
+    """One lift per lex colimit, of its identity functor, where one per
+    object set took 63 lifts in lex_chain and 129 in lex_const."""
     lifted = []
 
-    def counting(colim, objs):
-        lifted.append(tuple(objs))
-        return _lift_objects(colim, objs)
+    def counting(probe, colim, fun):
+        lifted.append((probe, fun))
+        return lift(probe, colim, fun)
 
-    monkeypatch.setattr(lexkit, "_lift_objects", counting)
-    total = 0
+    lift = lexkit.lift_one_cell
+    monkeypatch.setattr(lexkit, "lift_one_cell", counting)
     for name in sorted(corpus.LEX_DIAGRAM_BUILDERS):
         colim = bifiltered_bicolimit(corpus.LEX_DIAGRAM_BUILDERS[name]())
-        object_sets = {key[0] for key, _ in _distinct_samples(colim.result)}
         lifted.clear()
-        list(_sample_verdicts(colim))
-        assert sorted(lifted) == sorted(object_sets)
-        total += len(lifted)
-    assert total == 192
+        assert verify_lex_bicolimit(colim).sampled_diagrams > 0
+        assert len(lifted) == 1
+        probe, fun = lifted[0]
+        assert probe is colim.result
+        assert fun.source is fun.target is colim.result
+        assert fun.obj_map == {x: x for x in probe.objects}
+        assert fun.mor_map == {m: m for m in probe.dom}
 
 
 def sample_lifts(colim, samples):
-    """Today's per-sample lifts: each sample's generated subcategory on its own."""
+    """The per-sample lifts: each sample's generated subcategory on its own."""
     return [lift_one_cell(probe, colim, inclusion(probe, colim.result)) for _, _, _, probe in samples]
 
 
@@ -540,9 +665,8 @@ def test_object_set_lifts_match_per_sample_path_on_lex_samples(name):
     samples = list(distinct_samples(colim.result))
     got = list(_sample_verdicts(colim))
     assert got == per_sample_verdicts(colim, samples, restricted_lifts(colim, samples))
-    assert without_stage(got) == without_stage(
-        per_sample_verdicts(colim, samples, sample_lifts(colim, samples))
-    )
+    for lifts in (sample_lifts(colim, samples), restricted_lifts(colim, samples, lift_objects)):
+        assert without_stage(got) == without_stage(per_sample_verdicts(colim, samples, lifts))
     assert len(got) == len(samples)
     assert all(reason is None for _, _, reason in got)
 
@@ -552,16 +676,15 @@ def is_thin(cat):
 
 
 @settings(max_examples=25, deadline=None)
-@given(constant_diagrams())
+@given(constant_diagrams().filter(lambda pf: is_thin(pf.on0[pf.source.cells0[0]]) or len(pf.on0[pf.source.cells0[0]].dom) <= 4))
 def test_object_set_lifts_match_per_sample_path_on_constant_diagrams(pf):
     colim = bifiltered_bicolimit(pf)
     samples = list(itertools.islice(distinct_samples(colim.result), 120))
     got = list(itertools.islice(_sample_verdicts(colim), len(samples)))
     assert got == per_sample_verdicts(colim, samples, restricted_lifts(colim, samples))
     if is_thin(colim.result):
-        assert without_stage(got) == without_stage(
-            per_sample_verdicts(colim, samples, sample_lifts(colim, samples))
-        )
+        for lifts in (sample_lifts(colim, samples), restricted_lifts(colim, samples, lift_objects)):
+            assert without_stage(got) == without_stage(per_sample_verdicts(colim, samples, lifts))
 
 
 # -- arrows that cannot bind a cone ---------------------------------------------
@@ -662,15 +785,15 @@ def test_direct_generated_subcategory_matches_validating_builder(cat, data):
     objs = sorted(data.draw(st.sets(st.sampled_from(cat.objects), min_size=1, max_size=3)))
     inner = [m for m in cat.morphisms if cat.dom[m] in objs and cat.cod[m] in objs]
     mors = data.draw(st.lists(st.sampled_from(inner), max_size=4, unique=True)) if inner else []
-    closure = _composition_closure(cat, objs, mors)
+    closure = composition_closure(cat, objs, mors)
     assert_same_fincat(
-        _generated_subcategory(cat, objs, closure),
+        generated_subcategory(cat, objs, closure),
         validated_generated_subcategory(cat, objs, mors),
     )
 
 
 def scanning_composition_closure(cat, objs, mors):
-    """``_composition_closure`` as it was: a morphism leaving the work list
+    """``composition_closure`` without its indexes: a morphism leaving the work list
     is tried, on both sides, against every morphism kept so far."""
     keep = set(mors) | {cat.identity[o] for o in objs}
     todo = list(mors)
@@ -692,19 +815,23 @@ def test_indexed_composition_closure_matches_scan(cat, data):
     objs = sorted(data.draw(st.sets(st.sampled_from(cat.objects), min_size=1, max_size=3)))
     inner = [m for m in cat.morphisms if cat.dom[m] in objs and cat.cod[m] in objs]
     mors = data.draw(st.lists(st.sampled_from(inner), max_size=4)) if inner else []
-    assert _composition_closure(cat, objs, mors) == scanning_composition_closure(cat, objs, mors)
+    assert composition_closure(cat, objs, mors) == scanning_composition_closure(cat, objs, mors)
 
 
 @pytest.mark.parametrize("name", sorted(corpus.LEX_DIAGRAM_BUILDERS))
 def test_distinct_samples_match_scanning_closure_on_lex_colimits(name):
     cat = bifiltered_bicolimit(corpus.LEX_DIAGRAM_BUILDERS[name]()).result
     want, seen = [], set()
-    for objs, mors in _sample_diagrams(cat):
+    for objs, mors in sample_diagrams(cat):
         key = (tuple(objs), tuple(sorted(scanning_composition_closure(cat, objs, mors))))
         if key not in seen:
             seen.add(key)
             want.append((key, mors))
-    assert list(_distinct_samples(cat)) == want
+    assert list(raw_distinct_samples(cat)) == want
+    assert shape_samples(cat) == want
+    assert [objs for objs, _ in _object_set_samples(cat)] == [
+        list(objs) for objs in dict.fromkeys(key[0] for key, _ in want)
+    ]
 
 
 def refuse_replay(*args):
