@@ -49,16 +49,16 @@ def _cones(cat: FinCat, objs: list[str], mors: list[str], families: Cones) -> Co
     }
 
 
-def _is_limiting(cat: FinCat, apex: str, legs: tuple[str, ...], cones: Cones) -> bool:
-    """Whether m ↦ legs∘m is a bijection hom(x, apex) -> cones[x] for every x.
+def _hom_sizes(cat: FinCat) -> dict[str, tuple[int, ...]]:
+    """For each object p, the sizes |hom(x, p)| for x in object order: the
+    cone counts that a limit with apex p must have."""
+    return {p: tuple(len(cat.hom(x, p)) for x in cat.objects) for p in cat.objects}
 
-    ``legs`` is a cone, so each legs∘m is one too; the map is then a
-    bijection exactly when both sides have one size and it is injective.
-    The sizes are compared at every x before any image is formed, and a map
-    out of at most one arrow is injective, so only larger homs are imaged.
-    """
-    if any(len(cat.hom(x, apex)) != len(over) for x, over in cones.items()):
-        return False
+
+def _is_injective(cat: FinCat, apex: str, legs: tuple[str, ...], cones: Cones) -> bool:
+    """Whether m ↦ legs∘m is injective on hom(x, apex) at every x with two
+    or more cones; where hom(x, apex) and cones[x] have one size, a map out
+    of at most one arrow is injective."""
     table = cat.table
     for x, over in cones.items():
         if len(over) > 1:
@@ -68,13 +68,34 @@ def _is_limiting(cat: FinCat, apex: str, legs: tuple[str, ...], cones: Cones) ->
     return True
 
 
-def _first_limit(cat: FinCat, cones: Cones) -> tuple[str, tuple[str, ...]] | None:
+def _is_limiting(cat: FinCat, apex: str, legs: tuple[str, ...], cones: Cones) -> bool:
+    """Whether m ↦ legs∘m is a bijection hom(x, apex) -> cones[x] for every x.
+
+    ``legs`` is a cone, so each legs∘m is one too; the map is then a
+    bijection exactly when both sides have one size and it is injective.
+    The sizes are compared at every x before any image is formed.
+    """
+    if any(len(cat.hom(x, apex)) != len(over) for x, over in cones.items()):
+        return False
+    return _is_injective(cat, apex, legs, cones)
+
+
+def _first_limit(
+    cat: FinCat, cones: Cones, sizes: dict[str, tuple[int, ...]]
+) -> tuple[str, tuple[str, ...]] | None:
     """The first cone, apex by apex in object order and in list order at
-    each apex, through which every cone of ``cones`` factors uniquely."""
+    each apex, through which every cone of ``cones`` factors uniquely.
+
+    ``sizes`` is :func:`_hom_sizes` of ``cat``, so an apex is tried only
+    where its hom sizes match the cone counts, and a cone there is limiting
+    exactly when it images those homs injectively.
+    """
+    counts = tuple(len(cones[x]) for x in cat.objects)
     for apex in cat.objects:
-        for legs in cones[apex]:
-            if _is_limiting(cat, apex, legs, cones):
-                return apex, legs
+        if sizes[apex] == counts:
+            for legs in cones[apex]:
+                if _is_injective(cat, apex, legs, cones):
+                    return apex, legs
     return None
 
 
@@ -88,14 +109,14 @@ def limit_of_diagram(
     """
     objs = sorted(set(objs))
     families = {x: _hom_product(cat, x, objs) for x in cat.objects}
-    hit = _first_limit(cat, _cones(cat, objs, mors, families))
+    hit = _first_limit(cat, _cones(cat, objs, mors, families), _hom_sizes(cat))
     return None if hit is None else (hit[0], dict(zip(objs, hit[1])))
 
 
 def _product_cones(cat: FinCat, a: str, b: str) -> Cones:
     """For each x, every pair of arrows (x -> a, x -> b); the legs are
     independent, so a = b gives pairs too."""
-    return {x: _hom_product(cat, x, [a, b]) for x in cat.objects}
+    return {x: list(itertools.product(cat.hom(x, a), cat.hom(x, b))) for x in cat.objects}
 
 
 def _equalizing_cones(cat: FinCat, f: str, g: str) -> Cones:
@@ -127,22 +148,23 @@ class LexReport:
 
 def finite_limit_witnesses(cat: FinCat) -> LexReport:
     """Terminal object, binary products and equalizers, with certificates."""
-    hit = limit_of_diagram(cat, [], [])
+    sizes = _hom_sizes(cat)
+    hit = _first_limit(cat, {x: [()] for x in cat.objects}, sizes)
     if hit is None:
         return LexReport(False, failure={"shape": "terminal"})
     terminal = hit[0]
     products = {}
     for a, b in itertools.combinations_with_replacement(cat.objects, 2):
-        got = _first_limit(cat, _product_cones(cat, a, b))
+        got = _first_limit(cat, _product_cones(cat, a, b), sizes)
         if got is None:
             return LexReport(False, failure={"shape": "product", "pair": [a, b]})
         products[(a, b)] = (got[0], *got[1])
     equalizers = {}
     for f in cat.morphisms:
-        for g in cat.morphisms:
-            if f > g or cat.dom[f] != cat.dom[g] or cat.cod[f] != cat.cod[g]:
+        for g in cat.hom(cat.dom[f], cat.cod[f]):
+            if f > g:
                 continue
-            got = _first_limit(cat, _equalizing_cones(cat, f, g))
+            got = _first_limit(cat, _equalizing_cones(cat, f, g), sizes)
             if got is None:
                 return LexReport(False, failure={"shape": "equalizer", "pair": [f, g]})
             equalizers[(f, g)] = (got[0], got[1][0])
@@ -320,11 +342,13 @@ def _pushed_limit_failure(
     binding: tuple[str, ...],
     families: Cones,
     limit: tuple[str, dict[str, str]] | None,
+    sizes: dict[str, tuple[int, ...]],
 ) -> str | None:
     """How the stage-wise limit formula fails for a sample on ``objs`` with
     binding arrows ``binding`` whose stage limit is ``limit``, or None where
     it holds: the limit, pushed to the colimit along the cocone and the
-    inverse comparison ``back``, must be limiting there."""
+    inverse comparison ``back``, must be limiting there.  ``sizes`` is
+    :func:`_hom_sizes` of the colimit."""
     if limit is None:
         return "no stage limit"
     res = colim.result
@@ -333,7 +357,12 @@ def _pushed_limit_failure(
     pushed_apex = q.obj_map[apex]
     pushed = tuple(res.table[(back[o], q.mor_map[legs[b.obj_map[o]]])] for o in objs)
     cones = _cones(res, objs, list(binding), families) if binding else families
-    if pushed in cones[pushed_apex] and _is_limiting(res, pushed_apex, pushed, cones):
+    counts = tuple(len(cones[x]) for x in res.objects)
+    if (
+        pushed in cones[pushed_apex]
+        and sizes[pushed_apex] == counts
+        and _is_injective(res, pushed_apex, pushed, cones)
+    ):
         return None
     return "pushed cone not limiting"
 
@@ -348,13 +377,12 @@ def _sample_verdicts(colim: ColimitCat) -> Iterator[tuple[tuple, str, str | None
     components, so every sample is mapped into that one stage.  The search
     meets only thin colimits here (a finite lex category is thin, and so is
     a filtered colimit of thin categories), where a functor is fixed by its
-    object map.  The limit
-    there, pushed to the colimit along the cocone and the inverse
-    comparison, must be limiting.  Cones are decided over the generating
-    arrows, whose cones are those over their composition closure, and of
-    those only over the arrows that can bind a cone
-    (:func:`_binding_targets`), in the colimit and in the stage alike.  The
-    families Π_o hom(x, o), formed from homs read once per colimit, are
+    object map.  The limit in the stage, pushed to the colimit along the
+    cocone and the inverse comparison, must be limiting.  Cones are decided
+    over the generating arrows, whose cones are those over their
+    composition closure, and of those only over the arrows that can bind a
+    cone (:func:`_binding_targets`), in the colimit and in the stage alike.
+    The families Π_o hom(x, o), formed from homs read once per colimit, are
     shared by the samples of an object set, and the samples of all sets are
     enumerated once per shape (:func:`_object_set_samples`).
 
@@ -371,24 +399,25 @@ def _sample_verdicts(colim: ColimitCat) -> Iterator[tuple[tuple, str, str | None
     stage, b = lift.stage, lift.functor
     fiber = colim.diagram.on0[stage]
     targets, binds_in_stage = _binding_targets(res), _binding_targets(fiber)
+    binds = {m for m in res.morphisms if res.cod[m] in targets}
+    binds_image = {m for m in res.morphisms if b.obj_map[res.cod[m]] in binds_in_stage}
     back = {o: res.must_inverse(c) for o, c in lift.comparison.components.items()}
     homs = {x: {o: res.hom(x, o) for o in res.objects} for x in res.objects}
+    sizes = {p: tuple(len(homs[x][p]) for x in res.objects) for p in res.objects}
     stage_limits: dict[tuple, tuple[str, dict[str, str]] | None] = {}
     for objs, samples in _object_set_samples(res):
         families = {x: list(itertools.product(*[row[o] for o in objs])) for x, row in homs.items()}
         image_objs = tuple(sorted({b.obj_map[o] for o in objs}))
         decided: dict[tuple, str | None] = {}
         for key, mors in samples:
-            binding = tuple(m for m in mors if res.cod[m] in targets)
-            image_mors = tuple(
-                sorted({b.mor_map[m] for m in mors if b.obj_map[res.cod[m]] in binds_in_stage})
-            )
+            binding = tuple(m for m in mors if m in binds)
+            image_mors = tuple(sorted({b.mor_map[m] for m in mors if m in binds_image}))
             limit_key = (image_objs, image_mors)
             if limit_key not in stage_limits:
                 stage_limits[limit_key] = limit_of_diagram(fiber, list(image_objs), list(image_mors))
             if (binding, image_mors) not in decided:
                 decided[(binding, image_mors)] = _pushed_limit_failure(
-                    colim, lift, back, objs, binding, families, stage_limits[limit_key]
+                    colim, lift, back, objs, binding, families, stage_limits[limit_key], sizes
                 )
             yield key, stage, decided[(binding, image_mors)]
 

@@ -38,7 +38,9 @@ from bicolim.lexkit import (
     _binding_targets,
     _cones,
     _equalizing_cones,
+    _first_limit,
     _hom_product,
+    _hom_sizes,
     _is_limiting,
     _object_set_samples,
     _product_cones,
@@ -239,14 +241,22 @@ def imaging_is_limiting(cat, apex, legs, cones):
 @settings(max_examples=100, deadline=None)
 @given(small_graph_diagrams())
 def test_size_first_limit_test_matches_the_imaging_one(diagram):
+    # the size test compares every x before imaging; the search compares
+    # each apex's column of hom sizes with the cone counts
     cat, objs, mors = diagram
     shapes = [_cones(cat, objs, mors, {x: _hom_product(cat, x, objs) for x in cat.objects})]
     shapes += [_product_cones(cat, a, b) for a, b in itertools.combinations_with_replacement(objs, 2)]
     shapes += [_equalizing_cones(cat, f, g) for f in mors for g in mors if cat.dom[f] == cat.dom[g] and cat.cod[f] == cat.cod[g]]
+    sizes = _hom_sizes(cat)
     for cones in shapes:
         for apex, over in cones.items():
             for legs in over:
                 assert _is_limiting(cat, apex, legs, cones) == imaging_is_limiting(cat, apex, legs, cones)
+        first = next(
+            ((apex, legs) for apex in cat.objects for legs in cones[apex] if imaging_is_limiting(cat, apex, legs, cones)),
+            None,
+        )
+        assert _first_limit(cat, cones, sizes) == first
 
 
 # -- lex functors --------------------------------------------------------------
