@@ -30,6 +30,8 @@ class NotLexError(ValueError):
 
 # apex -> the cones with that apex, each a tuple of legs by position
 Cones = dict[str, list[tuple[str, ...]]]
+# object p -> |hom(x, p)| for each x in object order
+HomSizes = dict[str, tuple[int, ...]]
 
 
 def _hom_product(cat: FinCat, x: str, objs: list[str]) -> list[tuple[str, ...]]:
@@ -49,9 +51,8 @@ def _cones(cat: FinCat, objs: list[str], mors: list[str], families: Cones) -> Co
     }
 
 
-def _hom_sizes(cat: FinCat) -> dict[str, tuple[int, ...]]:
-    """For each object p, the sizes |hom(x, p)| for x in object order: the
-    cone counts that a limit with apex p must have."""
+def _hom_sizes(cat: FinCat) -> HomSizes:
+    """The cone counts that a limit with apex p must have, for each p."""
     return {p: tuple(len(cat.hom(x, p)) for x in cat.objects) for p in cat.objects}
 
 
@@ -80,9 +81,7 @@ def _is_limiting(cat: FinCat, apex: str, legs: tuple[str, ...], cones: Cones) ->
     return _is_injective(cat, apex, legs, cones)
 
 
-def _first_limit(
-    cat: FinCat, cones: Cones, sizes: dict[str, tuple[int, ...]]
-) -> tuple[str, tuple[str, ...]] | None:
+def _first_limit(cat: FinCat, cones: Cones, sizes: HomSizes) -> tuple[str, tuple[str, ...]] | None:
     """The first cone, apex by apex in object order and in list order at
     each apex, through which every cone of ``cones`` factors uniquely.
 
@@ -342,7 +341,7 @@ def _pushed_limit_failure(
     binding: tuple[str, ...],
     families: Cones,
     limit: tuple[str, dict[str, str]] | None,
-    sizes: dict[str, tuple[int, ...]],
+    sizes: HomSizes,
 ) -> str | None:
     """How the stage-wise limit formula fails for a sample on ``objs`` with
     binding arrows ``binding`` whose stage limit is ``limit``, or None where

@@ -448,7 +448,8 @@ def test_biequalizer_commutation_agrees_when_the_picks_are_not_isomorphic():
     # u and v pick the two ends of the walking arrow over every stage, so
     # eq(u, v) is empty while eq(u, u) and eq(v, v) are the point; the
     # bundled parallel fixture picks isomorphic objects and cannot tell
-    tc = locally_discrete(zoo.poset("P", [("a", "top"), ("b", "top")] + [(x, x) for x in ("a", "b", "top")]))
+    relation = [("a", "top"), ("b", "top")] + [(x, x) for x in ("a", "b", "top")]
+    tc = locally_discrete(zoo.poset("P", relation))
     point, arrow = zoo.terminal(), zoo.walking_arrow()
 
     def pick(tag, a):
