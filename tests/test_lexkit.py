@@ -4,12 +4,13 @@ import itertools
 import sys
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from test_associativity import (
     FUNCTOR_CATEGORIES,
     posets,
     preorders,
+    transformation_monoid,
     transformation_monoids,
     valid_categories,
 )
@@ -50,7 +51,7 @@ from bicolim.lexkit import (
     limit_of_diagram,
     verify_lex_bicolimit,
 )
-from bicolim.twocat import constant_pseudofunctor
+from bicolim.twocat import constant_pseudofunctor, locally_discrete
 
 
 def diamond():
@@ -429,8 +430,34 @@ def shape_samples(cat):
     return [sample for _, samples in _object_set_samples(cat) for sample in samples]
 
 
+def side_by_side(left, right):
+    """The disjoint union of two categories, every name prefixed by its side."""
+    objects, rows, identity, table = [], [], {}, {}
+    for tag, cat in (("l", left), ("r", right)):
+        objects += [f"{tag}.{x}" for x in cat.objects]
+        rows += [(f"{tag}.{m}", f"{tag}.{cat.dom[m]}", f"{tag}.{cat.cod[m]}") for m in cat.morphisms]
+        identity.update({f"{tag}.{x}": f"{tag}.{i}" for x, i in cat.identity.items()})
+        table.update({(f"{tag}.{g}", f"{tag}.{f}"): f"{tag}.{gf}" for (g, f), gf in cat.table.items()})
+    return build_fincat("L+R", objects, rows, identity, table)
+
+
+# two one-object sets whose two arrows have the same ends but compose
+# differently: the cyclic group of order 3 and a left-zero band
+CYCLIC_BESIDE_BAND = side_by_side(
+    transformation_monoid([(1, 2, 0)], 3), transformation_monoid([(0, 0, 0), (1, 1, 1)], 3)
+)
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.one_of(preorders(), transformation_monoids()))
+@given(
+    st.one_of(
+        preorders(),
+        transformation_monoids(),
+        st.sampled_from(FUNCTOR_CATEGORIES),
+        st.builds(side_by_side, transformation_monoids(), transformation_monoids()),
+    )
+)
+@example(CYCLIC_BESIDE_BAND)
 def test_per_shape_samples_match_raw_enumeration(cat):
     assert shape_samples(cat) == list(raw_distinct_samples(cat))
 
@@ -698,8 +725,16 @@ def fiber_of(pf):
     return pf.on0[pf.source.cells0[0]]
 
 
+# a parallel pair over a stage below a top: its arrows bind cones, and the
+# product of its two objects does not exist while the equalizer does
+PARALLEL_OVER_TWO_STAGES = constant_pseudofunctor(
+    locally_discrete(zoo.poset("P", [("p0", "p1"), ("p0", "p0"), ("p1", "p1")])), zoo.parallel_pair()
+)
+
+
 @settings(max_examples=25, deadline=None)
 @given(constant_diagrams().filter(lambda pf: is_thin(fiber_of(pf)) or len(fiber_of(pf).dom) <= 4))
+@example(PARALLEL_OVER_TWO_STAGES)
 def test_object_set_lifts_match_per_sample_path_on_constant_diagrams(pf):
     colim = bifiltered_bicolimit(pf)
     samples = list(itertools.islice(distinct_samples(colim.result), 120))
