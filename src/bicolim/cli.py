@@ -202,7 +202,7 @@ def cmd_lex(args) -> int:
         report.to_dict(),
         args.format,
         lambda: f"lex colimit verification {'passed' if report.ok else 'FAILED'} "
-        f"({report.sampled_diagrams} diagrams sampled)",
+        f"({report.sampled_diagrams} object sets decided)",
     )
     return 0 if report.ok else 1
 

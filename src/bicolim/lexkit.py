@@ -2,22 +2,26 @@
 
 Finite completeness is reduced to the standard generating triple: a terminal
 object, binary products, and equalizers of parallel pairs.  Every universal
-property is certified by exhaustive search, and the colimit verification
-replays the stage-wise limit construction for a bounded family of sampled
-diagrams inside the computed colimit.  The colimit is lifted to a stage once,
-and the samples' composition closures are enumerated once per shape of
-object set.
+property is certified by exhaustive search.
+
+A finite lex category is a preorder: |hom(x, a)| ≥ 2 would give
+|hom(x, aⁿ)| ≥ 2ⁿ for every n, which no finite category allows (the finite
+case of Freyd's theorem that a small complete category is a preorder).  A
+filtered colimit of preorders is a preorder, and in a preorder the limit of a
+diagram depends only on its set of objects.  So the colimit verification
+decides the stage-wise limit formula once per set of at most 3 objects of the
+colimit, at one stage that covers them all, and that decision holds for
+every diagram on the set.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from .colim import ColimitCat
-from .compact import OneCellLift, lift_one_cell
-from .fincat import FinCat, Functor, identity_functor
+from .fincat import FinCat, Functor, ValidationError
 from .verdict import Verdict, negative, positive
 
 
@@ -230,6 +234,7 @@ def _is_equalizer_cone(cat: FinCat, apex: str, eq: str, f: str, g: str) -> bool:
 class LexColimitReport:
     colimit_lex: LexReport
     legs_lex: dict[str, Verdict]
+    # object sets decided; the name is kept for the readers of the output
     sampled_diagrams: int
     limit_formula_failures: list[dict[str, Any]]
 
@@ -251,174 +256,61 @@ class LexColimitReport:
         }
 
 
-# each distinct composition closure of a shape's arrow positions, with its
-# first generating positions
-Closures = list[tuple[frozenset[int], tuple[int, ...]]]
+def _covering_stage(colim: ColimitCat) -> tuple[str, dict[str, str]]:
+    """The first 0-cell, in sorted order, whose leg reaches every object of
+    the colimit up to isomorphism, with each colimit object's preimage: the
+    first fiber object that reaches it."""
+    label = colim.iso_label
+    for i in sorted(colim.diagram.source.cells0):
+        q = colim.cocone[i]
+        first: dict[str, str] = {}
+        for a in colim.diagram.on0[i].objects:
+            first.setdefault(label[q.obj_map[a]], a)
+        if all(label[o] in first for o in colim.result.objects):
+            return i, {o: first[label[o]] for o in colim.result.objects}
+    raise ValidationError(colim.result.name, ["no stage reaches every object of the colimit"])
 
 
-def _closures(arrows: int, composite: dict[tuple[int, int], int]) -> Closures:
-    """The distinct composition closures of the sets of at most 4 of
-    ``arrows`` positions, each with its first generating positions in
-    combination order.
+def _object_set_verdicts(colim: ColimitCat) -> list[tuple[tuple[str, ...], str, str | None]]:
+    """(objects, stage, reason) for each set of 1–3 colimit objects, in
+    combination order over the sorted objects; ``reason`` names how the
+    stage-wise limit formula fails on the set, or is None where it holds.
 
-    ``composite[(a, b)]`` is the position of a∘b, or -1 where it is an
-    identity, which every closure holds.  A position leaving the work list
-    is composed, on both sides, with every position kept so far, so each
-    composable pair is composed once its later member leaves the list.
-    """
-    found: dict[frozenset[int], tuple[int, ...]] = {}
-    for k in range(min(4, arrows) + 1):
-        for gens in itertools.combinations(range(arrows), k):
-            keep, todo = set(gens), list(gens)
-            while todo:
-                m = todo.pop()
-                for n in list(keep):
-                    for gf in (composite.get((n, m), -1), composite.get((m, n), -1)):
-                        if gf >= 0 and gf not in keep:
-                            keep.add(gf)
-                            todo.append(gf)
-            found.setdefault(frozenset(keep), gens)
-    return list(found.items())
-
-
-def _object_set_samples(
-    cat: FinCat,
-) -> Iterator[tuple[list[str], list[tuple[tuple, list[str]]]]]:
-    """Each object set of at most 3 objects, in combination order over the
-    sorted objects, with its sampled diagrams, one per composition closure:
-    (key, generating arrows) pairs, the key being the objects and the sorted
-    closure, the generators the first of at most 4 non-identity arrows, in
-    combination order, that generate it.
-
-    The closures on a set depend only on the shape of the full subcategory
-    on it: the positions of its non-identity arrows' ends among the objects
-    and of their composites among the arrows.  They are enumerated once per
-    shape and named for each set that has it.
-    """
-    between: dict[tuple[str, str], list[str]] = {}
-    for m in cat.morphisms:
-        if not cat.is_identity(m):
-            between.setdefault((cat.dom[m], cat.cod[m]), []).append(m)
-    by_shape: dict[tuple, Closures] = {}
-    for r in range(1, 4):
-        for objs in itertools.combinations(sorted(cat.objects), r):
-            at = {o: k for k, o in enumerate(objs)}
-            inner = sorted(m for a in objs for b in objs for m in between.get((a, b), ()))
-            index = {m: k for k, m in enumerate(inner)}
-            ends = tuple((at[cat.dom[m]], at[cat.cod[m]]) for m in inner)
-            pairs = [
-                (a, b) for a, (s, _) in enumerate(ends) for b, (_, t) in enumerate(ends) if s == t
-            ]
-            composites = tuple(index.get(cat.table[(inner[a], inner[b])], -1) for a, b in pairs)
-            shape = (ends, composites)
-            if shape not in by_shape:
-                by_shape[shape] = _closures(len(inner), dict(zip(pairs, composites)))
-            ids = [cat.identity[o] for o in objs]
-            yield list(objs), [
-                ((objs, tuple(sorted(ids + [inner[c] for c in closure]))), [inner[g] for g in gens])
-                for closure, gens in by_shape[shape]
-            ]
-
-
-def _binding_targets(cat: FinCat) -> frozenset[str]:
-    """The objects t with two arrows x -> t from some x.
-
-    Only an arrow into one of them can bind a cone.  For m : s -> t into any
-    other object, m∘leg_s and leg_t lie in a hom with at most one element,
-    so they agree; the cones over a diagram, and with them its limits, are
-    those over its arrows into binding targets.
-    """
-    return frozenset(
-        t for t in cat.objects if any(len(cat.hom(x, t)) > 1 for x in cat.objects)
-    )
-
-
-def _pushed_limit_failure(
-    colim: ColimitCat,
-    lift: OneCellLift,
-    back: dict[str, str],
-    objs: list[str],
-    binding: tuple[str, ...],
-    families: Cones,
-    limit: tuple[str, dict[str, str]] | None,
-    sizes: HomSizes,
-) -> str | None:
-    """How the stage-wise limit formula fails for a sample on ``objs`` with
-    binding arrows ``binding`` whose stage limit is ``limit``, or None where
-    it holds: the limit, pushed to the colimit along the cocone and the
-    inverse comparison ``back``, must be limiting there.  ``sizes`` is
-    :func:`_hom_sizes` of the colimit."""
-    if limit is None:
-        return "no stage limit"
-    res = colim.result
-    apex, legs = limit
-    q, b = colim.cocone[lift.stage], lift.functor
-    pushed_apex = q.obj_map[apex]
-    pushed = tuple(res.table[(back[o], q.mor_map[legs[b.obj_map[o]]])] for o in objs)
-    cones = _cones(res, objs, list(binding), families) if binding else families
-    counts = tuple(len(cones[x]) for x in res.objects)
-    if (
-        pushed in cones[pushed_apex]
-        and sizes[pushed_apex] == counts
-        and _is_injective(res, pushed_apex, pushed, cones)
-    ):
-        return None
-    return "pushed cone not limiting"
-
-
-def _sample_verdicts(colim: ColimitCat) -> Iterator[tuple[tuple, str, str | None]]:
-    """(key, stage, reason) for each distinct sampled diagram in the colimit,
-    in sample order; ``reason`` names how the stage-wise limit formula
-    fails, or is None where it holds.
-
-    The colimit is lifted to a stage once, through the identity functor;
-    the lift's restriction to a sample lifts it, with the same comparison
-    components, so every sample is mapped into that one stage.  The search
-    meets only thin colimits here (a finite lex category is thin, and so is
-    a filtered colimit of thin categories), where a functor is fixed by its
-    object map.  The limit in the stage, pushed to the colimit along the
-    cocone and the inverse comparison, must be limiting.  Cones are decided
-    over the generating arrows, whose cones are those over their
-    composition closure, and of those only over the arrows that can bind a
-    cone (:func:`_binding_targets`), in the colimit and in the stage alike.
-    The families Π_o hom(x, o), formed from homs read once per colimit, are
-    shared by the samples of an object set, and the samples of all sets are
-    enumerated once per shape (:func:`_object_set_samples`).
-
-    Stage limits are kept per (image objects, binding image arrows): the
-    colimit holds isomorphic copies of stage objects, so distinct object
-    sets often map to the same stage diagram.  A sample's verdict depends
-    only on its object set, its binding arrows and its stage limit, so it
-    is decided once per (binding arrows, binding image arrows) within a
-    set.  The bundled lex colimits and their fibers are thin, so no arrow
-    binds there: the 1,364 samples need 192 decisions, one per object set.
+    The colimit must be thin, and is when it is a filtered colimit of lex
+    categories: a finite lex category is thin, and so is a filtered colimit
+    of thin categories.  In a thin category every diagram on a set of
+    objects has the cones of the discrete diagram on it, so one decision
+    per set covers every diagram on it, whatever its arrows.  Each set is
+    lifted to the covering stage (:func:`_covering_stage`) by its objects'
+    preimages; their limit there, pushed along the leg and the unique
+    arrows back, must be limiting in the colimit.
     """
     res = colim.result
-    lift = lift_one_cell(res, colim, identity_functor(res))
-    stage, b = lift.stage, lift.functor
-    fiber = colim.diagram.on0[stage]
-    targets, binds_in_stage = _binding_targets(res), _binding_targets(fiber)
-    binds = {m for m in res.morphisms if res.cod[m] in targets}
-    binds_image = {m for m in res.morphisms if b.obj_map[res.cod[m]] in binds_in_stage}
-    back = {o: res.must_inverse(c) for o, c in lift.comparison.components.items()}
-    homs = {x: {o: res.hom(x, o) for o in res.objects} for x in res.objects}
-    sizes = {p: tuple(len(homs[x][p]) for x in res.objects) for p in res.objects}
-    stage_limits: dict[tuple, tuple[str, dict[str, str]] | None] = {}
-    for objs, samples in _object_set_samples(res):
-        families = {x: list(itertools.product(*[row[o] for o in objs])) for x, row in homs.items()}
-        image_objs = tuple(sorted({b.obj_map[o] for o in objs}))
-        decided: dict[tuple, str | None] = {}
-        for key, mors in samples:
-            binding = tuple(m for m in mors if m in binds)
-            image_mors = tuple(sorted({b.mor_map[m] for m in mors if m in binds_image}))
-            limit_key = (image_objs, image_mors)
-            if limit_key not in stage_limits:
-                stage_limits[limit_key] = limit_of_diagram(fiber, list(image_objs), list(image_mors))
-            if (binding, image_mors) not in decided:
-                decided[(binding, image_mors)] = _pushed_limit_failure(
-                    colim, lift, back, objs, binding, families, stage_limits[limit_key], sizes
+    for x in res.objects:
+        for y in res.objects:
+            if len(res.hom(x, y)) > 1:
+                raise ValidationError(
+                    res.name, [f"colimit not thin: hom({x}, {y}) has {len(res.hom(x, y))} arrows"]
                 )
-            yield key, stage, decided[(binding, image_mors)]
+    stage, preimage = _covering_stage(colim)
+    fiber, q = colim.diagram.on0[stage], colim.cocone[stage]
+    sizes = _hom_sizes(fiber)
+    back = {o: res.hom(q.obj_map[a], o)[0] for o, a in preimage.items()}
+    verdicts = []
+    for r in range(1, 4):
+        for objs in itertools.combinations(sorted(res.objects), r):
+            pre = sorted({preimage[o] for o in objs})
+            limit = _first_limit(fiber, {x: _hom_product(fiber, x, pre) for x in fiber.objects}, sizes)
+            if limit is None:
+                verdicts.append((objs, stage, "no stage limit"))
+                continue
+            apex, legs = limit
+            leg = dict(zip(pre, legs))
+            pushed = tuple(res.table[(back[o], q.mor_map[leg[preimage[o]]])] for o in objs)
+            families = {x: _hom_product(res, x, list(objs)) for x in res.objects}
+            limiting = _is_limiting(res, q.obj_map[apex], pushed, families)
+            verdicts.append((objs, stage, None if limiting else "pushed cone not limiting"))
+    return verdicts
 
 
 def verify_lex_bicolimit(colim: ColimitCat) -> LexColimitReport:
@@ -426,10 +318,12 @@ def verify_lex_bicolimit(colim: ColimitCat) -> LexColimitReport:
     its computed colimit.
 
     (a) the colimit has the witness triple; (b) every inclusion is a lex
-    functor; (c) for each sampled diagram in the colimit, lifting it to a
-    stage, taking the limit there, and pushing back yields a limit.  A fiber
+    functor; (c) for each set of at most 3 objects of the colimit, and so
+    for every diagram on it, lifting it to a stage, taking the limit there,
+    and pushing back yields a limit (:func:`_object_set_verdicts`).  A fiber
     or transition of ``colim.diagram`` that is not lex raises
-    :class:`NotLexError`.
+    :class:`NotLexError`; a colimit that is not thin, or that no stage
+    covers, raises :class:`ValidationError`.
     """
     pf = colim.diagram
     reports: dict[str, LexReport] = {}
@@ -443,10 +337,10 @@ def verify_lex_bicolimit(colim: ColimitCat) -> LexColimitReport:
             raise NotLexError(f"leg at {d!r} is not lex: {verdict.counterexample}")
     colimit_lex = finite_limit_witnesses(colim.result)
     legs_lex = {i: _preserves_witnesses(colim.cocone[i], reports[i]) for i in reports}
-    verdicts = list(_sample_verdicts(colim))
+    verdicts = _object_set_verdicts(colim)
     failures = [
-        {"diagram": key, "stage": stage, "reason": reason}
-        for key, stage, reason in verdicts
+        {"objects": list(objs), "stage": stage, "reason": reason}
+        for objs, stage, reason in verdicts
         if reason is not None
     ]
     return LexColimitReport(colimit_lex, legs_lex, len(verdicts), failures)

@@ -279,15 +279,15 @@ def test_criterion_08_idempotent_splitting(corpus):
 
 def test_criterion_09_lex_closure(corpus):
     failures = []
-    sampled = 0
+    decided = 0
     for name, fx in by_type(corpus, DiagramFixture).items():
         if not fx.expect.get("lex"):
             continue
         report = verify_lex_bicolimit(bifiltered_bicolimit(fx.functor))
-        sampled += report.sampled_diagrams
+        decided += report.sampled_diagrams
         if not report.ok:
             failures.append((name, report.to_dict()))
-    announce("9 lex closure", not failures, f"{sampled} diagrams sampled in colimits")
+    announce("9 lex closure", not failures, f"{decided} object sets decided in colimits")
 
 
 def test_criterion_10_cofinality_transfer(corpus):

@@ -138,8 +138,22 @@ def test_compact_command(capsys):
 def test_lex_commands(capsys):
     code, _, _ = run_cli("lex", "check", fixture("probe_point.fincat.json"), capsys=capsys)
     assert code == 0
-    code, _, _ = run_cli("lex", "verify-colimit", fixture("lex_chain.diagram.json"), capsys=capsys)
-    assert code == 0
+    want = {
+        "lex_chain": ({"0": True, "1": True}, 63),
+        "lex_const": ({"a": True, "b": True, "top": True}, 129),
+    }
+    for name, (legs, decided) in want.items():
+        code, out, _ = run_cli(
+            "lex", "verify-colimit", "--format", "machine", fixture(f"{name}.diagram.json"), capsys=capsys
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "colimit_lex": True,
+            "legs_lex": legs,
+            "limit_formula_failures": [],
+            "ok": True,
+            "sampled_diagrams": decided,
+        }
 
 
 def test_verify_empty_corpus_warns_and_passes(tmp_path, capsys):

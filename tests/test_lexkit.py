@@ -1,13 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import sys
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from test_associativity import (
-    FUNCTOR_CATEGORIES,
     posets,
     preorders,
     transformation_monoid,
@@ -20,8 +20,6 @@ from bicolim import corpus, fincat, lexkit, zoo
 from bicolim.colim import bifiltered_bicolimit
 from bicolim.compact import OneCellLift, lift_one_cell
 from bicolim.fincat import (
-    Functor,
-    NatTrans,
     ValidationError,
     _assemble_composed,
     build_fincat,
@@ -30,28 +28,24 @@ from bicolim.fincat import (
     compose_functors,
     enumerate_functors,
     fincat_violations,
-    functor_violations,
     identity_functor,
-    nattrans_violations,
     natural_iso_search,
 )
 from bicolim.lexkit import (
-    _binding_targets,
     _cones,
     _equalizing_cones,
     _first_limit,
     _hom_product,
     _hom_sizes,
     _is_limiting,
-    _object_set_samples,
+    _object_set_verdicts,
     _product_cones,
-    _sample_verdicts,
     finite_limit_witnesses,
     is_lex_functor,
     limit_of_diagram,
     verify_lex_bicolimit,
 )
-from bicolim.twocat import constant_pseudofunctor, locally_discrete
+from bicolim.twocat import build_pseudofunctor, constant_pseudofunctor, locally_discrete
 
 
 def diamond():
@@ -347,10 +341,10 @@ def test_nonlex_fiber_rejected():
 
 # -- the sampled diagrams one by one, the oracle -----------------------------------
 #
-# ``lexkit`` enumerates each object set's distinct composition closures once
-# per shape and lifts the whole colimit once.  The functions below are the
-# path it replaced: every raw sample enumerated and closed, repeats dropped,
-# and each object set's full subcategory assembled and lifted on its own.
+# ``lexkit`` decides the stage-wise limit formula once per object set of the
+# colimit.  The functions below are the path it replaced: every diagram with
+# at most 3 objects and 4 non-identity arrows enumerated and closed under
+# composition, repeats dropped, and each one lifted to a stage on its own.
 
 
 def sample_diagrams(cat, max_objects=3, max_morphisms=4):
@@ -412,54 +406,6 @@ def raw_distinct_samples(cat):
         if key not in seen:
             seen.add(key)
             yield key, mors
-
-
-def lift_objects(colim, objs):
-    """A lift to a stage of the full subcategory of the colimit on ``objs``."""
-    res = colim.result
-    objset = set(objs)
-    full = generated_subcategory(
-        res, objs, [m for m in res.morphisms if res.dom[m] in objset and res.cod[m] in objset]
-    )
-    include = Functor("include", full, res, {o: o for o in objs}, {m: m for m in full.dom})
-    return lift_one_cell(full, colim, include)
-
-
-def shape_samples(cat):
-    """``lexkit``'s samples, flattened to the oracle's (key, generators) pairs."""
-    return [sample for _, samples in _object_set_samples(cat) for sample in samples]
-
-
-def side_by_side(left, right):
-    """The disjoint union of two categories, every name prefixed by its side."""
-    objects, rows, identity, table = [], [], {}, {}
-    for tag, cat in (("l", left), ("r", right)):
-        objects += [f"{tag}.{x}" for x in cat.objects]
-        rows += [(f"{tag}.{m}", f"{tag}.{cat.dom[m]}", f"{tag}.{cat.cod[m]}") for m in cat.morphisms]
-        identity.update({f"{tag}.{x}": f"{tag}.{i}" for x, i in cat.identity.items()})
-        table.update({(f"{tag}.{g}", f"{tag}.{f}"): f"{tag}.{gf}" for (g, f), gf in cat.table.items()})
-    return build_fincat("L+R", objects, rows, identity, table)
-
-
-# two one-object sets whose two arrows have the same ends but compose
-# differently: the cyclic group of order 3 and a left-zero band
-CYCLIC_BESIDE_BAND = side_by_side(
-    transformation_monoid([(1, 2, 0)], 3), transformation_monoid([(0, 0, 0), (1, 1, 1)], 3)
-)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.one_of(
-        preorders(),
-        transformation_monoids(),
-        st.sampled_from(FUNCTOR_CATEGORIES),
-        st.builds(side_by_side, transformation_monoids(), transformation_monoids()),
-    )
-)
-@example(CYCLIC_BESIDE_BAND)
-def test_per_shape_samples_match_raw_enumeration(cat):
-    assert shape_samples(cat) == list(raw_distinct_samples(cat))
 
 
 # -- restricted lifts and directly assembled samples, differential ---------------
@@ -564,8 +510,8 @@ def test_restricted_lift_matches_enumerating_oracle_on_lex_samples(name):
         assert_lift_matches_oracle(probe, colim, inclusion(probe, colim.result))
         keys.append(key)
     assert keys == [key for key, _ in raw_distinct_samples(colim.result)]
-    assert len(keys) == verify_lex_bicolimit(colim).sampled_diagrams
-    # the whole colimit, lifted once by the lemma
+    assert len({key[0] for key in keys}) == verify_lex_bicolimit(colim).sampled_diagrams
+    # the whole colimit
     assert_lift_matches_oracle(colim.result, colim, identity_functor(colim.result))
 
 
@@ -591,60 +537,20 @@ def test_restricted_lift_matches_enumerating_oracle_on_constant_diagrams(pf, dat
             assert_lift_matches_oracle(probe, colim, fun)
 
 
-# -- one lift per colimit, differential -------------------------------------------
+# -- one decision per object set, differential --------------------------------------
 #
-# ``_sample_verdicts`` lifts the whole colimit once, through its identity
-# functor, restricts that lift to each sample, and decides cones over the
-# sample's generators by comparing hom(x, apex) with the cones at x.  The
-# oracle is the per-sample path: a lift of each sample's generated
-# subcategory, then limits decided by counting mediators over its
-# composition closure.
-#
-# The stage diagram is the image graph of the lift, so a lift that sends two
-# sample objects to one stage object decides a diagram whose cones have one
-# leg there.  In a thin category that changes no verdict, and every finite
-# lex category is thin: |hom(x, aⁿ)| = |hom(x, a)|ⁿ takes finitely many
-# values only if it is at most 1.  So is a colimit of thin categories,
-# whose lift the enumerating search finds at once; on a colimit that is not
-# thin that search grows exponentially with the colimit, and two valid
-# lifts can collapse objects differently.  There the oracle decides each
-# sample on the restriction of the same whole lift, and the strategy keeps
-# to fibers that are thin or have at most 4 morphisms.
+# ``_object_set_verdicts`` lifts each object set of the colimit to the
+# covering stage by its objects' preimages and decides the discrete diagram
+# on it, which in a thin category has the cones, and so the limits, of every
+# diagram on the set.  The oracle is the per-sample path: a lift of each
+# sample's generated subcategory on its own, then limits decided by counting
+# mediators over its composition closure.  An object set fails in the one
+# exactly when some sample on it fails in the other.
 
 
-def whole_lift(colim, _objs):
-    return lift_one_cell(colim.result, colim, identity_functor(colim.result))
-
-
-def restricted_lifts(colim, samples, lift_of=whole_lift):
-    """Each sample's restriction of the lift ``lift_of`` gives for its object
-    set, checked to be a functor on the sample with a natural invertible
-    comparison."""
-    res = colim.result
-    by_objects = {}
-    out = []
-    for key, objs, _, probe in samples:
-        if key[0] not in by_objects:
-            by_objects[key[0]] = lift_of(colim, objs)
-        lift = by_objects[key[0]]
-        restricted = Functor(
-            "restricted",
-            probe,
-            lift.functor.target,
-            {o: lift.functor.obj_map[o] for o in probe.objects},
-            {m: lift.functor.mor_map[m] for m in probe.dom},
-        )
-        assert functor_violations(restricted) == []
-        comparison = NatTrans(
-            "compare",
-            inclusion(probe, res),
-            compose_functors(colim.cocone[lift.stage], restricted),
-            {o: lift.comparison.components[o] for o in probe.objects},
-        )
-        assert nattrans_violations(comparison) == []
-        assert comparison.is_invertible()
-        out.append(OneCellLift(lift.stage, restricted, comparison))
-    return out
+def sample_lifts(colim, samples):
+    """The per-sample lifts: each sample's generated subcategory on its own."""
+    return [lift_one_cell(probe, colim, inclusion(probe, colim.result)) for _, _, _, probe in samples]
 
 
 def per_sample_verdicts(colim, samples, lifts):
@@ -672,48 +578,18 @@ def per_sample_verdicts(colim, samples, lifts):
     return out
 
 
-def test_each_lex_colimit_is_lifted_once(monkeypatch):
-    """One lift per lex colimit, of its identity functor, where one per
-    object set took 63 lifts in lex_chain and 129 in lex_const."""
-    lifted = []
-
-    def counting(probe, colim, fun):
-        lifted.append((probe, fun))
-        return lift(probe, colim, fun)
-
-    lift = lexkit.lift_one_cell
-    monkeypatch.setattr(lexkit, "lift_one_cell", counting)
-    for name in sorted(corpus.LEX_DIAGRAM_BUILDERS):
-        colim = bifiltered_bicolimit(corpus.LEX_DIAGRAM_BUILDERS[name]())
-        lifted.clear()
-        assert verify_lex_bicolimit(colim).sampled_diagrams > 0
-        assert len(lifted) == 1
-        probe, fun = lifted[0]
-        assert probe is colim.result
-        assert fun.source is fun.target is colim.result
-        assert fun.obj_map == {x: x for x in probe.objects}
-        assert fun.mor_map == {m: m for m in probe.dom}
+def oracle_failures(colim, samples):
+    """Each object set with a failing sample, mapped to the reasons its
+    failing samples give."""
+    failing = {}
+    for key, _, reason in per_sample_verdicts(colim, samples, sample_lifts(colim, samples)):
+        if reason is not None:
+            failing.setdefault(key[0], set()).add(reason)
+    return failing
 
 
-def sample_lifts(colim, samples):
-    """The per-sample lifts: each sample's generated subcategory on its own."""
-    return [lift_one_cell(probe, colim, inclusion(probe, colim.result)) for _, _, _, probe in samples]
-
-
-def without_stage(verdicts):
-    return [(key, reason) for key, _, reason in verdicts]
-
-
-@pytest.mark.parametrize("name", sorted(corpus.LEX_DIAGRAM_BUILDERS))
-def test_object_set_lifts_match_per_sample_path_on_lex_samples(name):
-    colim = bifiltered_bicolimit(corpus.LEX_DIAGRAM_BUILDERS[name]())
-    samples = list(distinct_samples(colim.result))
-    got = list(_sample_verdicts(colim))
-    assert got == per_sample_verdicts(colim, samples, restricted_lifts(colim, samples))
-    for lifts in (sample_lifts(colim, samples), restricted_lifts(colim, samples, lift_objects)):
-        assert without_stage(got) == without_stage(per_sample_verdicts(colim, samples, lifts))
-    assert len(got) == len(samples)
-    assert all(reason is None for _, _, reason in got)
+def decided_failures(verdicts):
+    return {objs: {reason} for objs, _, reason in verdicts if reason is not None}
 
 
 def is_thin(cat):
@@ -725,97 +601,108 @@ def fiber_of(pf):
     return pf.on0[pf.source.cells0[0]]
 
 
-# a parallel pair over a stage below a top: its arrows bind cones, and the
-# product of its two objects does not exist while the equalizer does
-PARALLEL_OVER_TWO_STAGES = constant_pseudofunctor(
-    locally_discrete(zoo.poset("P", [("p0", "p1"), ("p0", "p0"), ("p1", "p1")])), zoo.parallel_pair()
-)
+@pytest.mark.parametrize("name", sorted(corpus.LEX_DIAGRAM_BUILDERS))
+def test_object_set_lifts_match_per_sample_path_on_lex_samples(name):
+    colim = bifiltered_bicolimit(corpus.LEX_DIAGRAM_BUILDERS[name]())
+    samples = list(distinct_samples(colim.result))
+    verdicts = _object_set_verdicts(colim)
+    assert [objs for objs, _, _ in verdicts] == list(dict.fromkeys(key[0] for key, _, _, _ in samples))
+    assert decided_failures(verdicts) == oracle_failures(colim, samples) == {}
 
 
 @settings(max_examples=25, deadline=None)
-@given(constant_diagrams().filter(lambda pf: is_thin(fiber_of(pf)) or len(fiber_of(pf).dom) <= 4))
-@example(PARALLEL_OVER_TWO_STAGES)
+@given(constant_diagrams().filter(lambda pf: is_thin(fiber_of(pf))))
 def test_object_set_lifts_match_per_sample_path_on_constant_diagrams(pf):
     colim = bifiltered_bicolimit(pf)
     samples = list(itertools.islice(distinct_samples(colim.result), 120))
-    got = list(itertools.islice(_sample_verdicts(colim), len(samples)))
-    assert got == per_sample_verdicts(colim, samples, restricted_lifts(colim, samples))
-    if is_thin(colim.result):
-        for lifts in (sample_lifts(colim, samples), restricted_lifts(colim, samples, lift_objects)):
-            assert without_stage(got) == without_stage(per_sample_verdicts(colim, samples, lifts))
+    sets = {key[0] for key, _, _, _ in samples}
+    verdicts = [v for v in _object_set_verdicts(colim) if v[0] in sets]
+    assert len(verdicts) == len(sets)
+    assert decided_failures(verdicts) == oracle_failures(colim, samples)
 
 
-# -- arrows that cannot bind a cone ---------------------------------------------
-#
-# ``_sample_verdicts`` drops every arrow into an object with at most one
-# arrow from each object.  The bundled lex colimits are thin, so there it
-# drops every arrow; the categories below are not thin, and a terminal
-# object is adjoined so that some arrows can be dropped and others not.
-
-
-def with_terminal(cat):
-    """``cat`` with a terminal object ``top`` adjoined."""
-    bang = {x: f"!{x}" for x in (*cat.objects, "top")}
-    rows = [(m, cat.dom[m], cat.cod[m]) for m in cat.morphisms]
-    rows += [(b, x, "top") for x, b in bang.items()]
-    table = dict(cat.table)
-    for m in cat.morphisms:
-        table[(bang[cat.cod[m]], m)] = bang[cat.dom[m]]
-    for b in bang.values():
-        table[(bang["top"], b)] = b
-    return build_fincat(
-        f"{cat.name}+top", [*cat.objects, "top"], rows, {**cat.identity, "top": bang["top"]}, table
+def monotone(name, source, target, obj_map):
+    """The functor between preorders with the given object map."""
+    return build_functor(
+        name,
+        source,
+        target,
+        obj_map,
+        {m: target.hom(obj_map[source.dom[m]], obj_map[source.cod[m]])[0] for m in source.dom},
     )
 
 
-@st.composite
-def diagrams_in_non_thin_categories(draw):
-    base = draw(st.one_of(transformation_monoids(), st.sampled_from(FUNCTOR_CATEGORIES), posets()))
-    cat = with_terminal(base)
-    assume(not is_thin(cat))
-    objs = draw(st.sets(st.sampled_from(base.objects), max_size=2))
-    objs = sorted(objs | ({"top"} if draw(st.booleans()) else set()))
-    inner = [m for m in cat.morphisms if cat.dom[m] in objs and cat.cod[m] in objs]
-    mors = draw(st.lists(st.sampled_from(inner), max_size=4, unique=True)) if inner else []
-    return cat, objs, mors
-
-
-@settings(max_examples=150, deadline=None)
-@given(diagrams_in_non_thin_categories())
-def test_arrows_that_cannot_bind_change_no_cone_and_no_limit(diagram):
-    cat, objs, mors = diagram
-    targets = _binding_targets(cat)
-    assert targets == {
-        t for t in cat.objects if any(len(cat.hom(x, t)) > 1 for x in cat.objects)
+def test_object_set_lifts_and_per_sample_path_both_flag_a_leg_that_breaks_a_meet():
+    # stage 0 is a pentagon, where l ∧ r = bot; stage 1 has l ∧ r = m above
+    # b.  The transition, bot ↦ m, is lex, and the colimit is stage 1.  The
+    # planted leg out of stage 0 sends bot to b instead: it reaches every
+    # object, so stage 0 covers, and it breaks the meet of l and r.
+    pentagon = zoo.poset("X", [("bot", "m"), ("m", "l"), ("l", "top"), ("bot", "r"), ("r", "top")])
+    above = zoo.poset("R", [("b", "m"), ("m", "l"), ("m", "r"), ("l", "t"), ("r", "t")])
+    tc = locally_discrete(zoo.chain(2), name="chain2")
+    on1 = {
+        "le_0_0": identity_functor(pentagon),
+        "le_1_1": identity_functor(above),
+        "le_0_1": monotone("lex", pentagon, above, {"bot": "m", "m": "m", "l": "l", "r": "r", "top": "t"}),
     }
-    assert "top" not in targets
-    binding = [m for m in mors if cat.cod[m] in targets]
-    families = {x: _hom_product(cat, x, objs) for x in cat.objects}
-    cones = _cones(cat, objs, binding, families)
-    assert cones == _cones(cat, objs, mors, families)
-    for x in cat.objects:
-        assert [dict(zip(objs, legs)) for legs in cones[x]] == cone_over(cat, x, objs, mors)
-    assert limit_of_diagram(cat, objs, binding) == limit_of_diagram(cat, objs, mors)
+    on2 = {tc.id2(f): fincat.identity_nattrans(on1[f]) for f in tc.one_home}
+    colim = bifiltered_bicolimit(build_pseudofunctor("X->R", tc, {"0": pentagon, "1": above}, on1, on2))
+    assert verify_lex_bicolimit(colim).ok
+    breaks = monotone("breaks", pentagon, above, {"bot": "b", "m": "m", "l": "l", "r": "r", "top": "t"})
+    planted = dataclasses.replace(
+        colim, cocone={**colim.cocone, "0": compose_functors(colim.cocone["1"], breaks)}
+    )
+    report = verify_lex_bicolimit(planted)
+    assert not report.ok and not report.legs_lex["0"]
+    decided = decided_failures(_object_set_verdicts(planted))
+    oracle = oracle_failures(planted, list(distinct_samples(planted.result)))
+    assert decided == oracle
+    l_and_r = tuple(sorted(colim.cocone["1"].obj_map[o] for o in ("l", "r")))
+    assert decided[l_and_r] == {"pushed cone not limiting"}
+    assert report.limit_formula_failures == [
+        {"objects": list(objs), "stage": "0", "reason": "pushed cone not limiting"} for objs in decided
+    ]
 
 
-def test_lex_samples_need_one_decision_per_object_set(monkeypatch):
-    """On the bundled lex colimits, which are thin, no arrow binds a cone,
-    so the 1,364 samples are decided once per object set: 192 decisions."""
-    decided = []
-
-    def counting(*args):
-        decided.append(args[3])
-        return decide(*args)
-
-    decide = lexkit._pushed_limit_failure
-    monkeypatch.setattr(lexkit, "_pushed_limit_failure", counting)
-    samples = 0
+def test_lex_samples_need_one_decision_per_object_set():
+    """One decision per set of 1–3 objects of the colimit, all at the
+    covering stage: 63 in lex_chain at stage '1', and 129 in lex_const at
+    stage 'a', where the 1,364 samples were decided before."""
+    got = {}
     for name in sorted(corpus.LEX_DIAGRAM_BUILDERS):
         colim = bifiltered_bicolimit(corpus.LEX_DIAGRAM_BUILDERS[name]())
-        assert is_thin(colim.result)
-        samples += len(list(_sample_verdicts(colim)))
-    assert (samples, len(decided)) == (1364, 192)
-    assert len({tuple(objs) for objs in decided}) == 192
+        verdicts = _object_set_verdicts(colim)
+        assert len({objs for objs, _, _ in verdicts}) == len(verdicts)
+        got[name] = (len(verdicts), {stage for _, stage, _ in verdicts})
+    assert got == {"lex_chain": (63, {"1"}), "lex_const": (129, {"a"})}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(preorders(), valid_categories))
+@example(diamond())
+@example(zoo.walking_iso())
+def test_finite_lex_categories_are_thin(cat):
+    # |hom(x, a)| ≥ 2 would give |hom(x, aⁿ)| ≥ 2ⁿ for every n
+    if finite_limit_witnesses(cat).ok:
+        assert is_thin(cat)
+
+
+def test_a_colimit_that_is_not_thin_is_refused():
+    colim = bifiltered_bicolimit(corpus.lex_constant())
+    planted = dataclasses.replace(colim, result=transformation_monoid([(1, 0)], 2))
+    with pytest.raises(ValidationError, match=r"colimit not thin: hom\(\*, \*\) has 2 arrows"):
+        verify_lex_bicolimit(planted)
+
+
+def test_a_colimit_that_no_stage_covers_is_refused():
+    # the diamond's leg sends r to l's image, so no leg reaches r
+    colim = bifiltered_bicolimit(corpus.lex_chain_semilattices())
+    leg = colim.cocone["1"]
+    big = leg.source
+    squash = monotone("squash", big, big, {"bot": "bot", "l": "l", "r": "l", "top": "top"})
+    planted = dataclasses.replace(colim, cocone={**colim.cocone, "1": compose_functors(leg, squash)})
+    with pytest.raises(ValidationError, match="no stage reaches every object of the colimit"):
+        verify_lex_bicolimit(planted)
 
 
 @pytest.mark.parametrize("name", sorted(corpus.LEX_DIAGRAM_BUILDERS))
@@ -886,10 +773,6 @@ def test_distinct_samples_match_scanning_closure_on_lex_colimits(name):
             seen.add(key)
             want.append((key, mors))
     assert list(raw_distinct_samples(cat)) == want
-    assert shape_samples(cat) == want
-    assert [objs for objs, _ in _object_set_samples(cat)] == [
-        list(objs) for objs in dict.fromkeys(key[0] for key, _ in want)
-    ]
 
 
 def refuse_replay(*args):
