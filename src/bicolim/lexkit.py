@@ -1,22 +1,25 @@
 """Finite-limit structure detection and its stability under filtered colimits.
 
 Finite completeness is reduced to the standard generating triple: a terminal
-object, binary products, and equalizers of parallel pairs.  Every universal
-property is certified by exhaustive search.
+object, binary products, and equalizers of parallel pairs.  The terminal
+object and the products are certified by exhaustive search.
 
-A finite lex category is a preorder: |hom(x, a)| ≥ 2 would give
-|hom(x, aⁿ)| ≥ 2ⁿ for every n, which no finite category allows (the finite
-case of Freyd's theorem that a small complete category is a preorder).  A
-filtered colimit of preorders is a preorder, and in a preorder the limit of a
-diagram depends only on its set of objects.  So the colimit verification
-decides the stage-wise limit formula once per set of at most 3 objects of the
-colimit, at one stage that covers them all, and that decision holds for
-every diagram on the set.
+A finite category with binary products is a preorder: |hom(x, a)| ≥ 2 would
+give |hom(x, aⁿ)| ≥ 2ⁿ for every n (the finite case of Freyd's theorem that
+a small complete category is a preorder).  So every parallel pair is then
+(f, f), whose equalizer is written and preserved by every functor.  In a
+preorder the limit of a diagram is the meet of its objects, the object whose
+hom-size column |hom(x, p)| is the product of theirs, and a filtered colimit
+of preorders is a preorder.  So the colimit verification decides the
+stage-wise limit formula by hom-size columns once per set of at most 3
+objects of the colimit, and that decision holds for every diagram on it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -36,23 +39,6 @@ class NotLexError(ValueError):
 Cones = dict[str, list[tuple[str, ...]]]
 # object p -> |hom(x, p)| for each x in object order
 HomSizes = dict[str, tuple[int, ...]]
-
-
-def _hom_product(cat: FinCat, x: str, objs: list[str]) -> list[tuple[str, ...]]:
-    """Every family of arrows x -> o, one for each o in ``objs``, in product order."""
-    return list(itertools.product(*[cat.hom(x, o) for o in objs]))
-
-
-def _cones(cat: FinCat, objs: list[str], mors: list[str], families: Cones) -> Cones:
-    """For each apex x, the families out of x, legs in ``objs`` order, that
-    commute with every arrow of ``mors``: the cones over that graph."""
-    at = {o: k for k, o in enumerate(objs)}
-    arrows = [(m, at[cat.dom[m]], at[cat.cod[m]]) for m in mors]
-    table = cat.table
-    return {
-        x: [legs for legs in out if all(table[(m, legs[s])] == legs[t] for m, s, t in arrows)]
-        for x, out in families.items()
-    }
 
 
 def _hom_sizes(cat: FinCat) -> HomSizes:
@@ -102,32 +88,23 @@ def _first_limit(cat: FinCat, cones: Cones, sizes: HomSizes) -> tuple[str, tuple
     return None
 
 
-def limit_of_diagram(
-    cat: FinCat, objs: list[str], mors: list[str]
-) -> tuple[str, dict[str, str]] | None:
-    """A limiting cone over a finite graph diagram, or None.
-
-    Cones are tried apex by apex in object order, legs in product order over
-    the sorted objects; the first limiting one is returned.
-    """
-    objs = sorted(set(objs))
-    families = {x: _hom_product(cat, x, objs) for x in cat.objects}
-    hit = _first_limit(cat, _cones(cat, objs, mors, families), _hom_sizes(cat))
-    return None if hit is None else (hit[0], dict(zip(objs, hit[1])))
-
-
 def _product_cones(cat: FinCat, a: str, b: str) -> Cones:
     """For each x, every pair of arrows (x -> a, x -> b); the legs are
     independent, so a = b gives pairs too."""
     return {x: list(itertools.product(cat.hom(x, a), cat.hom(x, b))) for x in cat.objects}
 
 
-def _equalizing_cones(cat: FinCat, f: str, g: str) -> Cones:
-    """For each x, the arrows h: x -> dom f with f∘h = g∘h, as one-leg cones."""
-    a, table = cat.dom[f], cat.table
-    return {
-        x: [(h,) for h in cat.hom(x, a) if table[(f, h)] == table[(g, h)]] for x in cat.objects
-    }
+def _product_column(sizes: HomSizes, objs: Iterable[str]) -> tuple[int, ...]:
+    """The hom-size column of a product of ``objs``: at each x, the product
+    of the |hom(x, o)|."""
+    return tuple(map(math.prod, zip(*(sizes[o] for o in objs))))
+
+
+def _meet(sizes: HomSizes, objs: Iterable[str]) -> str | None:
+    """In a thin category, the meet of ``objs``: the first object, in object
+    order, whose hom-size column is their product column."""
+    column = _product_column(sizes, objs)
+    return next((p for p, c in sizes.items() if c == column), None)
 
 
 @dataclass
@@ -150,7 +127,11 @@ class LexReport:
 
 
 def finite_limit_witnesses(cat: FinCat) -> LexReport:
-    """Terminal object, binary products and equalizers, with certificates."""
+    """Terminal object, binary products and equalizers, with certificates.
+
+    Once every product, a × a included, is found, the category is thin, and
+    the equalizer of (f, f) is written: the first object with the hom-size
+    column of dom f, with its unique arrow into dom f."""
     sizes = _hom_sizes(cat)
     hit = _first_limit(cat, {x: [()] for x in cat.objects}, sizes)
     if hit is None:
@@ -164,13 +145,9 @@ def finite_limit_witnesses(cat: FinCat) -> LexReport:
         products[(a, b)] = (got[0], *got[1])
     equalizers = {}
     for f in cat.morphisms:
-        for g in cat.hom(cat.dom[f], cat.cod[f]):
-            if f > g:
-                continue
-            got = _first_limit(cat, _equalizing_cones(cat, f, g), sizes)
-            if got is None:
-                return LexReport(False, failure={"shape": "equalizer", "pair": [f, g]})
-            equalizers[(f, g)] = (got[0], got[1][0])
+        a = cat.dom[f]
+        e = _meet(sizes, [a])
+        equalizers[(f, f)] = (e, cat.hom(e, a)[0])
     return LexReport(True, terminal, products, equalizers)
 
 
@@ -185,7 +162,9 @@ def is_lex_functor(fun: Functor) -> Verdict:
 
 def _preserves_witnesses(fun: Functor, src_report: LexReport) -> Verdict:
     """:func:`is_lex_functor` on the witness report of ``fun.source``, so a
-    caller with many functors out of one category computes it once."""
+    caller with many functors out of one category computes it once.  A lex
+    source is thin, so its equalizer legs are isomorphisms, which every
+    functor preserves; only the terminal object and products are checked."""
     if not src_report.ok:
         return negative("lex-functor", {"reason": "source not lex", **src_report.failure})
     tgt = fun.target
@@ -197,33 +176,12 @@ def _preserves_witnesses(fun: Functor, src_report: LexReport) -> Verdict:
                 {"reason": "terminal not preserved", "at": x, "image": t_img},
             )
     for (a, b), (p, l1, l2) in src_report.products.items():
-        if not _is_product_cone(
-            tgt, fun.obj_map[p], fun.mor_map[l1], fun.mor_map[l2],
-            fun.obj_map[a], fun.obj_map[b],
-        ):
+        cones = _product_cones(tgt, fun.obj_map[a], fun.obj_map[b])
+        if not _is_limiting(tgt, fun.obj_map[p], (fun.mor_map[l1], fun.mor_map[l2]), cones):
             return negative(
                 "lex-functor", {"reason": "product not preserved", "pair": [a, b]}
             )
-    for (f, g), (e, eq) in src_report.equalizers.items():
-        if not _is_equalizer_cone(tgt, fun.obj_map[e], fun.mor_map[eq], fun.mor_map[f], fun.mor_map[g]):
-            return negative(
-                "lex-functor", {"reason": "equalizer not preserved", "pair": [f, g]}
-            )
     return positive("lex-functor", [{"terminal": t_img}])
-
-
-def _is_product_cone(cat: FinCat, apex: str, l1: str, l2: str, a: str, b: str) -> bool:
-    if cat.dom[l1] != apex or cat.cod[l1] != a or cat.dom[l2] != apex or cat.cod[l2] != b:
-        return False
-    return _is_limiting(cat, apex, (l1, l2), _product_cones(cat, a, b))
-
-
-def _is_equalizer_cone(cat: FinCat, apex: str, eq: str, f: str, g: str) -> bool:
-    if cat.dom[eq] != apex or cat.cod[eq] != cat.dom[f]:
-        return False
-    if cat.table[(f, eq)] != cat.table[(g, eq)]:
-        return False
-    return _is_limiting(cat, apex, (eq,), _equalizing_cones(cat, f, g))
 
 
 # ---------------------------------------------------------------------------
@@ -276,40 +234,32 @@ def _object_set_verdicts(colim: ColimitCat) -> list[tuple[tuple[str, ...], str, 
     combination order over the sorted objects; ``reason`` names how the
     stage-wise limit formula fails on the set, or is None where it holds.
 
-    The colimit must be thin, and is when it is a filtered colimit of lex
-    categories: a finite lex category is thin, and so is a filtered colimit
-    of thin categories.  In a thin category every diagram on a set of
-    objects has the cones of the discrete diagram on it, so one decision
-    per set covers every diagram on it, whatever its arrows.  Each set is
-    lifted to the covering stage (:func:`_covering_stage`) by its objects'
-    preimages; their limit there, pushed along the leg and the unique
-    arrows back, must be limiting in the colimit.
+    The fibers must be lex, so thin, and the colimit must be thin, as a
+    filtered colimit of thin categories is.  In a thin category every
+    diagram on a set of objects has their meet (:func:`_meet`) as limit, so
+    one decision per set covers every diagram on it.  The leg of the
+    covering stage (:func:`_covering_stage`) must send the meet of the
+    set's preimages to an object with the set's product column.
     """
     res = colim.result
-    for x in res.objects:
-        for y in res.objects:
-            if len(res.hom(x, y)) > 1:
-                raise ValidationError(
-                    res.name, [f"colimit not thin: hom({x}, {y}) has {len(res.hom(x, y))} arrows"]
-                )
+    res_sizes = _hom_sizes(res)
+    for ix, x in enumerate(res.objects):
+        for y, column in res_sizes.items():
+            if column[ix] > 1:
+                raise ValidationError(res.name, [f"colimit not thin: hom({x}, {y}) has {column[ix]} arrows"])
     stage, preimage = _covering_stage(colim)
-    fiber, q = colim.diagram.on0[stage], colim.cocone[stage]
-    sizes = _hom_sizes(fiber)
-    back = {o: res.hom(q.obj_map[a], o)[0] for o, a in preimage.items()}
+    fiber_sizes, q = _hom_sizes(colim.diagram.on0[stage]), colim.cocone[stage]
     verdicts = []
     for r in range(1, 4):
         for objs in itertools.combinations(sorted(res.objects), r):
-            pre = sorted({preimage[o] for o in objs})
-            limit = _first_limit(fiber, {x: _hom_product(fiber, x, pre) for x in fiber.objects}, sizes)
-            if limit is None:
-                verdicts.append((objs, stage, "no stage limit"))
-                continue
-            apex, legs = limit
-            leg = dict(zip(pre, legs))
-            pushed = tuple(res.table[(back[o], q.mor_map[leg[preimage[o]]])] for o in objs)
-            families = {x: _hom_product(res, x, list(objs)) for x in res.objects}
-            limiting = _is_limiting(res, q.obj_map[apex], pushed, families)
-            verdicts.append((objs, stage, None if limiting else "pushed cone not limiting"))
+            apex = _meet(fiber_sizes, [preimage[o] for o in objs])
+            if apex is None:
+                reason = "no stage limit"
+            elif res_sizes[q.obj_map[apex]] != _product_column(res_sizes, objs):
+                reason = "pushed cone not limiting"
+            else:
+                reason = None
+            verdicts.append((objs, stage, reason))
     return verdicts
 
 
@@ -320,7 +270,7 @@ def verify_lex_bicolimit(colim: ColimitCat) -> LexColimitReport:
     (a) the colimit has the witness triple; (b) every inclusion is a lex
     functor; (c) for each set of at most 3 objects of the colimit, and so
     for every diagram on it, lifting it to a stage, taking the limit there,
-    and pushing back yields a limit (:func:`_object_set_verdicts`).  A fiber
+    and pushing it along the leg yields a limit (:func:`_object_set_verdicts`).  A fiber
     or transition of ``colim.diagram`` that is not lex raises
     :class:`NotLexError`; a colimit that is not thin, or that no stage
     covers, raises :class:`ValidationError`.

@@ -156,6 +156,31 @@ def test_lex_commands(capsys):
         }
 
 
+def test_lex_check_names_a_missing_product(tmp_path, capsys):
+    # a with an idempotent e, and a terminal t: a × a would need four arrows out of a
+    doc = {
+        "kind": "fincat",
+        "name": "idem_t",
+        "objects": ["a", "t"],
+        "morphisms": [
+            {"name": "id_a", "dom": "a", "cod": "a"},
+            {"name": "e", "dom": "a", "cod": "a"},
+            {"name": "id_t", "dom": "t", "cod": "t"},
+            {"name": "!", "dom": "a", "cod": "t"},
+        ],
+        "identities": {"a": "id_a", "t": "id_t"},
+        "composition": [
+            ["id_a", "id_a", "id_a"], ["id_a", "e", "e"], ["e", "id_a", "e"], ["e", "e", "e"],
+            ["!", "id_a", "!"], ["!", "e", "!"], ["id_t", "!", "!"], ["id_t", "id_t", "id_t"],
+        ],
+    }
+    path = tmp_path / "idem_t.fincat.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli("lex", "check", "--format", "machine", str(path), capsys=capsys)
+    assert code == 1
+    assert json.loads(out) == {"ok": False, "failure": {"shape": "product", "pair": ["a", "a"]}}
+
+
 def test_verify_empty_corpus_warns_and_passes(tmp_path, capsys):
     code, out, err = run_cli("verify", str(tmp_path), capsys=capsys)
     assert code == 0

@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import os
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,6 +20,7 @@ from test_associativity import (
 )
 from test_indexes import constant_diagrams_over_posets_with_top
 
+import bicolim
 from bicolim import corpus, fincat, lexkit, zoo
 from bicolim.colim import bifiltered_bicolimit
 from bicolim.compact import OneCellLift, lift_one_cell
@@ -32,19 +37,17 @@ from bicolim.fincat import (
     natural_iso_search,
 )
 from bicolim.lexkit import (
-    _cones,
-    _equalizing_cones,
+    LexReport,
     _first_limit,
-    _hom_product,
     _hom_sizes,
     _is_limiting,
     _object_set_verdicts,
     _product_cones,
     finite_limit_witnesses,
     is_lex_functor,
-    limit_of_diagram,
     verify_lex_bicolimit,
 )
+from bicolim.verdict import negative, positive
 from bicolim.twocat import build_pseudofunctor, constant_pseudofunctor, locally_discrete
 
 
@@ -147,21 +150,122 @@ def test_walking_iso_is_lex():
     assert report.ok
 
 
-def test_limit_of_diagram_matches_cone_oracle():
-    cat = diamond()
-    got = limit_of_diagram(cat, ["l", "r"], [])
-    assert got is not None
-    assert got == counting_limit_of_diagram(cat, ["l", "r"], [])
-    apex, legs = got
-    assert apex == "bot"
-    # oracle: every cone factors through it uniquely, by enumeration
-    for x in cat.objects:
-        for mu in cone_over(cat, x, ["l", "r"], []):
-            mediators = [
-                m for m in cat.hom(x, apex)
-                if all(cat.table[(legs[o], m)] == mu[o] for o in ["l", "r"])
-            ]
-            assert len(mediators) == 1
+def idempotent_below_terminal():
+    """a with an idempotent e, and a terminal t: a × a would need four
+    arrows out of a, so there is no product."""
+    return build_fincat(
+        "idem_t",
+        ["a", "t"],
+        [("id_a", "a", "a"), ("e", "a", "a"), ("id_t", "t", "t"), ("!", "a", "t")],
+        {"a": "id_a", "t": "id_t"},
+        {
+            ("id_a", "id_a"): "id_a", ("id_a", "e"): "e", ("e", "id_a"): "e", ("e", "e"): "e",
+            ("!", "id_a"): "!", ("!", "e"): "!", ("id_t", "!"): "!", ("id_t", "id_t"): "id_t",
+        },
+    )
+
+
+def test_a_missing_product_is_named_on_a_category_that_is_not_thin():
+    want = {"ok": False, "failure": {"shape": "product", "pair": ["a", "a"]}}
+    assert finite_limit_witnesses(idempotent_below_terminal()).to_dict() == want
+
+
+# -- cone families and searched equalizers, the oracles ----------------------------
+#
+# ``lexkit`` searches terminal objects and products only.  The cone families
+# below are those of graph diagrams and of equalizers, which it no longer
+# forms; they drive ``_is_limiting`` and ``_first_limit`` on those shapes.
+# The equalizers it writes, and the equalizer preservation it takes as
+# given, are checked against the searches they replaced.
+
+
+def hom_product(cat, x, objs):
+    """Every family of arrows x -> o, one for each o in ``objs``, in product order."""
+    return list(itertools.product(*[cat.hom(x, o) for o in objs]))
+
+
+def graph_cones(cat, objs, mors):
+    """For each apex x, the families out of x, legs in ``objs`` order, that
+    commute with every arrow of ``mors``: the cones over that graph."""
+    at = {o: k for k, o in enumerate(objs)}
+    arrows = [(m, at[cat.dom[m]], at[cat.cod[m]]) for m in mors]
+    return {
+        x: [
+            legs
+            for legs in hom_product(cat, x, objs)
+            if all(cat.table[(m, legs[s])] == legs[t] for m, s, t in arrows)
+        ]
+        for x in cat.objects
+    }
+
+
+def equalizing_cones(cat, f, g):
+    """For each x, the arrows h: x -> dom f with f∘h = g∘h, as one-leg cones."""
+    a, table = cat.dom[f], cat.table
+    return {
+        x: [(h,) for h in cat.hom(x, a) if table[(f, h)] == table[(g, h)]] for x in cat.objects
+    }
+
+
+def searched_witnesses(cat):
+    """``finite_limit_witnesses`` with the equalizer of every parallel pair
+    searched over its cones."""
+    report = finite_limit_witnesses(cat)
+    if not report.ok:
+        return report
+    sizes = _hom_sizes(cat)
+    equalizers = {}
+    for f in cat.morphisms:
+        for g in cat.hom(cat.dom[f], cat.cod[f]):
+            if f > g:
+                continue
+            got = _first_limit(cat, equalizing_cones(cat, f, g), sizes)
+            if got is None:
+                return LexReport(False, failure={"shape": "equalizer", "pair": [f, g]})
+            equalizers[(f, g)] = (got[0], got[1][0])
+    return dataclasses.replace(report, equalizers=equalizers)
+
+
+def searched_is_lex_functor(fun):
+    """``is_lex_functor`` with the ends of each image product cone checked,
+    and each searched equalizer's image decided over its cones."""
+    report = searched_witnesses(fun.source)
+    if not report.ok:
+        return negative("lex-functor", {"reason": "source not lex", **report.failure})
+    tgt, F, M = fun.target, fun.obj_map, fun.mor_map
+    t_img = F[report.terminal]
+    for x in tgt.objects:
+        if len(tgt.hom(x, t_img)) != 1:
+            return negative("lex-functor", {"reason": "terminal not preserved", "at": x, "image": t_img})
+    for (a, b), (p, l1, l2) in report.products.items():
+        ends = (tgt.dom[M[l1]], tgt.cod[M[l1]], tgt.dom[M[l2]], tgt.cod[M[l2]])
+        if ends != (F[p], F[a], F[p], F[b]) or not _is_limiting(
+            tgt, F[p], (M[l1], M[l2]), _product_cones(tgt, F[a], F[b])
+        ):
+            return negative("lex-functor", {"reason": "product not preserved", "pair": [a, b]})
+    for (f, g), (e, eq) in report.equalizers.items():
+        f_img, g_img, eq_img = M[f], M[g], M[eq]
+        if (
+            (tgt.dom[eq_img], tgt.cod[eq_img]) != (F[e], tgt.dom[f_img])
+            or tgt.table[(f_img, eq_img)] != tgt.table[(g_img, eq_img)]
+            or not _is_limiting(tgt, F[e], (eq_img,), equalizing_cones(tgt, f_img, g_img))
+        ):
+            return negative("lex-functor", {"reason": "equalizer not preserved", "pair": [f, g]})
+    return positive("lex-functor", [{"terminal": t_img}])
+
+
+small_categories = st.one_of(posets(), preorders(), transformation_monoids(), valid_categories)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_categories, small_categories)
+@example(diamond(), idempotent_below_terminal())
+@example(zoo.walking_iso(), zoo.bz2())
+def test_written_equalizers_and_their_preservation_match_the_searches(cat, other):
+    assert finite_limit_witnesses(cat).to_dict() == searched_witnesses(cat).to_dict()
+    for source, target in ((cat, other), (other, cat)):
+        for fun in itertools.islice(enumerate_functors(source, target), 12):
+            assert is_lex_functor(fun).to_dict() == searched_is_lex_functor(fun).to_dict()
 
 
 @st.composite
@@ -179,14 +283,13 @@ def small_graph_diagrams(draw):
 @given(small_graph_diagrams())
 def test_bijection_test_agrees_with_mediator_counting(diagram):
     cat, objs, mors = diagram
-    cones = _cones(cat, objs, mors, {x: _hom_product(cat, x, objs) for x in cat.objects})
+    cones = graph_cones(cat, objs, mors)
     for x in cat.objects:
         assert [dict(zip(objs, legs)) for legs in cones[x]] == cone_over(cat, x, objs, mors)
         for legs in cones[x]:
             assert _is_limiting(cat, x, legs, cones) == counts_one_mediator(
                 cat, x, dict(zip(objs, legs)), objs, mors
             )
-    assert limit_of_diagram(cat, objs, mors) == counting_limit_of_diagram(cat, objs, mors)
 
 
 def counts_one_mediator_at(cat, apex, legs, cones):
@@ -207,7 +310,7 @@ def test_product_and_equalizer_tests_agree_with_mediator_counting(cat, data):
     # graph diagrams; equalizers have one leg
     shapes = [_product_cones(cat, a, b) for a, b in itertools.combinations_with_replacement(cat.objects, 2)]
     shapes += [
-        _equalizing_cones(cat, f, g)
+        equalizing_cones(cat, f, g)
         for f in cat.morphisms
         for g in cat.morphisms
         if cat.dom[f] == cat.dom[g] and cat.cod[f] == cat.cod[g]
@@ -239,11 +342,11 @@ def test_size_first_limit_test_matches_the_imaging_one(diagram):
     # the size test compares every x before imaging; the search compares
     # each apex's column of hom sizes with the cone counts
     cat, objs, mors = diagram
-    shapes = [_cones(cat, objs, mors, {x: _hom_product(cat, x, objs) for x in cat.objects})]
+    shapes = [graph_cones(cat, objs, mors)]
     pairs = itertools.combinations_with_replacement(objs, 2)
     shapes += [_product_cones(cat, a, b) for a, b in pairs]
     shapes += [
-        _equalizing_cones(cat, f, g)
+        equalizing_cones(cat, f, g)
         for f in mors
         for g in mors
         if cat.dom[f] == cat.dom[g] and cat.cod[f] == cat.cod[g]
@@ -653,7 +756,8 @@ def test_object_set_lifts_and_per_sample_path_both_flag_a_leg_that_breaks_a_meet
         colim, cocone={**colim.cocone, "0": compose_functors(colim.cocone["1"], breaks)}
     )
     report = verify_lex_bicolimit(planted)
-    assert not report.ok and not report.legs_lex["0"]
+    assert not report.ok
+    assert report.legs_lex["0"].counterexample == {"reason": "product not preserved", "pair": ["l", "r"]}
     decided = decided_failures(_object_set_verdicts(planted))
     oracle = oracle_failures(planted, list(distinct_samples(planted.result)))
     assert decided == oracle
@@ -703,6 +807,51 @@ def test_a_colimit_that_no_stage_covers_is_refused():
     planted = dataclasses.replace(colim, cocone={**colim.cocone, "1": compose_functors(leg, squash)})
     with pytest.raises(ValidationError, match="no stage reaches every object of the colimit"):
         verify_lex_bicolimit(planted)
+
+
+def test_colimit_refusals_hold_under_python_O():
+    # both refusals are raises, not asserts, so -O keeps them
+    code = textwrap.dedent(
+        """
+        import dataclasses, sys
+        from bicolim import corpus, zoo
+        from bicolim.colim import bifiltered_bicolimit
+        from bicolim.fincat import ValidationError, build_functor, compose_functors
+        from bicolim.lexkit import verify_lex_bicolimit
+
+        colim = bifiltered_bicolimit(corpus.lex_constant())
+        try:
+            verify_lex_bicolimit(dataclasses.replace(colim, result=zoo.bz2()))
+            sys.exit("a colimit that is not thin accepted")
+        except ValidationError as err:
+            if err.violations != ["colimit not thin: hom(o, o) has 2 arrows"]:
+                sys.exit(f"wrong violations: {err.violations}")
+
+        # the diamond's leg sends r to l's image, so no leg reaches r
+        colim = bifiltered_bicolimit(corpus.lex_chain_semilattices())
+        leg = colim.cocone["1"]
+        big = leg.source
+        to = {"bot": "bot", "l": "l", "r": "l", "top": "top"}
+        squash = build_functor(
+            "squash", big, big, to, {m: big.hom(to[big.dom[m]], to[big.cod[m]])[0] for m in big.dom}
+        )
+        planted = dataclasses.replace(colim, cocone={**colim.cocone, "1": compose_functors(leg, squash)})
+        try:
+            verify_lex_bicolimit(planted)
+            sys.exit("a colimit that no stage covers accepted")
+        except ValidationError as err:
+            if err.violations != ["no stage reaches every object of the colimit"]:
+                sys.exit(f"wrong violations: {err.violations}")
+        print("ok")
+        """
+    )
+    src = str(Path(bicolim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert proc.stdout.strip() == "ok"
 
 
 @pytest.mark.parametrize("name", sorted(corpus.LEX_DIAGRAM_BUILDERS))
