@@ -146,10 +146,23 @@ def check_sigma_filtered(tc: TwoCat, sigma: SigmaClass) -> Verdict:
     The strengthening of condition 2 (the inserted cell can be chosen
     invertible when the compared cell is also in the class) is verified as
     its own sub-search rather than derived.
+
+    The question is decided once per closed class: when ``tc`` owns the class
+    that :func:`sigma_closure` returns, the verdict is kept on that class,
+    and every later call with it, or with a class closing to it, returns the
+    same :class:`Verdict`.
     """
+    closed = sigma_closure(sigma)
+    if closed.owner is not tc:
+        return _search_sigma_filtered(tc, closed.members)
+    if closed._sigma_filtered is None:
+        closed._sigma_filtered = _search_sigma_filtered(tc, closed.members)
+    return closed._sigma_filtered
+
+
+def _search_sigma_filtered(tc: TwoCat, allowed: frozenset[str]) -> Verdict:
     if not tc.cells0:
         raise ValidationError(tc.name, ["empty 0-cell set"])
-    allowed = sigma_closure(sigma).members
     witnesses: list[dict[str, Any]] = []
     for i, i2 in _object_pairs(tc):
         span = _find_span(tc, i, i2, allowed)

@@ -24,7 +24,9 @@ construction:
   between them;
 - ``full_sub_on_one_cells``: each hom is a full subcategory, and the kept
   1-cells, checked to hold the units and to be closed under composition,
-  keep every composite inside.
+  keep every composite inside.  A hom that keeps every 1-cell is the whole's
+  hom under a new name and shares its tables; only a hom kept in part is
+  filtered.
 
 ``inclusion_twofunctor`` assembles the inclusion of a sub-2-category the
 same way, since the sub-2-category's tables are restrictions of the whole's;
@@ -72,6 +74,7 @@ from .fincat import (
     whisker_functor,
     whisker_nattrans,
 )
+from .verdict import Verdict
 
 
 def _empty_cat(name: str) -> FinCat:
@@ -364,24 +367,24 @@ def describe_twocat(tc: TwoCat) -> dict:
 
 def locally_discrete(cat: FinCat, name: str | None = None) -> TwoCat:
     """The 2-category with only identity 2-cells over a finite category."""
+    v = {m: f"v_{m}" for m in cat.morphisms}  # the one 2-cell on each 1-cell
     cells_of: dict[tuple[str, str], list[str]] = {}  # nonempty homs, in name order
     for m in cat.morphisms:
         cells_of.setdefault((cat.dom[m], cat.cod[m]), []).append(m)
     pos = {x: n for n, x in enumerate(cat.objects)}
     hom: dict[tuple[str, str], FinCat] = {}
     for i, j in sorted(cells_of, key=lambda pair: (pos[pair[0]], pos[pair[1]])):
-        ids = {m: f"v_{m}" for m in cells_of[(i, j)]}
+        ids = {m: v[m] for m in cells_of[(i, j)]}
+        ends = {w: m for m, w in ids.items()}  # every 2-cell is an endo-cell
         hom[(i, j)] = FinCat(
             f"{cat.name}[{i},{j}]",
             tuple(ids),
-            {v: m for m, v in ids.items()},
-            {v: m for m, v in ids.items()},
+            ends,
+            ends,
             ids,
-            {(v, v): v for v in ids.values()},
+            {(w, w): w for w in ends},
         )
-    hcomp2 = {
-        (f"v_{g}", f"v_{f}"): f"v_{gf}" for (g, f), gf in cat.table.items()
-    }
+    hcomp2 = {(v[g], v[f]): v[gf] for (g, f), gf in cat.table.items()}
     return _assemble_twocat(
         name or f"ld({cat.name})",
         cat.objects,
@@ -467,6 +470,22 @@ def full_sub_on_one_cells(tc: TwoCat, keep: Iterable[str], name: str | None = No
     kept2: set[str] = set()
     for (i, j), cat in tc.hom.items():
         objs = tuple(f for f in cat.objects if f in kept)
+        if len(objs) == len(cat.objects):
+            # kept whole: the full subcategory is the hom itself, so it shares
+            # the tables and whatever lookups the hom has built so far
+            kept2.update(cat.dom)
+            hom[(i, j)] = FinCat(
+                f"{cat.name}|",
+                cat.objects,
+                cat.dom,
+                cat.cod,
+                cat.identity,
+                cat.table,
+                cat._iso_cache,
+                cat._morphisms,
+                cat._hom_index,
+            )
+            continue
         if not objs:
             continue
         mors = [a for a in cat.morphisms if cat.dom[a] in kept and cat.cod[a] in kept]
@@ -504,6 +523,8 @@ class SigmaClass:
     closed: bool = field(default=False, init=False)
     # the closed class sigma_closure returned for this one
     _closure: SigmaClass | None = field(default=None, init=False, compare=False, repr=False)
+    # on a closed class: filtered.check_sigma_filtered's verdict on the owner
+    _sigma_filtered: Verdict | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         bad = [f for f in self.members if f not in self.owner.one_home]

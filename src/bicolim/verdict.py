@@ -14,6 +14,14 @@ from typing import Any
 
 @dataclass
 class Verdict:
+    """The outcome of one check, with its witnesses or its counterexample.
+
+    Verdicts are shared and read-only: ``check_sigma_filtered`` returns one
+    verdict per closed class to every caller, and a verdict built from
+    another (``flat``'s from the σ-filteredness search) holds the other's
+    witness list, so no caller may change ``witnesses`` or ``counterexample``.
+    """
+
     outcome: bool
     check: str
     witnesses: list[dict[str, Any]] = field(default_factory=list)

@@ -25,16 +25,18 @@ from support import corpus_fixtures
 from test_associativity import posets, preorders, transformation_monoids
 
 from bicolim import fincat, twocat, zoo
-from bicolim.filtered import trivialization_check
+from bicolim.filtered import check_bifiltered, check_sigma_cofinal, trivialization_check
 from bicolim.fincat import FinCat, ValidationError, build_fincat, fincat_violations
 from bicolim.fixtures import ProbeFixture, TwoCatFixture, load_fixture
 from bicolim.twocat import (
     SigmaClass,
     TwoCat,
+    all_one_cells,
     build_twocat,
     describe_twocat,
     full_sub_on_one_cells,
     full_sub_on_zero_cells,
+    inclusion_twofunctor,
     locally_discrete,
     op1,
     sigma_closure,
@@ -213,8 +215,41 @@ def test_indexed_closure_check_matches_all_pairs_scan(cat, data):
     assert accepted == all_pairs_closed(tc, kept)
 
 
+SHARED = ("objects", "dom", "cod", "identity", "table", "_iso_cache")
+
+
+def check_shared_homs(tc: TwoCat, members) -> None:
+    """``full_sub_on_one_cells`` shares the tables of every hom it keeps whole,
+    and the searches run on the sub-2-category write nothing through them."""
+    before = describe_twocat(tc)
+    closed = sigma_closure(SigmaClass(tc, frozenset(members)))
+    sub = full_sub_on_one_cells(tc, closed.members)
+    for key, cat in sub.hom.items():
+        whole = tc.hom[key]
+        shared = [f for f in SHARED if getattr(cat, f) is getattr(whole, f)]
+        assert shared == (list(SHARED) if cat.objects == whole.objects else []), key
+    check_bifiltered(sub)
+    check_sigma_cofinal(inclusion_twofunctor(sub, tc), all_one_cells(sub), closed)
+    assert describe_twocat(tc) == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(posets(), preorders(), transformation_monoids()), st.data())
+def test_class_subcategory_shares_the_homs_it_keeps_whole(cat, data):
+    tc = locally_discrete(cat)
+    check_shared_homs(tc, data.draw(st.sets(st.sampled_from(tc.one_cells), max_size=4)))
+
+
 # ---------------------------------------------------------------------------
 # The bundled corpus
+
+
+@pytest.mark.parametrize("path", corpus_fixtures("twocat"), ids=lambda p: p.name)
+def test_corpus_class_subcategories_share_the_homs_they_keep_whole(path):
+    fx = load_fixture(path)
+    assert isinstance(fx, TwoCatFixture)
+    for sigma in [fx.sigma[name] for name in sorted(fx.sigma)] + [all_one_cells(fx.twocat)]:
+        check_shared_homs(fx.twocat, sigma.members)
 
 
 @pytest.mark.parametrize("path", corpus_fixtures("twocat"), ids=lambda p: p.name)

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from test_associativity import posets, preorders, transformation_monoids
 
 from bicolim import zoo
 from bicolim.fincat import ValidationError
 from bicolim.filtered import (
     TriangleError,
+    _search_sigma_filtered,
     check_bifiltered,
     check_sigma_cofinal,
     check_sigma_filtered,
@@ -22,6 +26,7 @@ from bicolim.twocat import (
     full_sub_on_zero_cells,
     inclusion_twofunctor,
     locally_discrete,
+    op1,
     sigma_closure,
     terminal_twocat,
 )
@@ -149,6 +154,53 @@ def test_positive_witnesses_revalidate():
         if verdict:
             for w in verdict.witnesses:
                 assert revalidate_filteredness_witness(tc, w, sigma.members), (name, w)
+
+
+# -- one decision per closed class ---------------------------------------------
+
+
+def searched(tc, sigma):
+    """The σ-filteredness search run afresh, with nothing kept."""
+    return _search_sigma_filtered(tc, sigma_closure(sigma).members).to_dict()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(posets(), preorders(), transformation_monoids()), st.data())
+def test_kept_sigma_filtered_verdict_matches_a_fresh_search(cat, data):
+    tc = locally_discrete(cat)
+    members = data.draw(st.sets(st.sampled_from(tc.one_cells), max_size=4))
+    sigma = SigmaClass(tc, frozenset(members))
+    want = searched(tc, sigma)
+    first = check_sigma_filtered(tc, sigma)
+    assert first.to_dict() == want
+    # a second call, with the class or its closure, returns the kept verdict
+    again = check_sigma_filtered(tc, sigma_closure(sigma))
+    assert again is first and again.to_dict() == want
+    assert check_sigma_filtered(tc, sigma) is first
+    # a 2-category that does not own the class is searched afresh each time
+    # and leaves the owner's verdict in place
+    other = op1(tc)
+    for _ in range(2):
+        foreign = check_sigma_filtered(other, sigma)
+        assert foreign is not first
+        assert foreign.to_dict() == searched(other, sigma)
+    assert check_sigma_filtered(tc, sigma) is first
+    # its own class with the same members gets its own verdict
+    own = SigmaClass(other, frozenset(members))
+    kept = check_sigma_filtered(other, own)
+    assert kept.to_dict() == searched(other, own)
+    assert check_sigma_filtered(other, own) is kept
+
+
+def test_trivialization_reuses_the_kept_sigma_filtered_verdict():
+    for name, make in ALL_FIXTURES.items():
+        tc = make()
+        sigma = units_and(tc, [f for f in ("s",) if f in tc.one_home])
+        report = trivialization_check(tc, sigma)
+        assert report.sigma_filtered is check_sigma_filtered(tc, sigma), name
+        sigma = all_one_cells(tc)
+        verdict = check_sigma_filtered(tc, sigma)
+        assert trivialization_check(tc, sigma).sigma_filtered is verdict, name
 
 
 # -- triangle completion ------------------------------------------------------
