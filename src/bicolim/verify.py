@@ -414,11 +414,8 @@ class Suite:
         if seed_order:
             rng = random.Random(seed_order)
             rng.shuffle(tasks)
-        # each task is dropped once it has run, so a class that only tasks
-        # hold goes, with the verdict kept on its closure, after its last one
-        tasks.reverse()
-        while tasks:
-            tasks.pop()[1]()
+        for _, task in tasks:
+            task()
         report = {
             "corpus": {
                 name: content_hash(self.corpus / name) for name in sorted(self.fixtures)
